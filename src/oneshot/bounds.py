@@ -12,11 +12,12 @@ back to the resolvent constant s(B^k) and the operator norms of T_k and X_k.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .linear_model import RealInverseProblem, spectral_norm, spectral_radius_of
+from .linear_model import (RealInverseProblem, data_map, spectral_norm,
+                           spectral_radius_of)
 from .solvers import MethodSpec, SolverKind
 from . import spectral
 
@@ -48,7 +49,11 @@ def default_params(shifted: bool, k: int) -> BoundParams:
     return BoundParams(theta0=theta0, delta0=1.0)
 
 
-def _check_params(params: BoundParams, shifted: bool, k: int) -> None:
+def _check_params(params: BoundParams | None, shifted: bool,
+                  k: int) -> BoundParams:
+    """The given params, or the defaults when None, checked against theta_max."""
+    if params is None:
+        params = default_params(shifted, k)
     theta_max = SHIFTED_THETA0_MAX if shifted else NON_SHIFTED_THETA0_MAX
     if k >= 2:
         if not params.theta0 < theta_max:
@@ -58,6 +63,7 @@ def _check_params(params: BoundParams, shifted: bool, k: int) -> None:
     elif not params.theta0 <= theta_max:
         raise ValueError(
             f"theta0 must not exceed {theta_max:.6g}, got {params.theta0:.6g}")
+    return params
 
 
 @dataclass
@@ -73,28 +79,21 @@ class StepBound:
         return {
             "formula_id": self.formula_id,
             "value": self.value,
-            "params": (None if self.params is None
-                       else {"theta0": self.params.theta0,
-                             "delta0": self.params.delta0}),
+            "params": None if self.params is None else asdict(self.params),
             "norm_inputs": dict(self.norm_inputs),
         }
 
 
-def _data_map_norm(problem: RealInverseProblem) -> float:
-    G = problem.H @ np.linalg.solve(np.eye(problem.n_u) - problem.B, problem.M)
-    return spectral_norm(G)
-
-
 def gd_bound(problem: RealInverseProblem) -> StepBound:
     """Exact admissible-step supremum of usual gradient descent."""
-    g = _data_map_norm(problem)
+    g = spectral_norm(data_map(problem))
     return StepBound(value=2.0 / g**2, formula_id="usual-gd",
                      params=None, norm_inputs={"data_map_norm": g})
 
 
 def shifted_gd_bound(problem: RealInverseProblem) -> StepBound:
     """Exact admissible-step supremum of shifted gradient descent."""
-    g = _data_map_norm(problem)
+    g = spectral_norm(data_map(problem))
     return StepBound(value=1.0 / g**2, formula_id="shifted-gd",
                      params=None, norm_inputs={"data_map_norm": g})
 
@@ -112,9 +111,7 @@ def chi_k1(b: float, params: BoundParams | None = None) -> float:
     one-step family, for 0 < b = ||B|| < 1."""
     if not 0.0 < b < 1.0:
         raise ValueError(f"chi_k1 needs 0 < b < 1, got {b}")
-    if params is None:
-        params = default_params(shifted=True, k=1)
-    _check_params(params, shifted=True, k=1)
+    params = _check_params(params, shifted=True, k=1)
     th, d0 = params.theta0, params.delta0
     chi0 = 2.0 * (1.0 - b)**2
     chi1 = (1.0 - b)**4 / (4.0 * b**2)
@@ -131,9 +128,7 @@ def psi_k1(b: float, params: BoundParams | None = None) -> float:
     """Non-shifted one-step family (real eigenvalues impose no condition)."""
     if not 0.0 < b < 1.0:
         raise ValueError(f"psi_k1 needs 0 < b < 1, got {b}")
-    if params is None:
-        params = default_params(shifted=False, k=1)
-    _check_params(params, shifted=False, k=1)
+    params = _check_params(params, shifted=False, k=1)
     th, d0 = params.theta0, params.delta0
     psi1 = (1.0 - b)**4 / (4.0 * b**2)
     psi2 = 2.0 * math.sin(th / 2.0) * (1.0 - b)**2 / (1.0 + b)**2
@@ -157,9 +152,7 @@ def chi_k(k: int, b: float, params: BoundParams | None = None) -> float:
         raise ValueError(f"chi_k needs 0 <= b < 1, got {b}")
     if b == 0.0:
         return 1.0
-    if params is None:
-        params = default_params(shifted=True, k=k)
-    _check_params(params, shifted=True, k=k)
+    params = _check_params(params, shifted=True, k=k)
     th, d0 = params.theta0, params.delta0
     bk = b**k
     geom = _geom(k, b)
@@ -191,9 +184,7 @@ def psi_k(k: int, b: float, params: BoundParams | None = None) -> float:
         raise ValueError(f"psi_k needs 0 <= b < 1, got {b}")
     if b == 0.0:
         return 2.0
-    if params is None:
-        params = default_params(shifted=False, k=k)
-    _check_params(params, shifted=False, k=k)
+    params = _check_params(params, shifted=False, k=k)
     th, d0 = params.theta0, params.delta0
     bk = b**k
     geom = _geom(k, b)
@@ -281,9 +272,7 @@ def matrix_bound(problem: RealInverseProblem, method: MethodSpec,
 
     shifted = method.kind is SolverKind.SHIFTED_K_STEP
     k = method.k
-    if params is None:
-        params = default_params(shifted, k)
-    _check_params(params, shifted, k)
+    params = _check_params(params, shifted, k)
     nB = spectral_norm(problem.B)
     nH = spectral_norm(problem.H)
     nM = spectral_norm(problem.M)

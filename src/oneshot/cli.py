@@ -17,6 +17,7 @@ seed reproduces byte-identical output.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import sys
@@ -29,7 +30,8 @@ from . import bounds, scalar, spectral
 from .linear_model import (RealInverseProblem, ScalarProblem, exact_state,
                            cost, gradient, helmholtz_toy, load_problem,
                            random_contraction, validate)
-from .solvers import (MethodSpec, SolverConfig, SolverKind, Status, run_method)
+from .solvers import (ONE_SHOT_KINDS, MethodSpec, SolverConfig, SolverKind,
+                      run_method)
 
 EXIT_INVALID = 1
 EXIT_PARSE = 2
@@ -42,16 +44,6 @@ METHOD_NAMES = {
 }
 
 
-def _json_value(x):
-    if isinstance(x, float) and math.isinf(x):
-        return "inf"
-    return x
-
-
-def _dump_json(obj) -> str:
-    return json.dumps(obj, default=_json_value)
-
-
 def _parse_scalar(text: str) -> ScalarProblem:
     parts = [float(p) for p in text.split(",")]
     if len(parts) != 3:
@@ -59,9 +51,17 @@ def _parse_scalar(text: str) -> ScalarProblem:
     return ScalarProblem(b=parts[0], h=parts[1], m=parts[2])
 
 
+def _read_problem(path):
+    """Load a problem file, reporting any failure as a problem-file error."""
+    try:
+        return load_problem(path)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"cannot read problem file: {exc}") from exc
+
+
 def _load_problem_arg(args) -> RealInverseProblem:
     if getattr(args, "problem", None):
-        problem = load_problem(args.problem)
+        problem = _read_problem(args.problem)
         if not isinstance(problem, RealInverseProblem):
             from .linear_model import realify
             problem = realify(problem)
@@ -103,13 +103,9 @@ def _line_search_tau(problem, f, sigma0, tau, shrink=0.5, armijo=1e-4,
 
 
 def _cmd_check(args) -> int:
-    try:
-        problem = load_problem(args.problem)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read problem file: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    problem = _read_problem(args.problem)
     report = validate(problem, eps_rho=args.eps_rho, eps_inj=args.eps_inj)
-    print(_dump_json(report.as_dict()))
+    print(json.dumps(report.as_dict()))
     return 0 if report.is_valid else EXIT_INVALID
 
 
@@ -117,30 +113,16 @@ def _cmd_bound(args) -> int:
     kind = METHOD_NAMES[args.method]
     if args.scalar:
         sp = _parse_scalar(args.scalar)
-        hm2 = sp.h**2 * sp.m**2
-        if kind is SolverKind.USUAL_GD:
-            value, branch = scalar.usual_gd_threshold(sp.b), "gd"
-        elif kind is SolverKind.SHIFTED_GD:
-            value, branch = scalar.shifted_gd_threshold(sp.b), "sgd"
-        elif kind is SolverKind.K_STEP:
-            thr = scalar.eta(args.k, sp.b)
-            value, branch = thr.value, thr.branch
-        else:
-            thr = scalar.kappa(args.k, sp.b)
-            value, branch = thr.value, thr.branch
-        print(_dump_json({"b": sp.b, "h": sp.h, "m": sp.m, "k": args.k,
-                          "method": args.method, "value": value / hm2,
-                          "branch": branch}))
+        thr = scalar.threshold(kind, args.k, sp.b)
+        print(json.dumps({"b": sp.b, "h": sp.h, "m": sp.m, "k": args.k,
+                          "method": args.method,
+                          "value": thr.value / (sp.h**2 * sp.m**2),
+                          "branch": thr.branch}))
         return 0
-    try:
-        problem = _load_problem_arg(args)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    problem = _load_problem_arg(args)
     params = None
     if args.theta0 is not None or args.delta0 is not None:
-        shifted = kind is SolverKind.SHIFTED_K_STEP
-        defaults = bounds.default_params(shifted, args.k)
+        defaults = bounds.default_params(kind is SolverKind.SHIFTED_K_STEP, args.k)
         params = bounds.BoundParams(
             theta0=args.theta0 if args.theta0 is not None else defaults.theta0,
             delta0=args.delta0 if args.delta0 is not None else defaults.delta0)
@@ -149,7 +131,7 @@ def _cmd_bound(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    print(_dump_json(sb.as_dict()))
+    print(json.dumps(sb.as_dict()))
     return 0
 
 
@@ -158,11 +140,7 @@ def _trace_path(out_dir: Path, method: str, k: int, tau: float) -> Path:
 
 
 def _cmd_solve(args) -> int:
-    try:
-        problem = _load_problem_arg(args)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    problem = _load_problem_arg(args)
     kind = METHOD_NAMES[args.method]
     sigma_ex, sigma0, f = _synthetic_data(problem, args)
     tau = args.tau[0]
@@ -184,34 +162,28 @@ def _cmd_solve(args) -> int:
 
 
 def _run_cell(problem, f, sigma0, sigma_ex, method_name, k, tau, args):
-    kind = METHOD_NAMES[method_name]
-    used_tau = tau
-    if args.line_search_first:
-        used_tau = _line_search_tau(problem, f, sigma0, tau)
-    method = MethodSpec(kind, k=k)
+    method, used_tau, rho = None, tau, math.nan
     try:
+        method = MethodSpec(METHOD_NAMES[method_name], k=k)
+        if args.line_search_first:
+            used_tau = _line_search_tau(problem, f, sigma0, tau)
         config = SolverConfig(tau=used_tau, max_outer=args.max_outer)
         trace = run_method(method, problem, f, sigma0, config,
                            sigma_exact=sigma_ex)
-        status = trace.status.value
-        outer = len(trace)
-        final_cost = trace.final_cost
+        status, outer, final_cost = trace.status.value, len(trace), trace.final_cost
     except Exception as exc:  # a failed cell must not kill the sweep
         trace, status, outer, final_cost = None, f"error:{exc}", 0, math.nan
-    try:
-        rho = spectral.spectral_radius(
-            spectral.build_iteration_matrix(problem, method, used_tau))
-    except Exception:
-        rho = math.nan
+    if method is not None:
+        try:
+            rho = spectral.spectral_radius(
+                spectral.build_iteration_matrix(problem, method, used_tau))
+        except Exception:  # no oracle radius: the row reports nan
+            pass
     return method_name, k, tau, trace, status, outer, final_cost, rho
 
 
 def _cmd_sweep(args) -> int:
-    try:
-        problem = _load_problem_arg(args)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    problem = _load_problem_arg(args)
     sigma_ex, sigma0, f = _synthetic_data(problem, args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -226,14 +198,17 @@ def _cmd_sweep(args) -> int:
             lambda c: _run_cell(problem, f, sigma0, sigma_ex, *c, args), cells))
 
     results.sort(key=lambda r: (r[0], r[1], r[2]))
-    with open(out_dir / "summary.csv", "w") as fh:
-        fh.write("method,k,tau,status,outer_iters,final_cost,rho\n")
+    with open(out_dir / "summary.csv", "w", newline="") as fh:
+        # quotes only a field that needs it, such as an error with a comma
+        summary = csv.writer(fh, lineterminator="\n")
+        summary.writerow(["method", "k", "tau", "status", "outer_iters",
+                          "final_cost", "rho"])
         for method_name, k, tau, trace, status, outer, final_cost, rho in results:
             if trace is not None:
                 with open(_trace_path(out_dir, method_name, k, tau), "w") as tf:
                     trace.write_csv(tf)
-            fh.write(f"{method_name},{k},{tau:.17g},{status},{outer},"
-                     f"{final_cost:.17g},{rho:.17g}\n")
+            summary.writerow([method_name, k, f"{tau:.17g}", status, outer,
+                              f"{final_cost:.17g}", f"{rho:.17g}"])
     print(str(out_dir / "summary.csv"))
     return 0
 
@@ -242,29 +217,18 @@ def _cmd_scalar_region(args) -> int:
     ks = [int(x) for x in args.k.split(",")]
     bs = np.linspace(args.b_min, args.b_max, args.b_count)
     if args.b_min <= -1.0 or args.b_max >= 1.0:
-        print("error: the b grid must stay inside (-1, 1)", file=sys.stderr)
-        return EXIT_PARSE
+        raise ValueError("the b grid must stay inside (-1, 1)")
     methods = args.method.split(",") if args.method else list(METHOD_NAMES)
     lines = ["b,k,method,threshold,branch"]
     for b in bs:
         b = float(b)
         for name in methods:
             kind = METHOD_NAMES[name]
-            if kind is SolverKind.USUAL_GD:
-                # GD rows carry k = 0: no inner iterations to speak of
-                lines.append(f"{b:.17g},0,gd,{scalar.usual_gd_threshold(b):.17g},gd")
-            elif kind is SolverKind.SHIFTED_GD:
-                lines.append(f"{b:.17g},0,sgd,{scalar.shifted_gd_threshold(b):.17g},sgd")
-            elif kind is SolverKind.K_STEP:
-                for k in ks:
-                    thr = scalar.eta(k, b)
-                    val = "inf" if math.isinf(thr.value) else f"{thr.value:.17g}"
-                    lines.append(f"{b:.17g},{k},kshot,{val},{thr.branch}")
-            else:
-                for k in ks:
-                    thr = scalar.kappa(k, b)
-                    val = "inf" if math.isinf(thr.value) else f"{thr.value:.17g}"
-                    lines.append(f"{b:.17g},{k},skshot,{val},{thr.branch}")
+            # GD rows come once per b and carry k = 0: no inner iterations
+            for k in (ks if kind in ONE_SHOT_KINDS else ks[:1]):
+                thr = scalar.threshold(kind, k, b)
+                val = "inf" if math.isinf(thr.value) else f"{thr.value:.17g}"
+                lines.append(f"{b:.17g},{thr.k},{name},{val},{thr.branch}")
     text = "\n".join(lines) + "\n"
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
@@ -275,10 +239,9 @@ def _cmd_scalar_region(args) -> int:
     return 0
 
 
-def _add_problem_sources(p: argparse.ArgumentParser, scalar_ok=True) -> None:
+def _add_problem_sources(p: argparse.ArgumentParser) -> None:
     p.add_argument("--problem", help="JSON problem file")
-    if scalar_ok:
-        p.add_argument("--scalar", help="scalar triple b,h,m")
+    p.add_argument("--scalar", help="scalar triple b,h,m")
     p.add_argument("--random", help="random contraction nu,nsigma,nf,norm")
     p.add_argument("--helmholtz", help="Helmholtz toy grid_n,wavenumber,delta")
     p.add_argument("--seed", type=int, default=0, help="generator seed")
@@ -349,7 +312,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError) as exc:   # bad input: one line, exit 2
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
 
 
 if __name__ == "__main__":

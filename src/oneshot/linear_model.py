@@ -10,7 +10,7 @@ problems, synthetic generators, and JSON (de)serialization.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -29,11 +29,11 @@ def spectral_radius_of(a: np.ndarray) -> float:
 
 
 @dataclass
-class RealInverseProblem:
-    """Real problem data ``(B, M, H, F)``.
+class _InverseProblem:
+    """Problem data ``(B, M, H, F)`` in the subclass's ``dtype``.
 
     Shapes: B is (n_u, n_u), M is (n_u, n_sigma), H is (n_f, n_u) and F is
-    (n_u,).  Arrays are coerced to float64 and frozen after construction.
+    (n_u,).  Arrays are coerced to ``dtype`` and frozen after construction.
     """
 
     B: np.ndarray
@@ -42,17 +42,17 @@ class RealInverseProblem:
     F: np.ndarray
 
     def __post_init__(self):
-        B = np.asarray(self.B, dtype=float)
+        B = np.asarray(self.B, dtype=self.dtype)
         if B.ndim != 2 or B.shape[0] != B.shape[1] or B.shape[0] < 1:
             raise ValueError(f"B must be square and non-empty, got shape {B.shape}")
         n_u = B.shape[0]
-        M = np.asarray(self.M, dtype=float)
+        M = np.asarray(self.M, dtype=self.dtype)
         if M.ndim != 2 or M.shape[0] != n_u or M.shape[1] < 1:
             raise ValueError(f"M must have shape ({n_u}, n_sigma), got {M.shape}")
-        H = np.asarray(self.H, dtype=float)
+        H = np.asarray(self.H, dtype=self.dtype)
         if H.ndim != 2 or H.shape[1] != n_u or H.shape[0] < 1:
             raise ValueError(f"H must have shape (n_f, {n_u}), got {H.shape}")
-        F = np.asarray(self.F, dtype=float).reshape(-1)
+        F = np.asarray(self.F, dtype=self.dtype).reshape(-1)
         if F.shape != (n_u,):
             raise ValueError(f"F must have length {n_u}, got {F.shape}")
         for a in (B, M, H, F):
@@ -72,44 +72,16 @@ class RealInverseProblem:
         return self.H.shape[0]
 
 
-@dataclass
-class ComplexInverseProblem:
+class RealInverseProblem(_InverseProblem):
+    """Real problem data ``(B, M, H, F)``, coerced to float64."""
+
+    dtype = float
+
+
+class ComplexInverseProblem(_InverseProblem):
     """Complex-state problem data; same shapes as :class:`RealInverseProblem`."""
 
-    B: np.ndarray
-    M: np.ndarray
-    H: np.ndarray
-    F: np.ndarray
-
-    def __post_init__(self):
-        B = np.asarray(self.B, dtype=complex)
-        if B.ndim != 2 or B.shape[0] != B.shape[1] or B.shape[0] < 1:
-            raise ValueError(f"B must be square and non-empty, got shape {B.shape}")
-        n_u = B.shape[0]
-        M = np.asarray(self.M, dtype=complex)
-        if M.ndim != 2 or M.shape[0] != n_u or M.shape[1] < 1:
-            raise ValueError(f"M must have shape ({n_u}, n_sigma), got {M.shape}")
-        H = np.asarray(self.H, dtype=complex)
-        if H.ndim != 2 or H.shape[1] != n_u or H.shape[0] < 1:
-            raise ValueError(f"H must have shape (n_f, {n_u}), got {H.shape}")
-        F = np.asarray(self.F, dtype=complex).reshape(-1)
-        if F.shape != (n_u,):
-            raise ValueError(f"F must have length {n_u}, got {F.shape}")
-        for a in (B, M, H, F):
-            a.setflags(write=False)
-        self.B, self.M, self.H, self.F = B, M, H, F
-
-    @property
-    def n_u(self) -> int:
-        return self.B.shape[0]
-
-    @property
-    def n_sigma(self) -> int:
-        return self.M.shape[1]
-
-    @property
-    def n_f(self) -> int:
-        return self.H.shape[0]
+    dtype = complex
 
 
 @dataclass
@@ -123,13 +95,7 @@ class AssumptionReport:
     messages: list[str] = field(default_factory=list)
 
     def as_dict(self) -> dict:
-        return {
-            "spectral_radius_B": self.spectral_radius_B,
-            "min_singular_value": self.min_singular_value,
-            "max_singular_value": self.max_singular_value,
-            "is_valid": self.is_valid,
-            "messages": list(self.messages),
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -153,6 +119,12 @@ class ScalarProblem:
         )
 
 
+def data_map(problem) -> np.ndarray:
+    """The parameter-to-data map ``H (I - B)^{-1} M``, formed explicitly."""
+    eye = np.eye(problem.n_u, dtype=problem.B.dtype)
+    return problem.H @ np.linalg.solve(eye - problem.B, problem.M)
+
+
 def validate(problem, eps_rho: float = DEFAULT_EPS_RHO,
              eps_inj: float = DEFAULT_EPS_INJ) -> AssumptionReport:
     """Check contraction of B and injectivity of ``H (I - B)^{-1} M``.
@@ -169,12 +141,10 @@ def validate(problem, eps_rho: float = DEFAULT_EPS_RHO,
             f"spectral radius of B is {rho:.6g}, need < 1 - {eps_rho:g}"
         )
 
-    eye = np.eye(problem.n_u, dtype=problem.B.dtype)
     smin = 0.0
     smax = 0.0
     try:
-        G = problem.H @ np.linalg.solve(eye - problem.B, problem.M)
-        svals = np.linalg.svd(G, compute_uv=False)
+        svals = np.linalg.svd(data_map(problem), compute_uv=False)
         smax = float(svals[0])
         smin = float(svals[-1])
         if problem.n_f < problem.n_sigma:
@@ -304,6 +274,11 @@ def random_contraction(n_u: int, n_sigma: int, n_f: int, target_norm: float,
     raise RuntimeError(f"could not draw a valid problem in {max_tries} tries")
 
 
+def _to_rows(a: np.ndarray) -> np.ndarray:
+    # an (n, n) array indexed [i-1, j-1] flattened in row order, x-fastest
+    return a.T.ravel()
+
+
 def _five_point_operator(coeff: np.ndarray, n: int, h: float) -> np.ndarray:
     """Dense matrix of the variable-coefficient operator -div(c grad u).
 
@@ -313,49 +288,31 @@ def _five_point_operator(coeff: np.ndarray, n: int, h: float) -> np.ndarray:
     """
     A = np.zeros((n * n, n * n))
     inv_h2 = 1.0 / (h * h)
-
-    def idx(i, j):
-        return (j - 1) * n + (i - 1)
-
-    for j in range(1, n + 1):
-        for i in range(1, n + 1):
-            row = idx(i, j)
-            ce = 0.5 * (coeff[i, j] + coeff[i + 1, j])
-            cw = 0.5 * (coeff[i, j] + coeff[i - 1, j])
-            cn = 0.5 * (coeff[i, j] + coeff[i, j + 1])
-            cs = 0.5 * (coeff[i, j] + coeff[i, j - 1])
-            A[row, row] = (ce + cw + cn + cs) * inv_h2
-            if i < n:
-                A[row, idx(i + 1, j)] = -ce * inv_h2
-            if i > 1:
-                A[row, idx(i - 1, j)] = -cw * inv_h2
-            if j < n:
-                A[row, idx(i, j + 1)] = -cn * inv_h2
-            if j > 1:
-                A[row, idx(i, j - 1)] = -cs * inv_h2
+    c = coeff[1:-1, 1:-1]
+    ce = _to_rows(0.5 * (c + coeff[2:, 1:-1]))
+    cw = _to_rows(0.5 * (c + coeff[:-2, 1:-1]))
+    cn = _to_rows(0.5 * (c + coeff[1:-1, 2:]))
+    cs = _to_rows(0.5 * (c + coeff[1:-1, :-2]))
+    rows = np.arange(n * n)
+    A[rows, rows] = (ce + cw + cn + cs) * inv_h2
+    i = rows % n                          # i - 1 of each row's node
+    for mask, shift, ci in ((i < n - 1, 1, ce), (i > 0, -1, cw),
+                            (rows < n * n - n, n, cn), (rows >= n, -n, cs)):
+        A[rows[mask], rows[mask] + shift] = -ci[mask] * inv_h2
     return A
 
 
 def _boundary_rhs(coeff: np.ndarray, g: np.ndarray, n: int, h: float) -> np.ndarray:
     """Right-hand side contributions of Dirichlet data g on the grid boundary."""
-    rhs = np.zeros(n * n)
+    rhs = np.zeros((n, n))
     inv_h2 = 1.0 / (h * h)
-
-    def idx(i, j):
-        return (j - 1) * n + (i - 1)
-
-    for j in range(1, n + 1):
-        for i in range(1, n + 1):
-            row = idx(i, j)
-            if i == n:
-                rhs[row] += 0.5 * (coeff[i, j] + coeff[i + 1, j]) * g[i + 1, j] * inv_h2
-            if i == 1:
-                rhs[row] += 0.5 * (coeff[i, j] + coeff[i - 1, j]) * g[i - 1, j] * inv_h2
-            if j == n:
-                rhs[row] += 0.5 * (coeff[i, j] + coeff[i, j + 1]) * g[i, j + 1] * inv_h2
-            if j == 1:
-                rhs[row] += 0.5 * (coeff[i, j] + coeff[i, j - 1]) * g[i, j - 1] * inv_h2
-    return rhs
+    inner = slice(1, n + 1)
+    # east, west, north, south edges, added in this order at the corners
+    rhs[-1, :] += 0.5 * (coeff[n, inner] + coeff[n + 1, inner]) * g[n + 1, inner] * inv_h2
+    rhs[0, :] += 0.5 * (coeff[1, inner] + coeff[0, inner]) * g[0, inner] * inv_h2
+    rhs[:, -1] += 0.5 * (coeff[inner, n] + coeff[inner, n + 1]) * g[inner, n + 1] * inv_h2
+    rhs[:, 0] += 0.5 * (coeff[inner, 1] + coeff[inner, 0]) * g[inner, 0] * inv_h2
+    return _to_rows(rhs)
 
 
 def helmholtz_toy(grid_n: int, wavenumber: float, delta: float,
@@ -412,15 +369,12 @@ def helmholtz_toy(grid_n: int, wavenumber: float, delta: float,
 
     # parameter basis: indicators of a 3x3 partition of the square,
     # supported on interior nodes only (the parameter vanishes on the boundary)
+    cell = np.minimum((xs * 3).astype(int), 2)
     patches = []
     for py in range(3):
         for px in range(3):
             chi = np.zeros((n + 2, n + 2))
-            for i in range(1, n + 1):
-                for j in range(1, n + 1):
-                    if (min(int(xs[i] * 3), 2) == px
-                            and min(int(xs[j] * 3), 2) == py):
-                        chi[i, j] = 1.0
+            chi[1:-1, 1:-1] = np.outer(cell[1:-1] == px, cell[1:-1] == py)
             patches.append(chi)
     # action of -div(chi grad .) on the full incident field: interior part
     # minus the stencil terms carrying the boundary values g of u0
@@ -431,25 +385,16 @@ def helmholtz_toy(grid_n: int, wavenumber: float, delta: float,
     M = np.linalg.solve(A11, A2)
 
     # boundary flux rows: sigma0_tilde * du/dnu ~ -sigma0_tilde(x_b) u_adj / h
-    def idx(i, j):
-        return (j - 1) * n + (i - 1)
-
-    rows = []
-    for i in range(1, n + 1):  # bottom (j=0) and top (j=n+1)
-        r = np.zeros(n * n)
-        r[idx(i, 1)] = -coeff_full[i, 0] / h
-        rows.append(r)
-        r = np.zeros(n * n)
-        r[idx(i, n)] = -coeff_full[i, n + 1] / h
-        rows.append(r)
-    for j in range(1, n + 1):  # left (i=0) and right (i=n+1)
-        r = np.zeros(n * n)
-        r[idx(1, j)] = -coeff_full[0, j] / h
-        rows.append(r)
-        r = np.zeros(n * n)
-        r[idx(n, j)] = -coeff_full[n + 1, j] / h
-        rows.append(r)
-    H = np.vstack(rows)
+    # one row per non-corner boundary node: bottom/top pairs for each i, then
+    # left/right pairs for each j, each picking the adjacent interior node
+    inner = np.arange(n)
+    cols = np.concatenate([np.column_stack([inner, (n - 1) * n + inner]).ravel(),
+                           np.column_stack([inner * n, inner * n + n - 1]).ravel()])
+    coeff_b = np.concatenate([
+        np.column_stack([coeff_full[1:-1, 0], coeff_full[1:-1, n + 1]]).ravel(),
+        np.column_stack([coeff_full[0, 1:-1], coeff_full[n + 1, 1:-1]]).ravel()])
+    H = np.zeros((4 * n, n * n))
+    H[np.arange(4 * n), cols] = -coeff_b / h
 
     return RealInverseProblem(B=B, M=M, H=H, F=np.zeros(n * n))
 

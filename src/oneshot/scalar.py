@@ -174,11 +174,11 @@ def kappa12(k: int, b: float) -> float:
 
 
 def _kappa2_pieces(k: int, b: float):
-    s = b**k
-    t = _tk(k, b)
-    y = _yk(k, b)
-    v = t*t - y
-    return s, t, y, v
+    # v = t_k^2 - y_k in factored form: the plain difference cancels near
+    # b = 0 once k >= 6 and can even come out zero or of the wrong sign
+    w = k - (k + 1)*b + b**(k+1)
+    v = b**(k-1) * w / (1.0 - b)**2
+    return b**k, _yk(k, b), v
 
 
 def kappa21(k: int, b: float, naive: bool = False) -> float:
@@ -189,7 +189,7 @@ def kappa21(k: int, b: float, naive: bool = False) -> float:
     conjugate denominator is used; ``naive=True`` keeps the direct quotient
     for cross-checking.
     """
-    s, t, y, v = _kappa2_pieces(k, b)
+    s, y, v = _kappa2_pieces(k, b)
     disc = math.sqrt((-4.0*s + 5.0)*v*v + y*y + 2.0*(-2.0*s*s + 2.0*s + 1.0)*v*y)
     if naive:
         return ((2.0*s*s - 2.0*s - 1.0)*v - y + disc) / (2.0*v*v)
@@ -200,7 +200,9 @@ def kappa21(k: int, b: float, naive: bool = False) -> float:
 
 
 def kappa22(k: int, b: float) -> float:
-    s, t, y, v = _kappa2_pieces(k, b)
+    s, y, v = _kappa2_pieces(k, b)
+    if v*v == 0.0:
+        return math.inf              # the limit as v -> 0
     disc = math.sqrt((8.0*s*s + 12.0*s + 5.0)*v*v + y*y
                      + 2.0*(2.0*s*s + 2.0*s + 1.0)*v*y)
     return ((2.0*s*s + 2.0*s + 1.0)*v + y + disc) / (2.0*v*v)
@@ -245,9 +247,10 @@ def eta(k: int, b: float) -> ScalarThreshold:
         # zero contraction: the method is exactly usual gradient descent
         return ScalarThreshold(k=k, b=0.0, value=2.0, branch="gd-limit")
     cands = {}
+    # both branches divide by b^(k-1) and tend to +inf where it underflows
     if b**(k-1) > 0.0:
         cands["eta21"] = eta21(k, b)
-    else:
+    elif b**(k-1) < 0.0:
         cands["eta22"] = eta22(k, b)
     if fk(k, b) > 0.0:
         cands["eta3"] = eta3(k, b)
@@ -265,9 +268,10 @@ def kappa(k: int, b: float) -> ScalarThreshold:
         # zero contraction: the method is exactly shifted gradient descent
         return ScalarThreshold(k=k, b=0.0, value=1.0, branch="gd-limit")
     cands = {}
+    # both branches divide by b^(k-1) and tend to +inf where it underflows
     if b**(k-1) > 0.0:
         cands["kappa11"] = kappa11(k, b)
-    else:
+    elif b**(k-1) < 0.0:
         cands["kappa12"] = kappa12(k, b)
     cands["kappa21"] = kappa21(k, b)
     cands["kappa22"] = kappa22(k, b)
@@ -275,6 +279,21 @@ def kappa(k: int, b: float) -> ScalarThreshold:
         cands["kappa3"] = kappa3(k, b)
     branch, value = _argmin(cands)
     return ScalarThreshold(k=k, b=b, value=value, branch=branch)
+
+
+def threshold(kind: SolverKind, k: int, b: float) -> ScalarThreshold:
+    """Exact normalized threshold of any method kind.
+
+    The one-shot kinds go to :func:`eta` and :func:`kappa`; the GD kinds
+    have no inner sweeps, so they ignore k, report k = 0 and name their
+    branch after the kind ("gd" or "sgd").
+    """
+    if kind is SolverKind.USUAL_GD:
+        return ScalarThreshold(k=0, b=b, value=usual_gd_threshold(b), branch="gd")
+    if kind is SolverKind.SHIFTED_GD:
+        return ScalarThreshold(k=0, b=b, value=shifted_gd_threshold(b),
+                               branch="sgd")
+    return (eta if kind is SolverKind.K_STEP else kappa)(k, b)
 
 
 def usual_gd_threshold(b: float) -> float:

@@ -122,6 +122,8 @@ class _Run:
     """Shared bookkeeping: reference values, stopping and divergence tests."""
 
     def __init__(self, problem, f, sigma0, config, method, sigma_exact):
+        if config is None:
+            raise ValueError("config is required")
         self.problem = problem
         self.f = np.asarray(f, dtype=float).reshape(-1)
         self.sigma0 = np.asarray(sigma0, dtype=float).reshape(-1)
@@ -168,57 +170,26 @@ class _Run:
         return self.trace
 
 
-def usual_gd(problem: RealInverseProblem, f, sigma0, config: SolverConfig,
-             sigma_exact=None) -> ConvergenceTrace:
-    """Gradient descent with exact state/adjoint solves each outer step."""
-    run = _Run(problem, f, sigma0, config, MethodSpec(SolverKind.USUAL_GD), sigma_exact)
+def run_method(method: MethodSpec, problem, f, sigma0, config,
+               u0=None, p0=None, sigma_exact=None) -> ConvergenceTrace:
+    """Run any of the four iterations: the one loop behind all of them.
+
+    Each outer step moves sigma along -M* p, then refreshes (u, p) from the
+    fresh sigma, or from the previous one for the shifted kinds.  The GD
+    kinds refresh by exact solves (also at sigma0); the one-shot kinds run
+    k coupled sweeps warm-started from (u0, p0), zero by default.
+    """
+    run = _Run(problem, f, sigma0, config, method, sigma_exact)
     sigma = run.sigma0.copy()
-    tau, M = config.tau, problem.M
-    for n in range(config.max_outer + 1):
+    one_shot = method.kind in ONE_SHOT_KINDS
+    if one_shot:
+        u = (np.zeros(problem.n_u) if u0 is None
+             else np.asarray(u0, dtype=float).reshape(-1).copy())
+        p = (np.zeros(problem.n_u) if p0 is None
+             else np.asarray(p0, dtype=float).reshape(-1).copy())
+    else:
         u = exact_state(problem, sigma)
         p = adjoint_from_state(problem, u, run.f)
-        status = run.record(n + 1, sigma, u, p)
-        if status is not None:
-            return run.finish(status)
-        if n == config.max_outer:
-            break
-        sigma = sigma - tau * (M.T @ p)
-    return run.finish(Status.MAX_ITER)
-
-
-def shifted_gd(problem: RealInverseProblem, f, sigma0, config: SolverConfig,
-               sigma_exact=None) -> ConvergenceTrace:
-    """Shifted gradient descent: the state lags one parameter update behind.
-
-    sigma, u and p can all be updated simultaneously; the first (u, p) pair
-    is obtained by exact solves at sigma0.
-    """
-    run = _Run(problem, f, sigma0, config, MethodSpec(SolverKind.SHIFTED_GD), sigma_exact)
-    sigma = run.sigma0.copy()
-    u = exact_state(problem, sigma)
-    p = adjoint_from_state(problem, u, run.f)
-    tau, M = config.tau, problem.M
-    for n in range(config.max_outer + 1):
-        status = run.record(n + 1, sigma, u, p)
-        if status is not None:
-            return run.finish(status)
-        if n == config.max_outer:
-            break
-        sigma_new = sigma - tau * (M.T @ p)
-        u = exact_state(problem, sigma)        # solved from the old sigma
-        p = adjoint_from_state(problem, u, run.f)
-        sigma = sigma_new
-    return run.finish(Status.MAX_ITER)
-
-
-def _one_shot(problem, f, sigma0, u0, p0, k, config, sigma_exact, shifted):
-    kind = SolverKind.SHIFTED_K_STEP if shifted else SolverKind.K_STEP
-    run = _Run(problem, f, sigma0, config, MethodSpec(kind, k=k), sigma_exact)
-    sigma = run.sigma0.copy()
-    u = (np.zeros(problem.n_u) if u0 is None
-         else np.asarray(u0, dtype=float).reshape(-1).copy())
-    p = (np.zeros(problem.n_u) if p0 is None
-         else np.asarray(p0, dtype=float).reshape(-1).copy())
     B, M, H, F = problem.B, problem.M, problem.H, problem.F
     Bt, Ht = B.T, H.T
     tau = config.tau
@@ -229,14 +200,33 @@ def _one_shot(problem, f, sigma0, u0, p0, k, config, sigma_exact, shifted):
         if n == config.max_outer:
             break
         sigma_new = sigma - tau * (M.T @ p)
-        rhs_u = M @ (sigma if shifted else sigma_new) + F
-        for _ in range(k):
-            # coupled sweep: both updates read the previous (u, p) pair
-            u_next = B @ u + rhs_u
-            p_next = Bt @ p + Ht @ (H @ u - run.f)
-            u, p = u_next, p_next
+        sigma_state = sigma if method.shifted else sigma_new
+        if one_shot:
+            rhs_u = M @ sigma_state + F
+            for _ in range(method.k):
+                # coupled sweep: both updates read the previous (u, p) pair
+                u_next = B @ u + rhs_u
+                p_next = Bt @ p + Ht @ (H @ u - run.f)
+                u, p = u_next, p_next
+        else:
+            u = exact_state(problem, sigma_state)
+            p = adjoint_from_state(problem, u, run.f)
         sigma = sigma_new
     return run.finish(Status.MAX_ITER)
+
+
+def usual_gd(problem: RealInverseProblem, f, sigma0, config: SolverConfig,
+             sigma_exact=None) -> ConvergenceTrace:
+    """Gradient descent with exact state/adjoint solves each outer step."""
+    return run_method(MethodSpec(SolverKind.USUAL_GD), problem, f, sigma0,
+                      config, sigma_exact=sigma_exact)
+
+
+def shifted_gd(problem: RealInverseProblem, f, sigma0, config: SolverConfig,
+               sigma_exact=None) -> ConvergenceTrace:
+    """Shifted gradient descent: the state lags one parameter update behind."""
+    return run_method(MethodSpec(SolverKind.SHIFTED_GD), problem, f, sigma0,
+                      config, sigma_exact=sigma_exact)
 
 
 def k_step_one_shot(problem: RealInverseProblem, f, sigma0, u0=None, p0=None,
@@ -244,12 +234,8 @@ def k_step_one_shot(problem: RealInverseProblem, f, sigma0, u0=None, p0=None,
                     sigma_exact=None) -> ConvergenceTrace:
     """k-step one-shot: update sigma, then run k coupled inner sweeps on
     (u, p) warm-started from the previous pair, using the fresh sigma."""
-    if config is None:
-        raise ValueError("config is required")
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
-    return _one_shot(problem, f, sigma0, u0, p0, k, config, sigma_exact,
-                     shifted=False)
+    return run_method(MethodSpec(SolverKind.K_STEP, k=k), problem, f, sigma0,
+                      config, u0, p0, sigma_exact)
 
 
 def shifted_k_step_one_shot(problem: RealInverseProblem, f, sigma0, u0=None,
@@ -257,23 +243,5 @@ def shifted_k_step_one_shot(problem: RealInverseProblem, f, sigma0, u0=None,
                             config: SolverConfig | None = None,
                             sigma_exact=None) -> ConvergenceTrace:
     """Shifted k-step one-shot: the inner sweeps use the previous sigma."""
-    if config is None:
-        raise ValueError("config is required")
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
-    return _one_shot(problem, f, sigma0, u0, p0, k, config, sigma_exact,
-                     shifted=True)
-
-
-def run_method(method: MethodSpec, problem, f, sigma0, config,
-               u0=None, p0=None, sigma_exact=None) -> ConvergenceTrace:
-    """Dispatch on the method kind (convenience for sweeps and the CLI)."""
-    if method.kind is SolverKind.USUAL_GD:
-        return usual_gd(problem, f, sigma0, config, sigma_exact)
-    if method.kind is SolverKind.SHIFTED_GD:
-        return shifted_gd(problem, f, sigma0, config, sigma_exact)
-    if method.kind is SolverKind.K_STEP:
-        return k_step_one_shot(problem, f, sigma0, u0, p0, method.k, config,
-                               sigma_exact)
-    return shifted_k_step_one_shot(problem, f, sigma0, u0, p0, method.k,
-                                   config, sigma_exact)
+    return run_method(MethodSpec(SolverKind.SHIFTED_K_STEP, k=k), problem, f,
+                      sigma0, config, u0, p0, sigma_exact)

@@ -151,7 +151,7 @@ def s_functional(T: np.ndarray, n_samples: int = 720) -> float:
     Requires rho(T) < 1; always returns at least 1 (the value at z = infinity).
     """
     T = np.asarray(T)
-    rho = float(np.max(np.abs(np.linalg.eigvals(T)))) if T.size else 0.0
+    rho = spectral_radius(T) if T.size else 0.0
     if rho >= 1.0:
         raise ValueError(f"s(T) requires rho(T) < 1, got rho = {rho:.6g}")
     if n_samples < 8:

@@ -1,4 +1,5 @@
 """End-to-end tests of the command-line harness."""
+import csv
 import json
 import math
 
@@ -42,6 +43,35 @@ class TestCheck:
         assert main(["check", "--problem", str(path)]) == 2
         path.write_text(json.dumps({"n_u": 2}))
         assert main(["check", "--problem", str(path)]) == 2
+
+
+class TestBadInput:
+    """Bad input exits 2 with a single ``error:`` line and no traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["bound", "--scalar", "0.2,1", "--method", "gd"],
+        ["scalar-region", "--k", "0"],
+        ["solve", "--scalar", "0.2,1,1", "--method", "gd", "--tau", "-1"],
+        ["bound", "--random", "4,2,3,0.4", "--method", "skshot",
+         "--theta0", "-1"],
+        ["solve", "--problem", "no/such/file.json", "--method", "gd",
+         "--tau", "0.1"],
+        ["bound", "--random", "4,2", "--method", "gd"],
+    ])
+    def test_exit_two_with_one_error_line(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_unreadable_problem_file_is_named(self, tmp_path, capsys):
+        path = tmp_path / "broken.json"
+        path.write_text("{not json")
+        for cmd in (["check"], ["bound", "--method", "gd"]):
+            assert main([*cmd, "--problem", str(path)]) == 2
+            assert capsys.readouterr().err.startswith(
+                "error: cannot read problem file: ")
 
 
 class TestBound:
@@ -131,6 +161,25 @@ class TestSweep:
         # oracle radii agree with the verdicts
         assert rows[("gd", 2.08)][1] > 1.0
         assert rows[("kshot", 2.08)][1] < 1.0
+
+    def test_failing_cell_does_not_stop_the_sweep(self, tmp_path):
+        # k = 0 fails MethodSpec validation; its error, which contains a
+        # comma, must stay one quoted field of a 7-column row
+        out_dir = tmp_path / "sweep"
+        rc = main(["sweep", "--scalar", "0.2,1,1", "--method", "kshot",
+                   "--k", "0,1", "--tau", "0.5", "--out", str(out_dir)])
+        assert rc == 0
+        with open(out_dir / "summary.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 2
+        assert all(None not in row and len(row) == 7 for row in rows)
+        by_k = {row["k"]: row for row in rows}
+        assert by_k["0"]["status"] == "error:k must be at least 1, got 0"
+        assert by_k["0"]["outer_iters"] == "0"
+        assert by_k["1"]["status"] == "converged"
+        assert float(by_k["1"]["rho"]) < 1.0
+        assert not (out_dir / "trace_kshot_k0_tau0.5.csv").exists()
+        assert (out_dir / "trace_kshot_k1_tau0.5.csv").exists()
 
     def test_reruns_are_byte_identical(self, tmp_path):
         args = ["sweep", "--random", "4,2,3,0.5", "--seed", "7",

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from oneshot.linear_model import (ComplexInverseProblem, RealInverseProblem,
-                                  ScalarProblem, cost, exact_adjoint,
+                                  ScalarProblem, cost, data_map, exact_adjoint,
                                   exact_state, fixed_point_state, gradient,
                                   helmholtz_toy, load_problem,
                                   problem_from_dict, problem_to_dict,
                                   random_contraction, realify, save_problem,
                                   spectral_norm, validate)
+from oneshot.linear_model import _boundary_rhs, _five_point_operator
 
 
 def _rho_oracle(B):
@@ -215,6 +216,104 @@ class TestGenerators:
             helmholtz_toy(8, 2 * np.pi, 50.0, seed=3)
 
 
+def _idx(i, j, n):
+    return (j - 1) * n + (i - 1)
+
+
+def _five_point_loop(coeff, n, h):
+    # node-by-node reference for the vectorized assembly
+    A = np.zeros((n * n, n * n))
+    inv_h2 = 1.0 / (h * h)
+    for j in range(1, n + 1):
+        for i in range(1, n + 1):
+            row = _idx(i, j, n)
+            ce = 0.5 * (coeff[i, j] + coeff[i + 1, j])
+            cw = 0.5 * (coeff[i, j] + coeff[i - 1, j])
+            cn = 0.5 * (coeff[i, j] + coeff[i, j + 1])
+            cs = 0.5 * (coeff[i, j] + coeff[i, j - 1])
+            A[row, row] = (ce + cw + cn + cs) * inv_h2
+            if i < n:
+                A[row, _idx(i + 1, j, n)] = -ce * inv_h2
+            if i > 1:
+                A[row, _idx(i - 1, j, n)] = -cw * inv_h2
+            if j < n:
+                A[row, _idx(i, j + 1, n)] = -cn * inv_h2
+            if j > 1:
+                A[row, _idx(i, j - 1, n)] = -cs * inv_h2
+    return A
+
+
+def _boundary_rhs_loop(coeff, g, n, h):
+    rhs = np.zeros(n * n)
+    inv_h2 = 1.0 / (h * h)
+    for j in range(1, n + 1):
+        for i in range(1, n + 1):
+            row = _idx(i, j, n)
+            if i == n:
+                rhs[row] += 0.5 * (coeff[i, j] + coeff[i + 1, j]) * g[i + 1, j] * inv_h2
+            if i == 1:
+                rhs[row] += 0.5 * (coeff[i, j] + coeff[i - 1, j]) * g[i - 1, j] * inv_h2
+            if j == n:
+                rhs[row] += 0.5 * (coeff[i, j] + coeff[i, j + 1]) * g[i, j + 1] * inv_h2
+            if j == 1:
+                rhs[row] += 0.5 * (coeff[i, j] + coeff[i, j - 1]) * g[i, j - 1] * inv_h2
+    return rhs
+
+
+class TestHelmholtzAgainstLoops:
+    """The vectorized grid assembly keeps the arithmetic of the node-by-node
+    loops, so it must agree with them bit for bit."""
+
+    @pytest.mark.parametrize("n", [4, 7, 12])
+    def test_operator_and_boundary_rhs(self, n):
+        rng = np.random.default_rng(n)
+        coeff = rng.uniform(0.5, 2.0, size=(n + 2, n + 2))
+        g = rng.standard_normal((n + 2, n + 2))
+        h = 1.0 / (n + 1)
+        assert np.array_equal(_five_point_operator(coeff, n, h),
+                              _five_point_loop(coeff, n, h))
+        assert np.array_equal(_boundary_rhs(coeff, g, n, h),
+                              _boundary_rhs_loop(coeff, g, n, h))
+
+    @pytest.mark.parametrize("n", [4, 7])
+    def test_patches_and_flux_rows(self, n):
+        kt, delta, seed = 2 * np.pi, 0.01, 3
+        p = helmholtz_toy(n, kt, delta, seed)
+        h = 1.0 / (n + 1)
+        sigma_r = np.random.default_rng(seed).uniform(1.0, 2.0, size=(n + 2, n + 2))
+        coeff = np.ones((n + 2, n + 2)) + delta * sigma_r
+        rows = []
+        for i in range(1, n + 1):
+            for node, c in ((_idx(i, 1, n), coeff[i, 0]), (_idx(i, n, n), coeff[i, n + 1])):
+                rows.append(np.zeros(n * n))
+                rows[-1][node] = -c / h
+        for j in range(1, n + 1):
+            for node, c in ((_idx(1, j, n), coeff[0, j]), (_idx(n, j, n), coeff[n + 1, j])):
+                rows.append(np.zeros(n * n))
+                rows[-1][node] = -c / h
+        assert np.array_equal(p.H, np.vstack(rows))
+
+        xs = np.arange(n + 2) * h
+        gx, gy = np.meshgrid(xs, xs, indexing="ij")
+        g = np.cos(kt * gx) + np.sin(kt * gy)
+        shift = kt**2 * np.eye(n * n)
+        A11 = _five_point_loop(np.ones((n + 2, n + 2)), n, h) - shift
+        u0 = np.linalg.solve(_five_point_loop(coeff, n, h) - shift,
+                             _boundary_rhs_loop(coeff, g, n, h))
+        columns = []
+        for py in range(3):
+            for px in range(3):
+                chi = np.zeros((n + 2, n + 2))
+                for i in range(1, n + 1):
+                    for j in range(1, n + 1):
+                        if (min(int(xs[i] * 3), 2) == px
+                                and min(int(xs[j] * 3), 2) == py):
+                            chi[i, j] = 1.0
+                columns.append(_five_point_loop(chi, n, h) @ u0
+                               - _boundary_rhs_loop(chi, g, n, h))
+        assert np.array_equal(p.M, np.linalg.solve(A11, np.column_stack(columns)))
+
+
 class TestJsonRoundTrip:
     def test_real_round_trip(self, tmp_path):
         p = random_contraction(4, 2, 3, 0.4, seed=2)
@@ -257,6 +356,24 @@ def test_problem_arrays_are_frozen():
         p.B[0, 0] = 5.0
     with pytest.raises(ValueError):
         p.F[0] = 1.0
+
+
+def test_real_and_complex_containers_differ_only_in_dtype():
+    data = dict(B=[[0.5]], M=[[1.0]], H=[[2.0]], F=[0.0])
+    real, cplx = RealInverseProblem(**data), ComplexInverseProblem(**data)
+    assert real.B.dtype == np.float64 and cplx.B.dtype == np.complex128
+    assert not isinstance(real, ComplexInverseProblem)
+    assert not isinstance(cplx, RealInverseProblem)
+    assert repr(real).startswith("RealInverseProblem(")
+    with pytest.raises(TypeError):
+        RealInverseProblem(B=[[1j]], M=[[1.0]], H=[[1.0]], F=[0.0])
+
+
+def test_data_map_is_the_parameter_to_data_map():
+    p = random_contraction(6, 2, 4, 0.5, seed=5)
+    sigma = np.array([0.3, -1.2])
+    u = exact_state(p, sigma) - exact_state(p, np.zeros(2))  # F drops out
+    assert np.allclose(data_map(p) @ sigma, p.H @ u, atol=1e-12)
 
 
 def test_scalar_problem_invariants():

@@ -9,7 +9,7 @@ from oneshot.scalar import (CubicCoeffs, eta, eta3, eta21, eta22, fk,
                             fk_roots, jury_marden_cubic, jury_marden_general,
                             kappa, kappa3, kappa11, kappa21, kappa22,
                             scalar_iteration_matrix, shifted_gd_threshold,
-                            usual_gd_threshold)
+                            threshold, usual_gd_threshold)
 from oneshot.solvers import MethodSpec, SolverKind
 from oneshot.spectral import build_iteration_matrix, spectral_radius
 
@@ -248,6 +248,76 @@ class TestThresholdExactness:
             sgd = shifted_gd_threshold(b)
             assert abs(eta(60, b).value - gd) < 1e-3 * gd
             assert abs(kappa(60, b).value - sgd) < 1e-3 * sgd
+
+
+def _radius_crosses_one(kind, k, b, value):
+    sp = ScalarProblem(b=b, h=1.0, m=1.0)
+    lo = spectral_radius(scalar_iteration_matrix(kind, k, sp, 0.99 * value))
+    hi = spectral_radius(scalar_iteration_matrix(kind, k, sp, 1.01 * value))
+    return lo < 1.0 < hi
+
+
+class TestKappaNearZero:
+    """kappa for k >= 6 near b = 0, where v_k = t_k^2 - y_k is tiny.
+
+    Forming v_k as a difference cancels there: on the 20001-point grid of
+    ``scalar-region --b-count 20001`` it came out zero at b = -1.9e-4
+    (k = 6), -9.5e-4 (k = 7) and -4.56e-3 (k = 8), and kappa22 divided by
+    it.  The factored form keeps it accurate.
+    """
+
+    FINE = np.linspace(-0.95, 0.95, 20001)
+    DEFAULT = np.linspace(-0.95, 0.95, 39)
+
+    @pytest.mark.parametrize("k", [6, 7, 8])
+    def test_fine_grid_rows_finite_and_positive(self, k):
+        vals = np.array([kappa(k, float(b)).value for b in self.FINE])
+        assert np.all(np.isfinite(vals)) and np.all(vals > 0.0)
+
+    def test_k30_default_grid_finite_and_positive(self):
+        vals = np.array([kappa(30, float(b)).value for b in self.DEFAULT])
+        assert np.all(np.isfinite(vals)) and np.all(vals > 0.0)
+
+    @pytest.mark.parametrize("k,b", [
+        (6, float(FINE[9998])), (7, float(FINE[9990])), (8, float(FINE[9952])),
+        (30, float(DEFAULT[15])), (30, float(DEFAULT[22])),
+        (30, float(DEFAULT[24]))])
+    def test_radius_crosses_one_at_former_crash_points(self, k, b):
+        value = kappa(k, b).value
+        assert _radius_crosses_one(SolverKind.SHIFTED_K_STEP, k, b, value)
+
+    def test_kappa22_is_infinite_when_v_vanishes(self):
+        # b^(k-1) underflows, so v_k is exactly zero: the limit is +inf
+        assert kappa22(200, 1e-5) == math.inf
+
+    @pytest.mark.parametrize("k,b", [(60, 1e-8), (100, -1e-5), (200, -0.0228),
+                                     (200, 0.02)])
+    def test_underflowing_branches_drop_out(self, k, b):
+        # eta21/eta22 and kappa11/kappa12 divide by b^(k-1); where it
+        # underflows they tend to +inf and the other branches decide
+        for kind, thr in ((SolverKind.K_STEP, eta),
+                          (SolverKind.SHIFTED_K_STEP, kappa)):
+            value = thr(k, b).value
+            assert math.isfinite(value) and value > 0.0
+            assert _radius_crosses_one(kind, k, b, value)
+
+
+class TestThresholdDispatch:
+    @pytest.mark.parametrize("b", [-0.9, -0.3, 0.0, 0.2, 0.7])
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_agrees_with_the_named_thresholds(self, k, b):
+        assert threshold(SolverKind.K_STEP, k, b) == eta(k, b)
+        assert threshold(SolverKind.SHIFTED_K_STEP, k, b) == kappa(k, b)
+        gd = threshold(SolverKind.USUAL_GD, k, b)
+        assert (gd.k, gd.value, gd.branch) == (0, usual_gd_threshold(b), "gd")
+        sgd = threshold(SolverKind.SHIFTED_GD, k, b)
+        assert (sgd.k, sgd.value, sgd.branch) == (0, shifted_gd_threshold(b), "sgd")
+
+    def test_one_shot_kinds_validate_k(self):
+        with pytest.raises(ValueError):
+            threshold(SolverKind.K_STEP, 0, 0.2)
+        with pytest.raises(ValueError):
+            threshold(SolverKind.SHIFTED_K_STEP, 0, 0.2)
 
 
 class TestScalarIterationMatrix:

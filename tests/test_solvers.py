@@ -252,3 +252,35 @@ def test_config_validation():
         SolverConfig(tau=0.1, tol_cost=0.0)
     with pytest.raises(ValueError):
         MethodSpec(SolverKind.K_STEP, k=0)
+
+
+@pytest.mark.parametrize("kind", list(SolverKind))
+def test_named_solvers_are_run_method(kind):
+    p = random_contraction(5, 2, 4, 0.5, seed=3)
+    s_ex = np.array([1.0, -2.0])
+    f, _, _ = _setup(p, s_ex)
+    sigma0, u0, p0 = np.zeros(2), np.ones(5), -np.ones(5)
+    cfg = SolverConfig(tau=0.01, max_outer=40)
+    if kind is SolverKind.USUAL_GD:
+        named = usual_gd(p, f, sigma0, cfg, sigma_exact=s_ex)
+    elif kind is SolverKind.SHIFTED_GD:
+        named = shifted_gd(p, f, sigma0, cfg, sigma_exact=s_ex)
+    elif kind is SolverKind.K_STEP:
+        named = k_step_one_shot(p, f, sigma0, u0, p0, k=2, config=cfg,
+                                sigma_exact=s_ex)
+    else:
+        named = shifted_k_step_one_shot(p, f, sigma0, u0, p0, k=2, config=cfg,
+                                        sigma_exact=s_ex)
+    direct = run_method(MethodSpec(kind, k=2), p, f, sigma0, cfg, u0, p0,
+                        sigma_exact=s_ex)
+    assert named.status is direct.status
+    assert list(named.rows()) == list(direct.rows())
+
+
+def test_one_shot_needs_a_config():
+    p = random_contraction(3, 1, 2, 0.3, seed=1)
+    with pytest.raises(ValueError, match="config is required"):
+        k_step_one_shot(p, np.zeros(2), np.zeros(1))
+    with pytest.raises(ValueError, match="k must be at least 1"):
+        shifted_k_step_one_shot(p, np.zeros(2), np.zeros(1), k=0,
+                                config=SolverConfig(tau=0.1))
