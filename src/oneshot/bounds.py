@@ -14,8 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
 from .linear_model import (RealInverseProblem, data_map, spectral_norm,
                            spectral_radius_of)
 from .solvers import MethodSpec, SolverKind
@@ -99,107 +97,79 @@ def shifted_gd_bound(problem: RealInverseProblem) -> StepBound:
 
 
 # ---------------------------------------------------------------------------
-# closed forms for ||B|| < 1, one inner sweep (k = 1)
+# closed forms for ||B|| < 1
 
-def _geom(k: int, b: float) -> float:
-    # 1 - k b^{k-1} + (k-1) b^k, the (1-b)^2-scaled norm bound of X_k
-    return 1.0 - k * b**(k - 1) + (k - 1) * b**k
+def _closed_form(k: int, b: float, params: BoundParams | None,
+                 shifted: bool) -> float:
+    """chi(k, b) for the shifted family, psi(k, b) for the non-shifted one:
+    the minimum over the real-eigenvalue bound and the complex-eigenvalue
+    case bounds, in units of 1 / (||H||^2 ||M||^2), for b = ||B|| < 1.
+
+    k = 1 needs b > 0.  For k >= 2 at b = 0 the method is (shifted) gradient
+    descent, whose exact bound is 1 (shifted) or 2.
+    """
+    name = ("chi" if shifted else "psi") + ("_k1" if k == 1 else "_k")
+    if not (0.0 < b < 1.0 or (k >= 2 and b == 0.0)):
+        raise ValueError(f"{name} needs {'0 <' if k == 1 else '0 <='} b < 1, got {b}")
+    if b == 0.0:
+        return 1.0 if shifted else 2.0
+    params = _check_params(params, shifted, k)
+    th, d0 = params.theta0, params.delta0
+    half = 2.5 if shifted else 1.5
+    angle = math.sin(math.pi / 2.0 - 3.0 * th) + math.cos(2.0 * th)
+    if k == 1:
+        # real eigenvalues impose no condition on the non-shifted family
+        cases = [(1.0 - b)**4 / (4.0 * b**2),
+                 2.0 * math.sin(th / 2.0) * (1.0 - b)**2 / (1.0 + b)**2,
+                 d0 * math.cos(half * th)**2
+                 / (2.0 * (1.0 + 2.0 * d0 * math.sin(half * th) + d0**2))
+                 * (1.0 - b)**4 / b**2]
+        if shifted:
+            cases += [2.0 * (1.0 - b)**2, angle * (1.0 - b)**2]
+        return min(cases)
+
+    bk = b**k
+    geom = 1.0 - k * b**(k - 1) + (k - 1) * b**k   # >= (1-b)^2 ||X_k|| / ||H||^2
+    front = (1.0 - b)**2 * (1.0 - bk)**2
+    c = (1.0 + 2.0 * d0 * math.sin(half * th) + d0**2) / math.cos(half * th)**2
+    cos_cap = math.cos((3.0 if shifted else 2.0) * th)
+    cases = [front / (4.0 * b**(2 * k) + SQRT2 * geom * (1.0 + bk)**2),
+             front / (((1.0 - bk)**2 / (2.0 * math.sin(th / 2.0))
+                       + SQRT2 * geom) * (1.0 + bk)**2),
+             front / (2.0 * c * math.sin(th / 2.0) / d0 * b**(2 * k)
+                      + geom * (math.sqrt(c) / d0 * (1.0 + b**(2 * k))
+                                + 2.0 * max(math.sqrt(c) / d0,
+                                            math.sqrt(c) / cos_cap) * bk))]
+    if shifted:
+        cases += [2.0 * front / ((1.0 - bk)**2 + 2.0 * geom),
+                  angle * front / ((1.0 - bk)**2 + 2.0 * geom * (1.0 + bk)**2)]
+    else:
+        cases.append(front / geom)
+    return min(cases)
 
 
 def chi_k1(b: float, params: BoundParams | None = None) -> float:
-    """min over the real bound and the four complex-case bounds, shifted
-    one-step family, for 0 < b = ||B|| < 1."""
-    if not 0.0 < b < 1.0:
-        raise ValueError(f"chi_k1 needs 0 < b < 1, got {b}")
-    params = _check_params(params, shifted=True, k=1)
-    th, d0 = params.theta0, params.delta0
-    chi0 = 2.0 * (1.0 - b)**2
-    chi1 = (1.0 - b)**4 / (4.0 * b**2)
-    chi2 = 2.0 * math.sin(th / 2.0) * (1.0 - b)**2 / (1.0 + b)**2
-    chi3 = (d0 * math.cos(2.5 * th)**2
-            / (2.0 * (1.0 + 2.0 * d0 * math.sin(2.5 * th) + d0**2))
-            * (1.0 - b)**4 / b**2)
-    chi4 = ((math.sin(math.pi / 2.0 - 3.0 * th) + math.cos(2.0 * th))
-            * (1.0 - b)**2)
-    return min(chi0, chi1, chi2, chi3, chi4)
+    """Shifted one-step family: the real bound and four complex-case bounds."""
+    return _closed_form(1, b, params, shifted=True)
 
 
 def psi_k1(b: float, params: BoundParams | None = None) -> float:
-    """Non-shifted one-step family (real eigenvalues impose no condition)."""
-    if not 0.0 < b < 1.0:
-        raise ValueError(f"psi_k1 needs 0 < b < 1, got {b}")
-    params = _check_params(params, shifted=False, k=1)
-    th, d0 = params.theta0, params.delta0
-    psi1 = (1.0 - b)**4 / (4.0 * b**2)
-    psi2 = 2.0 * math.sin(th / 2.0) * (1.0 - b)**2 / (1.0 + b)**2
-    psi3 = (d0 * math.cos(1.5 * th)**2 * (1.0 - b)**4
-            / (2.0 * (1.0 + 2.0 * d0 * math.sin(1.5 * th) + d0**2) * b**2))
-    return min(psi1, psi2, psi3)
+    """Non-shifted one-step family: three complex-case bounds."""
+    return _closed_form(1, b, params, shifted=False)
 
-
-# ---------------------------------------------------------------------------
-# closed forms for ||B|| < 1, k >= 2 inner sweeps
 
 def chi_k(k: int, b: float, params: BoundParams | None = None) -> float:
-    """Shifted k-step family, k >= 2 and 0 <= b = ||B|| < 1.
-
-    At b = 0 the method coincides with shifted gradient descent, whose exact
-    normalized bound is 1.
-    """
+    """Shifted k-step family, k >= 2 and 0 <= b = ||B|| < 1."""
     if k < 2:
         raise ValueError(f"chi_k needs k >= 2, got {k}")
-    if not 0.0 <= b < 1.0:
-        raise ValueError(f"chi_k needs 0 <= b < 1, got {b}")
-    if b == 0.0:
-        return 1.0
-    params = _check_params(params, shifted=True, k=k)
-    th, d0 = params.theta0, params.delta0
-    bk = b**k
-    geom = _geom(k, b)
-    front = (1.0 - b)**2 * (1.0 - bk)**2
-    c = (1.0 + 2.0 * d0 * math.sin(2.5 * th) + d0**2) / math.cos(2.5 * th)**2
-
-    real = 2.0 * front / ((1.0 - bk)**2 + 2.0 * geom)
-    chi1 = front / (4.0 * b**(2 * k) + SQRT2 * geom * (1.0 + bk)**2)
-    chi2 = front / (((1.0 - bk)**2 / (2.0 * math.sin(th / 2.0))
-                     + SQRT2 * geom) * (1.0 + bk)**2)
-    chi3 = front / (2.0 * c * math.sin(th / 2.0) / d0 * b**(2 * k)
-                    + geom * (math.sqrt(c) / d0 * (1.0 + b**(2 * k))
-                              + 2.0 * max(math.sqrt(c) / d0,
-                                          math.sqrt(c) / math.cos(3.0 * th)) * bk))
-    chi4 = ((math.sin(math.pi / 2.0 - 3.0 * th) + math.cos(2.0 * th)) * front
-            / ((1.0 - bk)**2 + 2.0 * geom * (1.0 + bk)**2))
-    return min(real, chi1, chi2, chi3, chi4)
+    return _closed_form(k, b, params, shifted=True)
 
 
 def psi_k(k: int, b: float, params: BoundParams | None = None) -> float:
-    """Non-shifted k-step family, k >= 2 and 0 <= b = ||B|| < 1.
-
-    At b = 0 the method coincides with usual gradient descent (normalized
-    bound 2).
-    """
+    """Non-shifted k-step family, k >= 2 and 0 <= b = ||B|| < 1."""
     if k < 2:
         raise ValueError(f"psi_k needs k >= 2, got {k}")
-    if not 0.0 <= b < 1.0:
-        raise ValueError(f"psi_k needs 0 <= b < 1, got {b}")
-    if b == 0.0:
-        return 2.0
-    params = _check_params(params, shifted=False, k=k)
-    th, d0 = params.theta0, params.delta0
-    bk = b**k
-    geom = _geom(k, b)
-    front = (1.0 - b)**2 * (1.0 - bk)**2
-    c = (1.0 + 2.0 * d0 * math.sin(1.5 * th) + d0**2) / math.cos(1.5 * th)**2
-
-    real = front / geom
-    psi1 = front / (4.0 * b**(2 * k) + SQRT2 * geom * (1.0 + bk)**2)
-    psi2 = front / (((1.0 - bk)**2 / (2.0 * math.sin(th / 2.0))
-                     + SQRT2 * geom) * (1.0 + bk)**2)
-    psi3 = front / (2.0 * c * math.sin(th / 2.0) / d0 * b**(2 * k)
-                    + geom * (math.sqrt(c) / d0 * (1.0 + b**(2 * k))
-                              + 2.0 * max(math.sqrt(c) / d0,
-                                          math.sqrt(c) / math.cos(2.0 * th)) * bk))
-    return min(real, psi1, psi2, psi3)
+    return _closed_form(k, b, params, shifted=False)
 
 
 # ---------------------------------------------------------------------------
@@ -299,20 +269,15 @@ def matrix_bound(problem: RealInverseProblem, method: MethodSpec,
         general = _general_min_k1(nH, nM, nB, s, params, shifted)
     else:
         t = spectral.tux(problem.B, problem.H, k)
-        Bk = np.linalg.matrix_power(problem.B, k)
-        s = spectral.s_functional(Bk)
-        nT, nX, nBk = spectral_norm(t.T), spectral_norm(t.X), spectral_norm(Bk)
+        s = spectral.s_functional(t.Bk)
+        nT, nX, nBk = spectral_norm(t.T), spectral_norm(t.X), spectral_norm(t.Bk)
         norms.update({"s_Bk": s, "norm_Tk": nT, "norm_Xk": nX, "norm_Bk": nBk})
         general = _general_min_k(nH, nM, nT, nX, nBk, s, params, shifted)
 
     value = general
     formula = f"{family}:resolvent"
     if nB < 1.0:
-        hm2 = nH**2 * nM**2
-        if shifted:
-            closed = (chi_k1(nB, params) if k == 1 else chi_k(k, nB, params)) / hm2
-        else:
-            closed = (psi_k1(nB, params) if k == 1 else psi_k(k, nB, params)) / hm2
+        closed = _closed_form(k, nB, params, shifted) / (nH**2 * nM**2)
         if closed > value:
             value = closed
             formula = f"{family}:closed-form"

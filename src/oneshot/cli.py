@@ -29,7 +29,7 @@ import numpy as np
 from . import bounds, scalar, spectral
 from .linear_model import (RealInverseProblem, ScalarProblem, exact_state,
                            cost, gradient, helmholtz_toy, load_problem,
-                           random_contraction, validate)
+                           random_contraction, realify, validate)
 from .solvers import (ONE_SHOT_KINDS, MethodSpec, SolverConfig, SolverKind,
                       run_method)
 
@@ -42,6 +42,14 @@ METHOD_NAMES = {
     "kshot": SolverKind.K_STEP,
     "skshot": SolverKind.SHIFTED_K_STEP,
 }
+
+
+def _method_kind(name: str) -> SolverKind:
+    """The solver kind of a method name; the one lookup of CLI names."""
+    if name not in METHOD_NAMES:
+        raise ValueError(f"unknown method {name!r}, choose from "
+                         f"{', '.join(METHOD_NAMES)}")
+    return METHOD_NAMES[name]
 
 
 def _parse_scalar(text: str) -> ScalarProblem:
@@ -63,7 +71,6 @@ def _load_problem_arg(args) -> RealInverseProblem:
     if getattr(args, "problem", None):
         problem = _read_problem(args.problem)
         if not isinstance(problem, RealInverseProblem):
-            from .linear_model import realify
             problem = realify(problem)
         return problem
     if getattr(args, "scalar", None):
@@ -110,7 +117,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    kind = METHOD_NAMES[args.method]
+    kind = _method_kind(args.method)
     if args.scalar:
         sp = _parse_scalar(args.scalar)
         thr = scalar.threshold(kind, args.k, sp.b)
@@ -126,8 +133,9 @@ def _cmd_bound(args) -> int:
         params = bounds.BoundParams(
             theta0=args.theta0 if args.theta0 is not None else defaults.theta0,
             delta0=args.delta0 if args.delta0 is not None else defaults.delta0)
-    try:
-        sb = bounds.matrix_bound(problem, MethodSpec(kind, k=args.k), params)
+    method = MethodSpec(kind, k=args.k)
+    try:   # exit 1: the input was read, but has no matrix bound
+        sb = bounds.matrix_bound(problem, method, params)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
@@ -141,7 +149,7 @@ def _trace_path(out_dir: Path, method: str, k: int, tau: float) -> Path:
 
 def _cmd_solve(args) -> int:
     problem = _load_problem_arg(args)
-    kind = METHOD_NAMES[args.method]
+    kind = _method_kind(args.method)
     sigma_ex, sigma0, f = _synthetic_data(problem, args)
     tau = args.tau[0]
     if args.line_search_first:
@@ -164,7 +172,7 @@ def _cmd_solve(args) -> int:
 def _run_cell(problem, f, sigma0, sigma_ex, method_name, k, tau, args):
     method, used_tau, rho = None, tau, math.nan
     try:
-        method = MethodSpec(METHOD_NAMES[method_name], k=k)
+        method = MethodSpec(_method_kind(method_name), k=k)
         if args.line_search_first:
             used_tau = _line_search_tau(problem, f, sigma0, tau)
         config = SolverConfig(tau=used_tau, max_outer=args.max_outer)
@@ -183,12 +191,14 @@ def _run_cell(problem, f, sigma0, sigma_ex, method_name, k, tau, args):
 
 
 def _cmd_sweep(args) -> int:
+    methods = args.method.split(",")
+    for name in methods:   # a mistyped name fails the command, not its cells
+        _method_kind(name)
     problem = _load_problem_arg(args)
     sigma_ex, sigma0, f = _synthetic_data(problem, args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    methods = args.method.split(",")
     ks = [int(x) for x in args.k.split(",")]
     taus = [float(x) for x in args.tau.split(",")]
     cells = [(m, k, tau) for m in methods for k in ks for tau in taus]
@@ -223,7 +233,7 @@ def _cmd_scalar_region(args) -> int:
     for b in bs:
         b = float(b)
         for name in methods:
-            kind = METHOD_NAMES[name]
+            kind = _method_kind(name)
             # GD rows come once per b and carry k = 0: no inner iterations
             for k in (ks if kind in ONE_SHOT_KINDS else ks[:1]):
                 thr = scalar.threshold(kind, k, b)

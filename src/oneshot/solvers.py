@@ -53,10 +53,14 @@ class SolverConfig:
     divergence_threshold: float = 1e12
 
     def __post_init__(self):
-        if self.tau <= 0.0:
-            raise ValueError(f"descent step tau must be positive, got {self.tau}")
-        if self.tol_cost <= 0.0 or self.tol_grad <= 0.0:
-            raise ValueError("stopping tolerances must be positive")
+        # written as "not 0 < x < inf" so that nan fails too
+        if not 0.0 < self.tau < math.inf:
+            raise ValueError(f"tau must be positive and finite, got {self.tau}")
+        if not (0.0 < self.tol_cost < math.inf and 0.0 < self.tol_grad < math.inf):
+            raise ValueError("stopping tolerances must be positive and finite, "
+                             f"got {self.tol_cost}, {self.tol_grad}")
+        if self.max_outer < 0:
+            raise ValueError(f"max_outer must be at least 0, got {self.max_outer}")
 
 
 class Status(enum.Enum):
@@ -118,58 +122,6 @@ def _relative(value: float, ref: float | None) -> float:
     return value / ref
 
 
-class _Run:
-    """Shared bookkeeping: reference values, stopping and divergence tests."""
-
-    def __init__(self, problem, f, sigma0, config, method, sigma_exact):
-        if config is None:
-            raise ValueError("config is required")
-        self.problem = problem
-        self.f = np.asarray(f, dtype=float).reshape(-1)
-        self.sigma0 = np.asarray(sigma0, dtype=float).reshape(-1)
-        if self.sigma0.shape != (problem.n_sigma,):
-            raise ValueError(
-                f"sigma0 must have length {problem.n_sigma}, got {self.sigma0.shape}")
-        self.config = config
-        self.sigma_exact = (None if sigma_exact is None
-                            else np.asarray(sigma_exact, dtype=float).reshape(-1))
-        self.trace = ConvergenceTrace(method=method, tau=config.tau)
-        self.cost_ref: float | None = None
-        self.grad_ref: float | None = None
-
-    def record(self, n_row: int, sigma, u, p) -> Status | None:
-        """Append one row; returns a terminal status or None to continue."""
-        H, M, f = self.problem.H, self.problem.M, self.f
-        r = H @ u - f
-        c = 0.5 * float(r @ r)
-        g = float(np.linalg.norm(M.T @ p))
-        err = (math.nan if self.sigma_exact is None
-               else float(np.linalg.norm(sigma - self.sigma_exact)))
-        k = self.trace.method.k if self.trace.method.kind in ONE_SHOT_KINDS else 1
-        self.trace.sigma.append(sigma.copy())
-        self.trace.cost.append(c)
-        self.trace.grad_norm.append(g)
-        self.trace.err_sigma.append(err)
-        self.trace.accumulated_inner.append(1 + (n_row - 1) * k)
-
-        if (not np.isfinite(c) or not np.isfinite(g)
-                or not np.all(np.isfinite(sigma))
-                or np.linalg.norm(sigma - self.sigma0) > self.config.divergence_threshold):
-            return Status.DIVERGED
-        if self.cost_ref is None and c > 0.0:
-            self.cost_ref = c
-        if self.grad_ref is None and g > 0.0:
-            self.grad_ref = g
-        if (_relative(c, self.cost_ref) < self.config.tol_cost
-                and _relative(g, self.grad_ref) < self.config.tol_grad):
-            return Status.CONVERGED
-        return None
-
-    def finish(self, status: Status) -> ConvergenceTrace:
-        self.trace.status = status
-        return self.trace
-
-
 def run_method(method: MethodSpec, problem, f, sigma0, config,
                u0=None, p0=None, sigma_exact=None) -> ConvergenceTrace:
     """Run any of the four iterations: the one loop behind all of them.
@@ -177,10 +129,23 @@ def run_method(method: MethodSpec, problem, f, sigma0, config,
     Each outer step moves sigma along -M* p, then refreshes (u, p) from the
     fresh sigma, or from the previous one for the shifted kinds.  The GD
     kinds refresh by exact solves (also at sigma0); the one-shot kinds run
-    k coupled sweeps warm-started from (u0, p0), zero by default.
+    k coupled sweeps warm-started from (u0, p0), zero by default.  After
+    each recorded row the run stops as diverged, or as converged once cost
+    and gradient fall below their tolerances relative to their first nonzero
+    values; otherwise it ends after max_outer steps.
     """
-    run = _Run(problem, f, sigma0, config, method, sigma_exact)
-    sigma = run.sigma0.copy()
+    if config is None:
+        raise ValueError("config is required")
+    f = np.asarray(f, dtype=float).reshape(-1)
+    sigma0 = np.asarray(sigma0, dtype=float).reshape(-1)
+    if sigma0.shape != (problem.n_sigma,):
+        raise ValueError(
+            f"sigma0 must have length {problem.n_sigma}, got {sigma0.shape}")
+    if sigma_exact is not None:
+        sigma_exact = np.asarray(sigma_exact, dtype=float).reshape(-1)
+    trace = ConvergenceTrace(method=method, tau=config.tau)
+    cost_ref = grad_ref = None
+    sigma = sigma0.copy()
     one_shot = method.kind in ONE_SHOT_KINDS
     if one_shot:
         u = (np.zeros(problem.n_u) if u0 is None
@@ -189,16 +154,36 @@ def run_method(method: MethodSpec, problem, f, sigma0, config,
              else np.asarray(p0, dtype=float).reshape(-1).copy())
     else:
         u = exact_state(problem, sigma)
-        p = adjoint_from_state(problem, u, run.f)
+        p = adjoint_from_state(problem, u, f)
     B, M, H, F = problem.B, problem.M, problem.H, problem.F
     Bt, Ht = B.T, H.T
     tau = config.tau
     for n in range(config.max_outer + 1):
-        status = run.record(n + 1, sigma, u, p)
-        if status is not None:
-            return run.finish(status)
-        if n == config.max_outer:
+        r = H @ u - f
+        c = 0.5 * float(r @ r)
+        g = float(np.linalg.norm(M.T @ p))
+        trace.sigma.append(sigma.copy())
+        trace.cost.append(c)
+        trace.grad_norm.append(g)
+        trace.err_sigma.append(
+            math.nan if sigma_exact is None
+            else float(np.linalg.norm(sigma - sigma_exact)))
+        trace.accumulated_inner.append(1 + n * (method.k if one_shot else 1))
+        if (not np.isfinite(c) or not np.isfinite(g)
+                or not np.all(np.isfinite(sigma))
+                or np.linalg.norm(sigma - sigma0) > config.divergence_threshold):
+            trace.status = Status.DIVERGED
             break
+        if cost_ref is None and c > 0.0:
+            cost_ref = c
+        if grad_ref is None and g > 0.0:
+            grad_ref = g
+        if (_relative(c, cost_ref) < config.tol_cost
+                and _relative(g, grad_ref) < config.tol_grad):
+            trace.status = Status.CONVERGED
+            break
+        if n == config.max_outer:
+            break           # the status stays MAX_ITER
         sigma_new = sigma - tau * (M.T @ p)
         sigma_state = sigma if method.shifted else sigma_new
         if one_shot:
@@ -206,13 +191,13 @@ def run_method(method: MethodSpec, problem, f, sigma0, config,
             for _ in range(method.k):
                 # coupled sweep: both updates read the previous (u, p) pair
                 u_next = B @ u + rhs_u
-                p_next = Bt @ p + Ht @ (H @ u - run.f)
+                p_next = Bt @ p + Ht @ (H @ u - f)
                 u, p = u_next, p_next
         else:
             u = exact_state(problem, sigma_state)
-            p = adjoint_from_state(problem, u, run.f)
+            p = adjoint_from_state(problem, u, f)
         sigma = sigma_new
-    return run.finish(Status.MAX_ITER)
+    return trace
 
 
 def usual_gd(problem: RealInverseProblem, f, sigma0, config: SolverConfig,

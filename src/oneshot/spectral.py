@@ -12,12 +12,13 @@ used by the descent-step bounds when ||B|| >= 1.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linear_model import RealInverseProblem
-from .solvers import MethodSpec, SolverKind
+from .solvers import ONE_SHOT_KINDS, MethodSpec
 
 CONVERGENCE_MARGIN = 1e-10
 
@@ -25,12 +26,13 @@ CONVERGENCE_MARGIN = 1e-10
 @dataclass(frozen=True)
 class TUXTriple:
     """T_k = sum_{j<k} B^j, U_k = sum_{i+j=k-1} (B*)^i H*H B^j,
-    X_k = sum_{l<k} U_l (zero for k = 1)."""
+    X_k = sum_{l<k} U_l (zero for k = 1), and the power B^k."""
 
     T: np.ndarray
     U: np.ndarray
     X: np.ndarray
     k: int
+    Bk: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -41,7 +43,7 @@ class IterationMatrix:
 
 
 def tux(B: np.ndarray, H: np.ndarray, k: int) -> TUXTriple:
-    """Build (T_k, U_k, X_k) by the one-step recursions.
+    """Build (T_k, U_k, X_k) and B^k by the one-step recursions.
 
     T_{l+1} = T_l + B^l, U_{l+1} = B* U_l + H*H B^l and
     X_{l+1} = B* X_l + H*H T_l, started from T_1 = I, U_1 = H*H, X_1 = 0.
@@ -61,52 +63,40 @@ def tux(B: np.ndarray, H: np.ndarray, k: int) -> TUXTriple:
         Bl = Bl @ B
         U = B.T @ U + HtH @ Bl
         T = T + Bl
-    return TUXTriple(T=T, U=U, X=X, k=k)
+    return TUXTriple(T=T, U=U, X=X, k=k, Bk=Bl @ B)
 
 
 def build_iteration_matrix(problem: RealInverseProblem, method: MethodSpec,
                            tau: float) -> IterationMatrix:
-    """Exact error-propagation matrix of the method, on (p, u, sigma)."""
-    if tau <= 0.0:
-        raise ValueError(f"tau must be positive, got {tau}")
+    """Exact error-propagation matrix of the method, on (p, u, sigma).
+
+    All four methods share one block form in (B^k, T_k, U_k, X_k).  An exact
+    solve is the limit of infinitely many sweeps, so the GD kinds take the
+    k -> infinity limits B^k = U_k = 0, T_k = (I-B)^{-1} and
+    X_k = (I-B*)^{-1} H*H (I-B)^{-1}.  The shifted kinds refresh (u, p) from
+    the previous sigma, so their first block column lacks the -tau M M*
+    coupling to the fresh one.
+    """
+    if not 0.0 < tau < math.inf:
+        raise ValueError(f"tau must be positive and finite, got {tau}")
     B, M, H = problem.B, problem.M, problem.H
     n_u, n_s = problem.n_u, problem.n_sigma
-    I_u = np.eye(n_u)
-    I_s = np.eye(n_s)
-    Z_us = np.zeros((n_u, n_s))
-    Z_su = np.zeros((n_s, n_u))
-
-    if method.kind in (SolverKind.USUAL_GD, SolverKind.SHIFTED_GD):
-        K = np.linalg.solve(I_u - B, I_u)          # (I - B)^{-1}
-        S = K.T @ (H.T @ H) @ K                    # (I-B*)^{-1} H*H (I-B)^{-1}
-        if method.kind is SolverKind.SHIFTED_GD:
-            mat = np.block([
-                [np.zeros((n_u, n_u)), np.zeros((n_u, n_u)), S @ M],
-                [np.zeros((n_u, n_u)), np.zeros((n_u, n_u)), K @ M],
-                [-tau * M.T, Z_su, I_s],
-            ])
-        else:
-            mat = np.block([
-                [-tau * S @ M @ M.T, np.zeros((n_u, n_u)), S @ M],
-                [-tau * K @ M @ M.T, np.zeros((n_u, n_u)), K @ M],
-                [-tau * M.T, Z_su, I_s],
-            ])
-        return IterationMatrix(matrix=mat, method=method, tau=tau)
-
-    t = tux(B, H, method.k)
-    Bk = np.linalg.matrix_power(B, method.k)
-    if method.kind is SolverKind.SHIFTED_K_STEP:
-        mat = np.block([
-            [Bk.T, t.U, t.X @ M],
-            [np.zeros((n_u, n_u)), Bk, t.T @ M],
-            [-tau * M.T, Z_su, I_s],
-        ])
+    if method.kind in ONE_SHOT_KINDS:
+        t = tux(B, H, method.k)
+        Bk, T, U, X = t.Bk, t.T, t.U, t.X
     else:
-        mat = np.block([
-            [Bk.T - tau * t.X @ M @ M.T, t.U, t.X @ M],
-            [-tau * t.T @ M @ M.T, Bk, t.T @ M],
-            [-tau * M.T, Z_su, I_s],
-        ])
+        T = np.linalg.solve(np.eye(n_u) - B, np.eye(n_u))
+        X = T.T @ (H.T @ H) @ T
+        Bk = U = np.zeros((n_u, n_u))
+    if method.shifted:
+        P, Q = Bk.T, np.zeros((n_u, n_u))
+    else:
+        P, Q = Bk.T - tau * X @ M @ M.T, -tau * T @ M @ M.T
+    mat = np.block([
+        [P, U, X @ M],
+        [Q, Bk, T @ M],
+        [-tau * M.T, np.zeros((n_s, n_u)), np.eye(n_s)],
+    ])
     return IterationMatrix(matrix=mat, method=method, tau=tau)
 
 

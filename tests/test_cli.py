@@ -57,6 +57,12 @@ class TestBadInput:
         ["solve", "--problem", "no/such/file.json", "--method", "gd",
          "--tau", "0.1"],
         ["bound", "--random", "4,2", "--method", "gd"],
+        ["scalar-region", "--method", "foo"],
+        ["solve", "--scalar", "0.2,1,1", "--method", "gd", "--tau", "nan"],
+        ["solve", "--scalar", "0.2,1,1", "--method", "gd", "--tau", "inf"],
+        ["solve", "--scalar", "0.2,1,1", "--method", "gd", "--tau", "0.5",
+         "--max-outer", "-3"],
+        ["bound", "--random", "20,3,10,0.5", "--method", "kshot", "--k", "0"],
     ])
     def test_exit_two_with_one_error_line(self, argv, capsys):
         assert main(argv) == 2
@@ -64,6 +70,15 @@ class TestBadInput:
         assert err.startswith("error: ")
         assert err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_unknown_sweep_method_runs_no_cell(self, tmp_path, capsys):
+        out_dir = tmp_path / "sweep"
+        assert main(["sweep", "--scalar", "0.2,1,1", "--method", "foo,gd",
+                     "--tau", "0.5", "--out", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: unknown method 'foo', choose from "
+                       "gd, sgd, kshot, skshot\n")
+        assert not out_dir.exists()
 
     def test_unreadable_problem_file_is_named(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -180,6 +195,26 @@ class TestSweep:
         assert float(by_k["1"]["rho"]) < 1.0
         assert not (out_dir / "trace_kshot_k0_tau0.5.csv").exists()
         assert (out_dir / "trace_kshot_k1_tau0.5.csv").exists()
+
+    @pytest.mark.parametrize("option, value, named", [
+        ("--tau", "nan", "got nan"),
+        ("--tau", "inf", "got inf"),
+        ("--max-outer", "-3", "got -3"),
+    ])
+    def test_bad_solver_setting_is_named_in_the_row(self, tmp_path, option,
+                                                     value, named):
+        out_dir = tmp_path / "sweep"
+        argv = ["sweep", "--scalar", "0.2,1,1", "--method", "gd,kshot",
+                "--tau", "0.5", "--out", str(out_dir), option, value]
+        assert main(argv) == 0
+        with open(out_dir / "summary.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 2
+        for row in rows:
+            assert row["status"].startswith("error:")
+            assert named in row["status"]
+            assert row["outer_iters"] == "0"
+        assert sorted(p.name for p in out_dir.iterdir()) == ["summary.csv"]
 
     def test_reruns_are_byte_identical(self, tmp_path):
         args = ["sweep", "--random", "4,2,3,0.5", "--seed", "7",

@@ -254,6 +254,24 @@ def test_config_validation():
         MethodSpec(SolverKind.K_STEP, k=0)
 
 
+@pytest.mark.parametrize("settings", [
+    {"tau": float("nan")},
+    {"tau": float("inf")},
+    {"tau": 0.1, "tol_cost": float("nan")},
+    {"tau": 0.1, "tol_grad": float("inf")},
+    {"tau": 0.1, "max_outer": -3},
+])
+def test_config_rejects_non_finite_and_negative_settings(settings):
+    with pytest.raises(ValueError):
+        SolverConfig(**settings)
+
+
+def test_config_allows_zero_outer_steps():
+    p = random_contraction(3, 1, 2, 0.3, seed=1)
+    trace = usual_gd(p, np.zeros(2), np.ones(1), SolverConfig(tau=0.1, max_outer=0))
+    assert len(trace) == 1 and trace.status is Status.MAX_ITER
+
+
 @pytest.mark.parametrize("kind", list(SolverKind))
 def test_named_solvers_are_run_method(kind):
     p = random_contraction(5, 2, 4, 0.5, seed=3)

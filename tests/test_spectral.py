@@ -152,6 +152,41 @@ class TestIterationMatrix:
         assert np.linalg.norm(got - np.concatenate([pe, u, s_new])) < 1e-12
 
 
+class TestOneBlockForm:
+    """GD is the k -> infinity limit of the one-shot block form."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("one_shot, gd", [
+        (SolverKind.K_STEP, SolverKind.USUAL_GD),
+        (SolverKind.SHIFTED_K_STEP, SolverKind.SHIFTED_GD),
+    ])
+    def test_gd_is_the_many_sweep_limit(self, seed, one_shot, gd):
+        # ||B|| = 0.5, so B^80 and the tails of T, U, X are below 1e-24
+        p = random_contraction(30, 4, 12, 0.5, seed=seed)
+        many = build_iteration_matrix(p, MethodSpec(one_shot, 80), 0.3).matrix
+        exact = build_iteration_matrix(p, MethodSpec(gd), 0.3).matrix
+        assert np.max(np.abs(many - exact)) <= 1e-12 * np.max(np.abs(exact))
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_bk_is_the_matrix_power(self, k):
+        rng = np.random.default_rng(11)
+        B = rng.standard_normal((6, 6))
+        H = rng.standard_normal((3, 6))
+        want = np.linalg.matrix_power(B, k)
+        got = tux(B, H, k).Bk
+        if k <= 3:      # the same products in the same order
+            assert np.array_equal(got, want)
+        else:
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("tau", [0.0, -1.0, float("nan"), float("inf")])
+    def test_rejects_bad_tau(self, tau):
+        p = ScalarProblem(b=0.2, h=1.0, m=1.0).as_problem()
+        for kind in SolverKind:
+            with pytest.raises(ValueError):
+                build_iteration_matrix(p, MethodSpec(kind, 2), tau)
+
+
 class TestSpectralRadius:
     def test_identity(self):
         assert abs(spectral_radius(np.eye(3)) - 1.0) < 1e-14

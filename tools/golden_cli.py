@@ -1,0 +1,263 @@
+"""Capture and compare golden outputs of the ``oneshot`` command line.
+
+A refactor of the library should leave every CLI output unchanged.  This
+script runs a fixed, seeded list of commands through ``oneshot.cli.main``
+in process and records, per command, stdout, stderr, the exit code and
+every file the command wrote.  Two captures, say of a parent commit and of
+a change, are then compared command by command.
+
+    python tools/golden_cli.py capture before.json --src /path/to/parent/src
+    python tools/golden_cli.py capture after.json
+    python tools/golden_cli.py compare before.json after.json
+
+``--src`` puts that source tree first on ``sys.path`` (default: this
+checkout's ``src``).  Run both captures with the same ``OPENBLAS_NUM_THREADS``,
+since BLAS threading can change the last bits of dense products; the
+capture records the BLAS environment and ``compare`` warns when it differs.
+
+``compare`` prints one line per command whose output moved: the largest
+relative change between corresponding numbers, and any change of exit
+code, of text other than numbers, or of a ``formula_id``, ``branch`` or
+``status`` value.  It exits 0 when every command is byte-identical and 1
+otherwise.  Needs only the standard library and numpy.
+"""
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import math
+import os
+import re
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+WORK = "<WORK>"
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+H12 = ["--helmholtz", "12,6.283185307179586,0.01", "--seed", "3"]
+H12_TAU = "0.0007"            # about 0.64 of usual GD's exact supremum on H12
+METHODS = ("gd", "sgd", "kshot", "skshot")
+LABELS = ("formula_id", "branch", "status")
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?inf|nan")
+
+
+# -- problem files ------------------------------------------------------------
+
+def _rows(a) -> list:
+    return np.asarray(a, dtype=float).ravel().tolist()
+
+
+def _real_file(rng, n_u, n_sigma, n_f, B) -> dict:
+    return {"n_u": n_u, "n_sigma": n_sigma, "n_f": n_f, "B": _rows(B),
+            "M": _rows(rng.standard_normal((n_u, n_sigma))),
+            "H": _rows(rng.standard_normal((n_f, n_u))),
+            "F": _rows(rng.standard_normal(n_u))}
+
+
+def write_problem_files(root: Path) -> None:
+    """Seeded problem files, built with numpy alone so that both captures
+    read the same bytes whatever library version they run."""
+    rng = np.random.default_rng(20220721)
+    B = rng.standard_normal((8, 8))
+    files = {"real.json": _real_file(rng, 8, 3, 5, 0.6 * B / np.linalg.norm(B, 2))}
+    # ||B|| > 1 but rho(B) = 0.5: only the resolvent bounds apply
+    nonnormal = 0.5 * np.eye(6) + np.diag(np.full(5, 1.2), 1)
+    files["nonnormal.json"] = _real_file(rng, 6, 2, 4, nonnormal)
+    files["invalid.json"] = _real_file(rng, 4, 2, 3, 1.1 * np.eye(4))
+    n_u, n_sigma, n_f = 5, 2, 4
+    Bc = rng.standard_normal((n_u, n_u)) + 1j * rng.standard_normal((n_u, n_u))
+    Bc *= 0.5 / np.linalg.norm(Bc, 2)
+    parts = {"B": Bc,
+             "M": rng.standard_normal((n_u, n_sigma)) + 1j * rng.standard_normal((n_u, n_sigma)),
+             "H": rng.standard_normal((n_f, n_u)) + 1j * rng.standard_normal((n_f, n_u)),
+             "F": rng.standard_normal(n_u) + 1j * rng.standard_normal(n_u)}
+    files["complex.json"] = {
+        "n_u": n_u, "n_sigma": n_sigma, "n_f": n_f,
+        "complex": {name: {"re": _rows(a.real), "im": _rows(a.imag)}
+                    for name, a in parts.items()}}
+    for name, data in files.items():
+        (root / name).write_text(json.dumps(data))
+
+
+# -- the command list ---------------------------------------------------------
+
+def commands() -> list[list[str]]:
+    """The fixed command list; ``{work}`` stands for the capture directory."""
+    real = ["--problem", "{work}/real.json"]
+    cplx = ["--problem", "{work}/complex.json"]
+    nonnormal = ["--problem", "{work}/nonnormal.json"]
+    cmds = [["check", "--problem", f"{{work}}/{name}.json"]
+            for name in ("real", "complex", "nonnormal", "invalid")]
+
+    bound_sources = [["--scalar", "0.2,1,1"], ["--scalar=-0.5,2,0.5"], real,
+                     cplx, nonnormal, ["--random", "20,3,10,0.5", "--seed", "1"],
+                     ["--random", "6,2,4,0", "--seed", "2"], H12]
+    for source in bound_sources:
+        for method in METHODS:
+            for k in (1, 2, 3, 4):
+                cmds.append(["bound", *source, "--method", method, "--k", str(k)])
+    cmds.append(["bound", *real, "--method", "skshot", "--k", "2",
+                 "--theta0", "0.3", "--delta0", "2"])
+
+    for method in METHODS:
+        cmds.append(["solve", "--scalar", "0.2,1,1", "--method", method,
+                     "--k", "2", "--tau", "0.5", "--max-outer", "400"])
+        cmds.append(["solve", *cplx, "--method", method, "--k", "3",
+                     "--tau", "0.01", "--max-outer", "300"])
+        cmds.append(["solve", *H12, "--method", method, "--k", "2",
+                     "--tau", H12_TAU, "--max-outer", "150"])
+    cmds.append(["solve", *real, "--method", "kshot", "--k", "2", "--tau", "0.5",
+                 "--line-search-first", "--max-outer", "500",
+                 "--out", "{work}/out/solve"])
+
+    cmds.append(["sweep", "--random", "20,3,10,0.5", "--seed", "1",
+                 "--method", "gd,sgd,kshot,skshot", "--k", "1,3",
+                 "--tau", "0.001,0.004", "--max-outer", "300",
+                 "--out", "{work}/out/sweep_random"])
+    cmds.append(["sweep", *H12, "--method", "gd,kshot", "--k", "1,2",
+                 "--tau", "0.002", "--line-search-first", "--max-outer", "150",
+                 "--out", "{work}/out/sweep_h12"])
+
+    cmds.append(["scalar-region", "--k", "1,2,3,5", "--b-count", "391"])
+    cmds.append(["scalar-region", "--k", "2,8", "--method", "kshot,skshot,sgd",
+                 "--out", "{work}/out/region.csv"])
+    return cmds
+
+
+# -- capture ------------------------------------------------------------------
+
+def run_one(main, argv: list[str], work: Path) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:              # argparse rejections
+            code = exc.code
+        except Exception as exc:               # recorded, not fatal
+            code = f"exception:{type(exc).__name__}: {exc}"
+    files = {}
+    out_root = work / "out"
+    if out_root.exists():
+        for path in sorted(out_root.rglob("*")):
+            if path.is_file():
+                files[path.relative_to(work).as_posix()] = path.read_text()
+                path.unlink()
+    text = str(work)
+    return {"exit": code, "stdout": out.getvalue().replace(text, WORK),
+            "stderr": err.getvalue().replace(text, WORK), "files": files}
+
+
+def capture(out_path: str, src: str) -> int:
+    sys.path.insert(0, str(Path(src).resolve()))
+    from oneshot import cli
+    record = {"oneshot": str(Path(cli.__file__).resolve().parent),
+              "blas_env": {v: os.environ.get(v) for v in BLAS_VARS},
+              "numpy": np.__version__, "commands": []}
+    with tempfile.TemporaryDirectory(prefix="golden_cli_") as tmp:
+        work = Path(tmp)
+        write_problem_files(work)
+        for argv in commands():
+            argv = [a.replace("{work}", str(work)) for a in argv]
+            result = run_one(cli.main, argv, work)
+            result["argv"] = [a.replace(str(work), WORK) for a in argv]
+            record["commands"].append(result)
+    Path(out_path).write_text(json.dumps(record, indent=1) + "\n")
+    print(f"{len(record['commands'])} commands captured to {out_path}")
+    return 0
+
+
+# -- compare ------------------------------------------------------------------
+
+def _max_rel_change(a: str, b: str):
+    """Largest relative change between corresponding numbers, or None when
+    the texts differ in something other than numbers."""
+    if NUMBER.sub("#", a) != NUMBER.sub("#", b):
+        return None
+    worst = 0.0
+    for x, y in zip(NUMBER.findall(a), NUMBER.findall(b)):
+        if x == y:
+            continue
+        fx, fy = float(x), float(y)
+        if math.isnan(fx) or math.isnan(fy) or math.isinf(fx) or math.isinf(fy):
+            return math.inf
+        worst = max(worst, abs(fx - fy) / max(abs(fx), abs(fy)))
+    return worst
+
+
+def _labels(text: str) -> list:
+    """formula_id/branch/status values of JSON output or of a CSV table."""
+    lines = text.splitlines()
+    try:
+        objs = [json.loads(line) for line in lines]
+    except ValueError:                          # not JSON: read it as CSV
+        header = lines[0].split(",") if lines else []
+        cols = [(i, name) for i, name in enumerate(header) if name in LABELS]
+        return [(name, fields[i]) for fields in (l.split(",") for l in lines[1:])
+                for i, name in cols if i < len(fields)]
+    return [(key, obj[key]) for obj in objs if isinstance(obj, dict)
+            for key in LABELS if key in obj]
+
+
+def compare(path_a: str, path_b: str) -> int:
+    a = json.loads(Path(path_a).read_text())
+    b = json.loads(Path(path_b).read_text())
+    if a["blas_env"] != b["blas_env"]:
+        print(f"warning: BLAS environments differ: {a['blas_env']} vs {b['blas_env']}")
+    by_argv = {" ".join(c["argv"]): c for c in b["commands"]}
+    differ = 0
+    for ca in a["commands"]:
+        key = " ".join(ca["argv"])
+        cb = by_argv.get(key)
+        if cb is None:
+            print(f"MISSING in {path_b}: {key}")
+            differ += 1
+            continue
+        notes = []
+        if ca["exit"] != cb["exit"]:
+            notes.append(f"exit {ca['exit']} -> {cb['exit']}")
+        streams = {"stdout": (ca["stdout"], cb["stdout"]),
+                   "stderr": (ca["stderr"], cb["stderr"])}
+        for name in sorted(set(ca["files"]) | set(cb["files"])):
+            streams[name] = (ca["files"].get(name), cb["files"].get(name))
+        for name, (x, y) in streams.items():
+            if x == y:
+                continue
+            if x is None or y is None:
+                notes.append(f"{name} only in one capture")
+                continue
+            la, lb = _labels(x), _labels(y)
+            if la != lb:
+                moved = sum(p != q for p, q in zip(la, lb)) + abs(len(la) - len(lb))
+                notes.append(f"{name}: {moved} formula_id/branch/status values changed")
+            rel = _max_rel_change(x, y)
+            notes.append(f"{name}: text other than numbers changed" if rel is None
+                         else f"{name}: max relative change {rel:.3g}")
+        if notes:
+            differ += 1
+            print(f"{key}\n    " + "; ".join(notes))
+    print(f"{differ} of {len(a['commands'])} commands differ")
+    return 1 if differ else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    sub = parser.add_subparsers(dest="mode", required=True)
+    p = sub.add_parser("capture", help="run the command list, write JSON")
+    p.add_argument("out")
+    p.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"),
+                   help="source tree holding the oneshot package")
+    p = sub.add_parser("compare", help="compare two captures")
+    p.add_argument("a")
+    p.add_argument("b")
+    args = parser.parse_args(argv)
+    if args.mode == "capture":
+        return capture(args.out, args.src)
+    return compare(args.a, args.b)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
