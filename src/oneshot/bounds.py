@@ -90,10 +90,10 @@ def gd_bound(problem: RealInverseProblem) -> StepBound:
 
 
 def shifted_gd_bound(problem: RealInverseProblem) -> StepBound:
-    """Exact admissible-step supremum of shifted gradient descent."""
-    g = spectral_norm(data_map(problem))
-    return StepBound(value=1.0 / g**2, formula_id="shifted-gd",
-                     params=None, norm_inputs={"data_map_norm": g})
+    """Exact admissible-step supremum of shifted GD, half of usual GD's."""
+    gd = gd_bound(problem)
+    return StepBound(value=gd.value / 2.0, formula_id="shifted-gd",
+                     params=None, norm_inputs=gd.norm_inputs)
 
 
 # ---------------------------------------------------------------------------

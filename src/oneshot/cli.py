@@ -22,6 +22,7 @@ import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -127,12 +128,10 @@ def _cmd_bound(args) -> int:
                           "branch": thr.branch}))
         return 0
     problem = _load_problem_arg(args)
-    params = None
-    if args.theta0 is not None or args.delta0 is not None:
-        defaults = bounds.default_params(kind is SolverKind.SHIFTED_K_STEP, args.k)
-        params = bounds.BoundParams(
-            theta0=args.theta0 if args.theta0 is not None else defaults.theta0,
-            delta0=args.delta0 if args.delta0 is not None else defaults.delta0)
+    defaults = bounds.default_params(kind is SolverKind.SHIFTED_K_STEP, args.k)
+    params = bounds.BoundParams(
+        theta0=defaults.theta0 if args.theta0 is None else args.theta0,
+        delta0=defaults.delta0 if args.delta0 is None else args.delta0)
     method = MethodSpec(kind, k=args.k)
     try:   # exit 1: the input was read, but has no matrix bound
         sb = bounds.matrix_bound(problem, method, params)
@@ -147,44 +146,42 @@ def _trace_path(out_dir: Path, method: str, k: int, tau: float) -> Path:
     return out_dir / f"trace_{method}_k{k}_tau{tau:.17g}.csv"
 
 
-def _cmd_solve(args) -> int:
-    problem = _load_problem_arg(args)
-    kind = _method_kind(args.method)
-    sigma_ex, sigma0, f = _synthetic_data(problem, args)
-    tau = args.tau[0]
-    if args.line_search_first:
-        tau = _line_search_tau(problem, f, sigma0, tau)
+def _run(problem, f, sigma0, sigma_ex, method, tau, args):
+    """One solver run; its config is checked before any line search."""
     config = SolverConfig(tau=tau, max_outer=args.max_outer)
-    trace = run_method(MethodSpec(kind, k=args.k), problem, f, sigma0, config,
-                       sigma_exact=sigma_ex)
+    if args.line_search_first:
+        config = replace(config, tau=_line_search_tau(problem, f, sigma0, tau))
+    return run_method(method, problem, f, sigma0, config, sigma_exact=sigma_ex)
+
+
+def _cmd_solve(args) -> int:
+    method = MethodSpec(_method_kind(args.method), k=args.k)
+    problem = _load_problem_arg(args)
+    sigma_ex, sigma0, f = _synthetic_data(problem, args)
+    trace = _run(problem, f, sigma0, sigma_ex, method, args.tau, args)
     if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        path = _trace_path(out_dir, args.method, args.k, tau)
+        path = _trace_path(Path(args.out), args.method, args.k, trace.tau)
+        path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w") as fh:
             trace.write_csv(fh)
-        print(f"{path}")
+        print(path)
     else:
         trace.write_csv(sys.stdout)
     return 0
 
 
 def _run_cell(problem, f, sigma0, sigma_ex, method_name, k, tau, args):
-    method, used_tau, rho = None, tau, math.nan
+    method, trace, rho = None, None, math.nan
     try:
         method = MethodSpec(_method_kind(method_name), k=k)
-        if args.line_search_first:
-            used_tau = _line_search_tau(problem, f, sigma0, tau)
-        config = SolverConfig(tau=used_tau, max_outer=args.max_outer)
-        trace = run_method(method, problem, f, sigma0, config,
-                           sigma_exact=sigma_ex)
+        trace = _run(problem, f, sigma0, sigma_ex, method, tau, args)
         status, outer, final_cost = trace.status.value, len(trace), trace.final_cost
     except Exception as exc:  # a failed cell must not kill the sweep
-        trace, status, outer, final_cost = None, f"error:{exc}", 0, math.nan
+        status, outer, final_cost = f"error:{exc}", 0, math.nan
     if method is not None:
-        try:
-            rho = spectral.spectral_radius(
-                spectral.build_iteration_matrix(problem, method, used_tau))
+        try:   # the radius at the tau the run used, else at the requested one
+            rho = spectral.converges(
+                problem, method, tau if trace is None else trace.tau)[1]
         except Exception:  # no oracle radius: the row reports nan
             pass
     return method_name, k, tau, trace, status, outer, final_cost, rho
@@ -267,8 +264,13 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
                    help="backtracking line search on the first step")
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):   # main() prints it as the one error line
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="oneshot",
         description="multi-step one-shot inversion: checks, bounds, sweeps")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -281,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bound", help="descent-step bound / scalar threshold")
     _add_problem_sources(p)
-    p.add_argument("--method", choices=sorted(METHOD_NAMES), required=True)
+    p.add_argument("--method", required=True, help="gd, sgd, kshot or skshot")
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--theta0", type=float, default=None)
     p.add_argument("--delta0", type=float, default=None)
@@ -289,10 +291,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="run one method, emit trace CSV")
     _add_problem_sources(p)
-    p.add_argument("--method", choices=sorted(METHOD_NAMES), required=True)
+    p.add_argument("--method", required=True, help="gd, sgd, kshot or skshot")
     p.add_argument("--k", type=int, default=1)
-    p.add_argument("--tau", type=lambda s: [float(x) for x in s.split(",")],
-                   required=True, help="descent step (first value used)")
+    p.add_argument("--tau", type=float, required=True, help="descent step")
     p.add_argument("--out", help="output directory (default: CSV to stdout)")
     _add_run_options(p)
     p.set_defaults(func=_cmd_solve)
@@ -321,8 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (OSError, ValueError) as exc:   # bad input: one line, exit 2
         print(f"error: {exc}", file=sys.stderr)

@@ -26,6 +26,7 @@ class SolverKind(enum.Enum):
 
 
 ONE_SHOT_KINDS = (SolverKind.K_STEP, SolverKind.SHIFTED_K_STEP)
+DIVERGENCE_THRESHOLD = 1e12     # ||sigma - sigma0|| beyond this: diverged
 
 
 @dataclass(frozen=True)
@@ -50,7 +51,6 @@ class SolverConfig:
     max_outer: int = 2000
     tol_cost: float = 1e-5
     tol_grad: float = 1e-5
-    divergence_threshold: float = 1e12
 
     def __post_init__(self):
         # written as "not 0 < x < inf" so that nan fails too
@@ -128,11 +128,12 @@ def run_method(method: MethodSpec, problem, f, sigma0, config,
 
     Each outer step moves sigma along -M* p, then refreshes (u, p) from the
     fresh sigma, or from the previous one for the shifted kinds.  The GD
-    kinds refresh by exact solves (also at sigma0); the one-shot kinds run
-    k coupled sweeps warm-started from (u0, p0), zero by default.  After
-    each recorded row the run stops as diverged, or as converged once cost
-    and gradient fall below their tolerances relative to their first nonzero
-    values; otherwise it ends after max_outer steps.
+    kinds refresh by exact solves (shifted GD's first is the one at sigma0
+    made before the loop); the one-shot kinds run k coupled sweeps
+    warm-started from (u0, p0), zero by default.  After each recorded row
+    the run stops as diverged, or as converged once cost and gradient fall
+    below their tolerances relative to their first nonzero values;
+    otherwise it ends after max_outer steps.
     """
     if config is None:
         raise ValueError("config is required")
@@ -161,7 +162,8 @@ def run_method(method: MethodSpec, problem, f, sigma0, config,
     for n in range(config.max_outer + 1):
         r = H @ u - f
         c = 0.5 * float(r @ r)
-        g = float(np.linalg.norm(M.T @ p))
+        grad = M.T @ p
+        g = float(np.linalg.norm(grad))
         trace.sigma.append(sigma.copy())
         trace.cost.append(c)
         trace.grad_norm.append(g)
@@ -171,7 +173,7 @@ def run_method(method: MethodSpec, problem, f, sigma0, config,
         trace.accumulated_inner.append(1 + n * (method.k if one_shot else 1))
         if (not np.isfinite(c) or not np.isfinite(g)
                 or not np.all(np.isfinite(sigma))
-                or np.linalg.norm(sigma - sigma0) > config.divergence_threshold):
+                or np.linalg.norm(sigma - sigma0) > DIVERGENCE_THRESHOLD):
             trace.status = Status.DIVERGED
             break
         if cost_ref is None and c > 0.0:
@@ -184,7 +186,7 @@ def run_method(method: MethodSpec, problem, f, sigma0, config,
             break
         if n == config.max_outer:
             break           # the status stays MAX_ITER
-        sigma_new = sigma - tau * (M.T @ p)
+        sigma_new = sigma - tau * grad
         sigma_state = sigma if method.shifted else sigma_new
         if one_shot:
             rhs_u = M @ sigma_state + F
@@ -193,7 +195,7 @@ def run_method(method: MethodSpec, problem, f, sigma0, config,
                 u_next = B @ u + rhs_u
                 p_next = Bt @ p + Ht @ (H @ u - f)
                 u, p = u_next, p_next
-        else:
+        elif n > 0 or not method.shifted:
             u = exact_state(problem, sigma_state)
             p = adjoint_from_state(problem, u, f)
         sigma = sigma_new

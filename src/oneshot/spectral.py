@@ -31,15 +31,12 @@ class TUXTriple:
     T: np.ndarray
     U: np.ndarray
     X: np.ndarray
-    k: int
     Bk: np.ndarray
 
 
 @dataclass(frozen=True)
 class IterationMatrix:
     matrix: np.ndarray
-    method: MethodSpec
-    tau: float
 
 
 def tux(B: np.ndarray, H: np.ndarray, k: int) -> TUXTriple:
@@ -63,7 +60,7 @@ def tux(B: np.ndarray, H: np.ndarray, k: int) -> TUXTriple:
         Bl = Bl @ B
         U = B.T @ U + HtH @ Bl
         T = T + Bl
-    return TUXTriple(T=T, U=U, X=X, k=k, Bk=Bl @ B)
+    return TUXTriple(T=T, U=U, X=X, Bk=Bl @ B)
 
 
 def build_iteration_matrix(problem: RealInverseProblem, method: MethodSpec,
@@ -97,7 +94,7 @@ def build_iteration_matrix(problem: RealInverseProblem, method: MethodSpec,
         [Q, Bk, T @ M],
         [-tau * M.T, np.zeros((n_s, n_u)), np.eye(n_s)],
     ])
-    return IterationMatrix(matrix=mat, method=method, tau=tau)
+    return IterationMatrix(matrix=mat)
 
 
 def spectral_radius(matrix) -> float:

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from oneshot import cli, solvers
 from oneshot.cli import main
 from oneshot.linear_model import (RealInverseProblem, ScalarProblem,
                                   random_contraction, save_problem)
@@ -63,6 +64,14 @@ class TestBadInput:
         ["solve", "--scalar", "0.2,1,1", "--method", "gd", "--tau", "0.5",
          "--max-outer", "-3"],
         ["bound", "--random", "20,3,10,0.5", "--method", "kshot", "--k", "0"],
+        # argparse's own rejections take the same exit as the checks above
+        ["bound", "--scalar", "0.2,1,1", "--method", "foo"],
+        ["solve", "--scalar", "0.2,1,1", "--method", "foo", "--tau", "0.5"],
+        ["solve", "--scalar", "0.2,1,1", "--method", "gd", "--k", "x",
+         "--tau", "0.5"],
+        ["solve", "--scalar", "0.2,1,1", "--method", "gd", "--tau", "0.5,9"],
+        ["sweep", "--scalar", "0.2,1,1", "--method", "gd", "--tau", "0.5"],
+        ["foo"],
     ])
     def test_exit_two_with_one_error_line(self, argv, capsys):
         assert main(argv) == 2
@@ -70,6 +79,22 @@ class TestBadInput:
         assert err.startswith("error: ")
         assert err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: oneshot")
+
+    def test_bad_tau_is_rejected_before_the_line_search(self, monkeypatch,
+                                                        capsys):
+        calls = []
+        monkeypatch.setattr(cli, "cost", lambda *a: calls.append(a))
+        assert main(["solve", "--scalar", "0.2,1,1", "--method", "gd",
+                     "--tau", "nan", "--line-search-first"]) == 2
+        assert capsys.readouterr().err == (
+            "error: tau must be positive and finite, got nan\n")
+        assert calls == []
 
     def test_unknown_sweep_method_runs_no_cell(self, tmp_path, capsys):
         out_dir = tmp_path / "sweep"
@@ -154,6 +179,23 @@ class TestSolve:
         assert rc == 0
         lines = capsys.readouterr().out.strip().split("\n")
         assert lines[-1].split(",")[-1] == "converged"
+
+
+    def test_shifted_gd_solves_once_per_step(self, monkeypatch, capsys):
+        # the state at sigma0 serves both the first row and the first
+        # refresh, so N rows take N - 1 exact state solves
+        calls = []
+
+        def counting_exact_state(problem, sigma):
+            calls.append(sigma)
+            return exact_state(problem, sigma)
+
+        monkeypatch.setattr(solvers, "exact_state", counting_exact_state)
+        assert main(["solve", "--scalar", "0.2,1,1", "--method", "sgd",
+                     "--tau", "0.5"]) == 0
+        rows = capsys.readouterr().out.strip().split("\n")[1:]
+        assert len(rows) >= 2
+        assert len(calls) == len(rows) - 1
 
 
 class TestSweep:

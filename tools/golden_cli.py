@@ -125,6 +125,15 @@ def commands() -> list[list[str]]:
     cmds.append(["scalar-region", "--k", "1,2,3,5", "--b-count", "391"])
     cmds.append(["scalar-region", "--k", "2,8", "--method", "kshot,skshot,sgd",
                  "--out", "{work}/out/region.csv"])
+
+    # bad input: pins the error line and exit code of each path
+    scalar_gd = ["--scalar", "0.2,1,1", "--method", "gd"]
+    cmds.append(["bound", "--scalar", "0.2,1,1", "--method", "foo"])
+    cmds.append(["solve", *scalar_gd, "--k", "x", "--tau", "0.5"])
+    cmds.append(["solve", *scalar_gd, "--tau", "0.5,9"])
+    cmds.append(["solve", *scalar_gd, "--tau", "nan", "--line-search-first"])
+    cmds.append(["sweep", *scalar_gd, "--tau", "nan", "--line-search-first",
+                 "--out", "{work}/out/sweep_nan"])
     return cmds
 
 
@@ -135,7 +144,7 @@ def run_one(main, argv: list[str], work: Path) -> dict:
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
-        except SystemExit as exc:              # argparse rejections
+        except SystemExit as exc:              # argparse exits, e.g. --help
             code = exc.code
         except Exception as exc:               # recorded, not fatal
             code = f"exception:{type(exc).__name__}: {exc}"
