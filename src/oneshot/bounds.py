@@ -14,8 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-from .linear_model import (RealInverseProblem, data_map, spectral_norm,
-                           spectral_radius_of)
+from .linear_model import (RealInverseProblem, _require_real, data_map,
+                           spectral_norm, spectral_radius_of)
 from .solvers import MethodSpec, SolverKind
 from . import spectral
 
@@ -227,11 +227,12 @@ def matrix_bound(problem: RealInverseProblem, method: MethodSpec,
                  params: BoundParams | None = None) -> StepBound:
     """Sufficient step bound for a matrix problem and a one-shot method.
 
-    Needs only rho(B) < 1.  Evaluates the s(B^k)-based bounds from actual
-    operator norms; when additionally ||B|| < 1, also evaluates the sharper
-    closed form and reports the larger of the two sufficient values.
-    GD method kinds are forwarded to their exact bounds.
+    Needs only a real problem with rho(B) < 1.  Evaluates the s(B^k)-based
+    bounds from actual operator norms; when additionally ||B|| < 1, also
+    evaluates the sharper closed form and reports the larger of the two
+    sufficient values.  GD method kinds are forwarded to their exact bounds.
     """
+    _require_real(problem.B)
     if method.kind is SolverKind.USUAL_GD:
         return gd_bound(problem)
     if method.kind is SolverKind.SHIFTED_GD:

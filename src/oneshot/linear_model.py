@@ -241,6 +241,13 @@ def realify(problem: ComplexInverseProblem) -> RealInverseProblem:
     return RealInverseProblem(B=B, M=M, H=H, F=F)
 
 
+def _require_real(a) -> np.ndarray:
+    """``a`` as an array; complex problem data must be realified first."""
+    if np.iscomplexobj(a):
+        raise ValueError("complex problem data: convert it with realify first")
+    return np.asarray(a)
+
+
 def random_contraction(n_u: int, n_sigma: int, n_f: int, target_norm: float,
                        seed: int, max_tries: int = 50) -> RealInverseProblem:
     """Draw a dense Gaussian problem with ``||B||_2`` rescaled to target_norm.

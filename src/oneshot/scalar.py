@@ -140,10 +140,6 @@ def fk_roots(k: int) -> list[float]:
 # ---------------------------------------------------------------------------
 # threshold ingredients
 
-def _tk(k: int, b: float) -> float:
-    return sum(b**j for j in range(k))
-
-
 def _yk(k: int, b: float) -> float:
     # X_k / h^2 in closed form; equals (1 - k b^{k-1} + (k-1) b^k) / (1-b)^2
     return (1.0 - k*b**(k-1) + (k-1)*b**k) / (1.0 - b)**2
@@ -328,7 +324,7 @@ def scalar_iteration_matrix(kind: SolverKind, k: int, sp: ScalarProblem,
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
     s = b**k
-    t = _tk(k, b)
+    t = sum(b**j for j in range(k))
     u = k*h*h*b**(k-1)
     x = h*h*sum((j + 1)*b**j for j in range(k - 1))
     if kind is SolverKind.SHIFTED_K_STEP:

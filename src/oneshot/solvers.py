@@ -95,10 +95,6 @@ class ConvergenceTrace:
         return len(self.cost)
 
     @property
-    def final_sigma(self) -> np.ndarray:
-        return self.sigma[-1]
-
-    @property
     def final_cost(self) -> float:
         return self.cost[-1]
 

@@ -4,7 +4,7 @@ Every method in :mod:`oneshot.solvers` is, on the error triple (p, u, sigma),
 multiplication by a fixed block matrix; an iteration converges for all
 initial data iff that matrix has spectral radius below one.  This module
 assembles those matrices exactly, builds the accumulated inner-iteration
-operators T_k, U_k, X_k, and estimates the resolvent-type constant
+operators T_k, U_k, X_k, and computes a certified resolvent-type constant
 
     s(T) = sup_{|z| >= 1} || (I - T/z)^{-1} ||_2
 
@@ -17,10 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linear_model import RealInverseProblem
+from .linear_model import RealInverseProblem, _require_real
 from .solvers import ONE_SHOT_KINDS, MethodSpec
 
 CONVERGENCE_MARGIN = 1e-10
+LEVEL_MARGIN = 2e-12        # first relative gap of the s(T) level above the best value
+UNIT_CIRCLE_TOL = 1e-8      # pencil eigenvalues this close to |z| = 1 are crossings
+MAX_LEVELS = 30
 
 
 @dataclass(frozen=True)
@@ -47,8 +50,7 @@ def tux(B: np.ndarray, H: np.ndarray, k: int) -> TUXTriple:
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
-    B = np.asarray(B, dtype=float)
-    H = np.asarray(H, dtype=float)
+    B, H = _require_real(B), _require_real(H)
     n = B.shape[0]
     HtH = H.T @ H
     T = np.eye(n)
@@ -76,7 +78,7 @@ def build_iteration_matrix(problem: RealInverseProblem, method: MethodSpec,
     """
     if not 0.0 < tau < math.inf:
         raise ValueError(f"tau must be positive and finite, got {tau}")
-    B, M, H = problem.B, problem.M, problem.H
+    B, M, H = _require_real(problem.B), problem.M, problem.H
     n_u, n_s = problem.n_u, problem.n_sigma
     if method.kind in ONE_SHOT_KINDS:
         t = tux(B, H, method.k)
@@ -124,47 +126,45 @@ def eigenvalue_one_check(problem: RealInverseProblem, method: MethodSpec,
 
 def _boundary_norms(T: np.ndarray, phis: np.ndarray) -> np.ndarray:
     """|| (I - e^{-i phi} T)^{-1} ||_2 for each angle, via batched SVD."""
-    n = T.shape[0]
-    A = np.eye(n)[None, :, :] - np.exp(-1j * phis)[:, None, None] * T[None, :, :]
-    svals = np.linalg.svd(A, compute_uv=False)
-    return 1.0 / svals[:, -1]
+    A = np.eye(len(T)) - np.exp(-1j * phis)[:, None, None] * T
+    return 1.0 / np.linalg.svd(A, compute_uv=False)[:, -1]
 
 
-def s_functional(T: np.ndarray, n_samples: int = 720) -> float:
-    """Estimate s(T) by boundary sampling plus local golden-section refinement.
+def s_functional(T: np.ndarray, n_samples: int = 16) -> float:
+    """Certified upper value of s(T) = 1 / min_phi sigma_min(e^{i phi} I - T).
 
-    The sup over |z| >= 1 is attained on |z| = 1, so we sample n_samples
-    equispaced points of the unit circle and refine around the best one.
-    Requires rho(T) < 1; always returns at least 1 (the value at z = infinity).
+    n_samples + 1 starting angles lie on [0, pi], since -phi gives the
+    conjugate of a real T.  The level-set iteration of Boyd and Balakrishnan
+    (1990) follows: 1 / gamma is a singular value of e^{i phi} I - T iff
+    e^{i phi} is an eigenvalue of z [[I, 0], [I/gamma, T^T]] -
+    [[T, I/gamma], [0, I]].  At gamma = (1 + 2e-12) * best, the midpoints of
+    the crossing angles raise best, until no eigenvalue lies on the unit
+    circle; that gamma bounds s(T) from above.  Needs real T, rho(T) < 1.
     """
-    T = np.asarray(T)
-    rho = spectral_radius(T) if T.size else 0.0
-    if rho >= 1.0:
-        raise ValueError(f"s(T) requires rho(T) < 1, got rho = {rho:.6g}")
+    import scipy.linalg     # deferred: the import costs about 0.25 s
+
+    T = _require_real(T)
     if n_samples < 8:
         raise ValueError(f"n_samples too small: {n_samples}")
-    phis = np.linspace(0.0, 2.0 * np.pi, n_samples, endpoint=False)
-    vals = _boundary_norms(T, phis)
-    best = int(np.argmax(vals))
-    span = 2.0 * np.pi / n_samples
-
-    # golden-section maximization on the bracket around the best sample
-    inv_gold = (np.sqrt(5.0) - 1.0) / 2.0
-    a = phis[best] - span
-    b = phis[best] + span
-    c = b - inv_gold * (b - a)
-    d = a + inv_gold * (b - a)
-    fc = _boundary_norms(T, np.array([c]))[0]
-    fd = _boundary_norms(T, np.array([d]))[0]
-    for _ in range(80):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - inv_gold * (b - a)
-            fc = _boundary_norms(T, np.array([c]))[0]
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_gold * (b - a)
-            fd = _boundary_norms(T, np.array([d]))[0]
-        if b - a < 1e-13:
-            break
-    return float(max(1.0, vals[best], fc, fd))
+    if not T.any():
+        return 1.0          # the resolvent is I
+    rho = spectral_radius(T)
+    if rho >= 1.0:
+        raise ValueError(f"s(T) requires rho(T) < 1, got rho = {rho:.6g}")
+    eye, zero = np.eye(T.shape[0]), np.zeros(T.shape)
+    phis = np.linspace(0.0, np.pi, n_samples + 1)
+    best = float(np.max(_boundary_norms(T, phis)))
+    margin = LEVEL_MARGIN
+    for _ in range(MAX_LEVELS):
+        gamma = (1.0 + margin) * best
+        z = scipy.linalg.eigvals(np.block([[T, eye / gamma], [zero, eye]]),
+                                 np.block([[eye, zero], [eye / gamma, T.T]]))
+        crossings = z[np.abs(np.abs(z) - 1.0) < UNIT_CIRCLE_TOL]
+        phis = np.unique(np.abs(np.angle(crossings)))
+        if phis.size == 0:
+            return gamma
+        raised = np.max(_boundary_norms(T, (phis[1:] + phis[:-1]) / 2.0), initial=best)
+        if raised <= best:
+            margin *= 10.0      # a near-tangency blurred by rounding: widen
+        best = float(raised)
+    raise RuntimeError(f"s(T) not certified after {MAX_LEVELS} levels")

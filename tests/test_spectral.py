@@ -1,9 +1,18 @@
 """Tests for iteration matrices, T/U/X operators, radii and s(T)."""
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from oneshot.linear_model import (RealInverseProblem, ScalarProblem,
-                                  random_contraction, spectral_norm)
+from oneshot import spectral
+from oneshot.bounds import matrix_bound
+from oneshot.linear_model import (ComplexInverseProblem, RealInverseProblem,
+                                  ScalarProblem, helmholtz_toy,
+                                  random_contraction, realify, spectral_norm)
 from oneshot.solvers import MethodSpec, SolverKind
 from oneshot.spectral import (build_iteration_matrix, converges,
                               eigenvalue_one_check, s_functional,
@@ -261,6 +270,164 @@ class TestSFunctional:
             A2 = A @ A
             n2 = spectral_norm(A2)
             assert s_functional(A2) <= 1.0 / (1.0 - n2) + 1e-9
+
+
+def _s_by_sampling(T, n_samples=720):
+    # the former s(T): equispaced samples of the whole unit circle, then a
+    # golden-section search around the best one; a sampled lower value
+    phis = np.linspace(0.0, 2.0 * np.pi, n_samples, endpoint=False)
+    vals = spectral._boundary_norms(T, phis)
+    best = int(np.argmax(vals))
+    span = 2.0 * np.pi / n_samples
+    inv_gold = (np.sqrt(5.0) - 1.0) / 2.0
+    a = phis[best] - span
+    b = phis[best] + span
+    c = b - inv_gold * (b - a)
+    d = a + inv_gold * (b - a)
+    fc = spectral._boundary_norms(T, np.array([c]))[0]
+    fd = spectral._boundary_norms(T, np.array([d]))[0]
+    for _ in range(80):
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - inv_gold * (b - a)
+            fc = spectral._boundary_norms(T, np.array([c]))[0]
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_gold * (b - a)
+            fd = spectral._boundary_norms(T, np.array([d]))[0]
+        if b - a < 1e-13:
+            break
+    return float(max(1.0, vals[best], fc, fd))
+
+
+def _rotation(r, theta):
+    return r * np.array([[math.cos(theta), -math.sin(theta)],
+                         [math.sin(theta), math.cos(theta)]])
+
+
+def _nonnormal(n, norm, rho, seed):
+    # orthogonal similarity of an upper-triangular matrix: the diagonal fixes
+    # the spectrum, the scaled strict upper part makes ||T|| = norm > rho
+    rng = np.random.default_rng(seed)
+    diag = np.diag(rng.uniform(-rho, rho, n))
+    upper = np.triu(rng.standard_normal((n, n)), 1)
+    upper *= (norm - rho) / spectral_norm(upper)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return q @ (diag + upper) @ q.T
+
+
+class TestSCertificate:
+    """s(T) is a certified upper value: at least the true supremum, and
+    only the 2e-12 level margin above it."""
+
+    @pytest.mark.parametrize("theta", [0.1234, 1.0, 2.9])
+    def test_rotation_peak_between_samples(self, theta, monkeypatch):
+        # r R(theta) is normal with eigenvalues r e^{+-i theta}, so
+        # s = 1 / (1 - r), attained at phi = theta, between two samples
+        calls = []
+
+        def counted(T, phis):
+            calls.append(len(phis))
+            return bare(T, phis)
+
+        bare = spectral._boundary_norms
+        monkeypatch.setattr(spectral, "_boundary_norms", counted)
+        r = 0.7
+        exact = 1.0 / (1.0 - r)
+        s = s_functional(_rotation(r, theta))
+        assert exact <= s <= (1.0 + 1e-11) * exact
+        assert calls[0] == 17 and len(calls) >= 2   # the level set was refined
+        assert bare(_rotation(r, theta), np.linspace(0.0, np.pi, 17)).max() < (
+            1.0 - 1e-4) * exact
+
+    @pytest.mark.parametrize("theta", [0.1234, 1.0])
+    def test_sharp_peak_still_certifies(self, theta):
+        # a peak this narrow leaves the pencil eigenvalues within rounding of
+        # the unit circle at the first margin, which must then grow
+        r = 0.999
+        exact = 1.0 / (1.0 - r)
+        assert exact <= s_functional(_rotation(r, theta)) <= (1.0 + 1e-9) * exact
+
+    def test_nonnormal_block_against_dense_samples(self):
+        R = _rotation(0.8, 1.0)
+        T = np.block([[R, 3.0 * np.eye(2)], [np.zeros((2, 2)), R / 2.0]])
+        phis = np.linspace(0.0, np.pi, 400_001)
+        dense = max(spectral._boundary_norms(T, chunk).max()
+                    for chunk in np.array_split(phis, 8))
+        s = s_functional(T)
+        assert dense <= s <= (1.0 + 1e-8) * dense
+
+    @pytest.mark.parametrize("name", ["random", "nonnormal", "H12 B^3"])
+    def test_agrees_with_the_sampled_value(self, name):
+        if name == "random":
+            rng = np.random.default_rng(21)
+            mats = []
+            for n in (5, 12, 20):
+                A = rng.standard_normal((n, n))
+                mats.append(0.9 * A / spectral_radius(A))
+        elif name == "nonnormal":
+            mats = [_nonnormal(40, 1.5, 0.6, seed) for seed in (1, 2)]
+            mats.append(mats[0] @ mats[0])
+        else:
+            p = helmholtz_toy(12, 2.0 * np.pi, 0.01, seed=3)
+            mats = [tux(p.B, p.H, 3).Bk]
+        for T in mats:
+            old, new = _s_by_sampling(T), s_functional(T)
+            assert (1.0 - 1e-12) * old <= new <= (1.0 + 1e-11) * old
+
+    def test_rejects_too_few_samples(self):
+        with pytest.raises(ValueError):
+            s_functional(0.5 * np.eye(2), n_samples=7)
+
+
+class TestComplexInputRejected:
+    """The oracle, s(T) and the bounds are real-only: complex data must be
+    realified, not silently stripped of its imaginary part."""
+
+    @pytest.fixture
+    def complex_problem(self):
+        rng = np.random.default_rng(6)
+        B = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        B *= 0.6 / spectral_norm(B)
+        return ComplexInverseProblem(
+            B=B,
+            M=rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2)),
+            H=rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6)),
+            F=np.zeros(6, dtype=complex))
+
+    def test_s_functional(self):
+        with pytest.raises(ValueError, match="realify"):
+            s_functional(np.array([[0.5j, 0.0], [0.0, 0.1]]))
+
+    def test_tux(self, complex_problem):
+        with pytest.raises(ValueError, match="realify"):
+            tux(complex_problem.B, complex_problem.H, 2)
+
+    @pytest.mark.parametrize("kind", list(SolverKind))
+    def test_oracle_and_bound(self, complex_problem, kind):
+        method = MethodSpec(kind, 2)
+        for call in (build_iteration_matrix, converges, eigenvalue_one_check):
+            with pytest.raises(ValueError, match="realify"):
+                call(complex_problem, method, 0.01)
+        with pytest.raises(ValueError, match="realify"):
+            matrix_bound(complex_problem, method)
+
+    def test_realified_problem_is_accepted(self, complex_problem):
+        rp = realify(complex_problem)
+        method = MethodSpec(SolverKind.K_STEP, 2)
+        assert converges(rp, method, 1e-4)[0]
+        assert matrix_bound(rp, method).value > 0.0
+
+
+def test_importing_the_package_leaves_scipy_unloaded():
+    # importing scipy costs about 0.25 s, and only s(T) needs it
+    src = str(Path(spectral.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, oneshot, oneshot.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 class TestEigenvalueOneCheck:
