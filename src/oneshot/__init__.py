@@ -10,13 +10,12 @@ from .linear_model import (AssumptionReport, ComplexInverseProblem,
                            load_problem, random_contraction, realify,
                            save_problem, validate)
 from .solvers import (ConvergenceTrace, MethodSpec, SolverConfig, SolverKind,
-                      Status, k_step_one_shot, run_method, shifted_gd,
-                      shifted_k_step_one_shot, usual_gd)
+                      Status, run_method)
 from .spectral import (IterationMatrix, TUXTriple, build_iteration_matrix,
                        converges, eigenvalue_one_check, s_functional,
                        spectral_radius, tux)
-from .bounds import (BoundParams, StepBound, chi_k, chi_k1, gd_bound,
-                     matrix_bound, psi_k, psi_k1, shifted_gd_bound)
+from .bounds import (BoundParams, StepBound, closed_form, gd_bound,
+                     matrix_bound, shifted_gd_bound)
 from .scalar import (CubicCoeffs, MardenTable, ScalarThreshold, eta, fk,
                      fk_roots, jury_marden_cubic, jury_marden_general, kappa,
                      scalar_iteration_matrix, shifted_gd_threshold,
@@ -28,12 +27,11 @@ __all__ = [
     "helmholtz_toy", "load_problem", "random_contraction", "realify",
     "save_problem", "validate",
     "ConvergenceTrace", "MethodSpec", "SolverConfig", "SolverKind", "Status",
-    "k_step_one_shot", "run_method", "shifted_gd", "shifted_k_step_one_shot",
-    "usual_gd",
+    "run_method",
     "IterationMatrix", "TUXTriple", "build_iteration_matrix", "converges",
     "eigenvalue_one_check", "s_functional", "spectral_radius", "tux",
-    "BoundParams", "StepBound", "chi_k", "chi_k1", "gd_bound", "matrix_bound",
-    "psi_k", "psi_k1", "shifted_gd_bound",
+    "BoundParams", "StepBound", "closed_form", "gd_bound", "matrix_bound",
+    "shifted_gd_bound",
     "CubicCoeffs", "MardenTable", "ScalarThreshold", "eta", "fk", "fk_roots",
     "jury_marden_cubic", "jury_marden_general", "kappa",
     "scalar_iteration_matrix", "shifted_gd_threshold", "usual_gd_threshold",

@@ -35,10 +35,14 @@ class BoundParams:
     delta0: float = 1.0
 
     def __post_init__(self):
-        if self.delta0 <= 0.0:
-            raise ValueError(f"delta0 must be positive, got {self.delta0}")
-        if self.theta0 <= 0.0:
-            raise ValueError(f"theta0 must be positive, got {self.theta0}")
+        # written as "not 0 < x < inf" so that nan fails too; the case
+        # bounds square delta0, so its square must stay finite as well
+        if not (0.0 < self.delta0 < math.inf
+                and self.delta0 * self.delta0 < math.inf):
+            raise ValueError("delta0 must be positive with a finite square, "
+                             f"got {self.delta0}")
+        if not 0.0 < self.theta0 < math.inf:
+            raise ValueError(f"theta0 must be positive and finite, got {self.theta0}")
 
 
 def default_params(shifted: bool, k: int) -> BoundParams:
@@ -99,18 +103,22 @@ def shifted_gd_bound(problem: RealInverseProblem) -> StepBound:
 # ---------------------------------------------------------------------------
 # closed forms for ||B|| < 1
 
-def _closed_form(k: int, b: float, params: BoundParams | None,
-                 shifted: bool) -> float:
+def closed_form(k: int, b: float, params: BoundParams | None,
+                shifted: bool) -> float:
     """chi(k, b) for the shifted family, psi(k, b) for the non-shifted one:
     the minimum over the real-eigenvalue bound and the complex-eigenvalue
     case bounds, in units of 1 / (||H||^2 ||M||^2), for b = ||B|| < 1.
 
-    k = 1 needs b > 0.  For k >= 2 at b = 0 the method is (shifted) gradient
-    descent, whose exact bound is 1 (shifted) or 2.
+    ``params`` None takes the family's defaults for this k.  k = 1 needs
+    b > 0.  For k >= 2 at b = 0 the method is (shifted) gradient descent,
+    whose exact bound is 1 (shifted) or 2.
     """
-    name = ("chi" if shifted else "psi") + ("_k1" if k == 1 else "_k")
+    name = "chi" if shifted else "psi"
+    if k < 1:
+        raise ValueError(f"{name} needs k >= 1, got {k}")
     if not (0.0 < b < 1.0 or (k >= 2 and b == 0.0)):
-        raise ValueError(f"{name} needs {'0 <' if k == 1 else '0 <='} b < 1, got {b}")
+        raise ValueError(f"{name} needs {'0 <' if k == 1 else '0 <='} b < 1 "
+                         f"at k = {k}, got {b}")
     if b == 0.0:
         return 1.0 if shifted else 2.0
     params = _check_params(params, shifted, k)
@@ -146,30 +154,6 @@ def _closed_form(k: int, b: float, params: BoundParams | None,
     else:
         cases.append(front / geom)
     return min(cases)
-
-
-def chi_k1(b: float, params: BoundParams | None = None) -> float:
-    """Shifted one-step family: the real bound and four complex-case bounds."""
-    return _closed_form(1, b, params, shifted=True)
-
-
-def psi_k1(b: float, params: BoundParams | None = None) -> float:
-    """Non-shifted one-step family: three complex-case bounds."""
-    return _closed_form(1, b, params, shifted=False)
-
-
-def chi_k(k: int, b: float, params: BoundParams | None = None) -> float:
-    """Shifted k-step family, k >= 2 and 0 <= b = ||B|| < 1."""
-    if k < 2:
-        raise ValueError(f"chi_k needs k >= 2, got {k}")
-    return _closed_form(k, b, params, shifted=True)
-
-
-def psi_k(k: int, b: float, params: BoundParams | None = None) -> float:
-    """Non-shifted k-step family, k >= 2 and 0 <= b = ||B|| < 1."""
-    if k < 2:
-        raise ValueError(f"psi_k needs k >= 2, got {k}")
-    return _closed_form(k, b, params, shifted=False)
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +262,7 @@ def matrix_bound(problem: RealInverseProblem, method: MethodSpec,
     value = general
     formula = f"{family}:resolvent"
     if nB < 1.0:
-        closed = _closed_form(k, nB, params, shifted) / (nH**2 * nM**2)
+        closed = closed_form(k, nB, params, shifted) / (nH**2 * nM**2)
         if closed > value:
             value = closed
             formula = f"{family}:closed-form"

@@ -36,6 +36,9 @@ from .solvers import (ONE_SHOT_KINDS, MethodSpec, SolverConfig, SolverKind,
 
 EXIT_INVALID = 1
 EXIT_PARSE = 2
+LINE_SEARCH_SHRINK = 0.5        # --line-search-first: step factor per try,
+LINE_SEARCH_ARMIJO = 1e-4       # sufficient-decrease slope,
+LINE_SEARCH_TRIES = 30          # and tries before the last step is kept
 
 METHOD_NAMES = {
     "gd": SolverKind.USUAL_GD,
@@ -94,8 +97,7 @@ def _synthetic_data(problem, args):
     return sigma_ex, sigma0, f
 
 
-def _line_search_tau(problem, f, sigma0, tau, shrink=0.5, armijo=1e-4,
-                     max_backtracks=30) -> float:
+def _line_search_tau(problem, f, sigma0, tau) -> float:
     """Backtracking line search on the first step, with direct solves."""
     j0 = cost(problem, sigma0, f)
     g = gradient(problem, sigma0, f)
@@ -103,10 +105,10 @@ def _line_search_tau(problem, f, sigma0, tau, shrink=0.5, armijo=1e-4,
     if g2 == 0.0:
         return tau
     t = tau
-    for _ in range(max_backtracks):
-        if cost(problem, sigma0 - t * g, f) <= j0 - armijo * t * g2:
+    for _ in range(LINE_SEARCH_TRIES):
+        if cost(problem, sigma0 - t * g, f) <= j0 - LINE_SEARCH_ARMIJO * t * g2:
             break
-        t *= shrink
+        t *= LINE_SEARCH_SHRINK
     return t
 
 

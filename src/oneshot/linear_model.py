@@ -16,6 +16,7 @@ import numpy as np
 
 DEFAULT_EPS_RHO = 1e-8
 DEFAULT_EPS_INJ = 1e-10
+RANDOM_TRIES = 50               # random_contraction redraws before giving up
 
 
 def spectral_norm(a: np.ndarray) -> float:
@@ -249,11 +250,11 @@ def _require_real(a) -> np.ndarray:
 
 
 def random_contraction(n_u: int, n_sigma: int, n_f: int, target_norm: float,
-                       seed: int, max_tries: int = 50) -> RealInverseProblem:
+                       seed: int) -> RealInverseProblem:
     """Draw a dense Gaussian problem with ``||B||_2`` rescaled to target_norm.
 
     The spectral norm (not the spectral radius) is pinned because the descent
-    step bounds are stated in ``||B||``.  Regenerates, up to ``max_tries``
+    step bounds are stated in ``||B||``.  Regenerates, up to ``RANDOM_TRIES``
     times, in the unlikely event the drawn problem fails validation.
     Deterministic in ``seed``.
     """
@@ -264,7 +265,7 @@ def random_contraction(n_u: int, n_sigma: int, n_f: int, target_norm: float,
             f"injectivity needs n_sigma <= min(n_u, n_f); "
             f"got n_sigma={n_sigma}, n_u={n_u}, n_f={n_f}")
     rng = np.random.default_rng(seed)
-    for _ in range(max_tries):
+    for _ in range(RANDOM_TRIES):
         B = rng.standard_normal((n_u, n_u))
         if target_norm == 0.0:
             B = np.zeros((n_u, n_u))
@@ -278,7 +279,7 @@ def random_contraction(n_u: int, n_sigma: int, n_f: int, target_norm: float,
         )
         if validate(problem).is_valid:
             return problem
-    raise RuntimeError(f"could not draw a valid problem in {max_tries} tries")
+    raise RuntimeError(f"could not draw a valid problem in {RANDOM_TRIES} tries")
 
 
 def _to_rows(a: np.ndarray) -> np.ndarray:

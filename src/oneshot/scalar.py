@@ -177,18 +177,15 @@ def _kappa2_pieces(k: int, b: float):
     return b**k, _yk(k, b), v
 
 
-def kappa21(k: int, b: float, naive: bool = False) -> float:
+def kappa21(k: int, b: float) -> float:
     """First quadratic-root threshold of the shifted family.
 
     The direct quotient of root formulas loses precision once v_k is tiny
-    (large k), so by default the algebraically equivalent rewrite with the
-    conjugate denominator is used; ``naive=True`` keeps the direct quotient
-    for cross-checking.
+    (large k), so the algebraically equivalent rewrite with the conjugate
+    denominator is used.
     """
     s, y, v = _kappa2_pieces(k, b)
     disc = math.sqrt((-4.0*s + 5.0)*v*v + y*y + 2.0*(-2.0*s*s + 2.0*s + 1.0)*v*y)
-    if naive:
-        return ((2.0*s*s - 2.0*s - 1.0)*v - y + disc) / (2.0*v*v)
     w = k - (k + 1)*b + b**(k+1)
     term1 = b * (1.0 - b)**2 * (b**k - 1.0) / w
     num2 = 2.0 * (-b**k + 1.0 + b*(1.0 - b)**2*(1.0 - b**k)*y / w)

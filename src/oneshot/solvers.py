@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linear_model import (RealInverseProblem, adjoint_from_state,
-                           exact_state)
+from .linear_model import adjoint_from_state, exact_state
 
 
 class SolverKind(enum.Enum):
@@ -131,8 +130,6 @@ def run_method(method: MethodSpec, problem, f, sigma0, config,
     below their tolerances relative to their first nonzero values;
     otherwise it ends after max_outer steps.
     """
-    if config is None:
-        raise ValueError("config is required")
     f = np.asarray(f, dtype=float).reshape(-1)
     sigma0 = np.asarray(sigma0, dtype=float).reshape(-1)
     if sigma0.shape != (problem.n_sigma,):
@@ -196,35 +193,3 @@ def run_method(method: MethodSpec, problem, f, sigma0, config,
             p = adjoint_from_state(problem, u, f)
         sigma = sigma_new
     return trace
-
-
-def usual_gd(problem: RealInverseProblem, f, sigma0, config: SolverConfig,
-             sigma_exact=None) -> ConvergenceTrace:
-    """Gradient descent with exact state/adjoint solves each outer step."""
-    return run_method(MethodSpec(SolverKind.USUAL_GD), problem, f, sigma0,
-                      config, sigma_exact=sigma_exact)
-
-
-def shifted_gd(problem: RealInverseProblem, f, sigma0, config: SolverConfig,
-               sigma_exact=None) -> ConvergenceTrace:
-    """Shifted gradient descent: the state lags one parameter update behind."""
-    return run_method(MethodSpec(SolverKind.SHIFTED_GD), problem, f, sigma0,
-                      config, sigma_exact=sigma_exact)
-
-
-def k_step_one_shot(problem: RealInverseProblem, f, sigma0, u0=None, p0=None,
-                    k: int = 1, config: SolverConfig | None = None,
-                    sigma_exact=None) -> ConvergenceTrace:
-    """k-step one-shot: update sigma, then run k coupled inner sweeps on
-    (u, p) warm-started from the previous pair, using the fresh sigma."""
-    return run_method(MethodSpec(SolverKind.K_STEP, k=k), problem, f, sigma0,
-                      config, u0, p0, sigma_exact)
-
-
-def shifted_k_step_one_shot(problem: RealInverseProblem, f, sigma0, u0=None,
-                            p0=None, k: int = 1,
-                            config: SolverConfig | None = None,
-                            sigma_exact=None) -> ConvergenceTrace:
-    """Shifted k-step one-shot: the inner sweeps use the previous sigma."""
-    return run_method(MethodSpec(SolverKind.SHIFTED_K_STEP, k=k), problem, f,
-                      sigma0, config, u0, p0, sigma_exact)

@@ -4,9 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from oneshot.bounds import (BoundParams, chi_k, chi_k1, default_params,
-                            gd_bound, matrix_bound, psi_k, psi_k1,
-                            shifted_gd_bound)
+from oneshot.bounds import (BoundParams, closed_form, default_params,
+                            gd_bound, matrix_bound, shifted_gd_bound)
 from oneshot.linear_model import (RealInverseProblem, ScalarProblem,
                                   random_contraction, spectral_norm,
                                   spectral_radius_of)
@@ -61,8 +60,8 @@ class TestChiPsiK1:
             / (2 * (1 + 2 * d0 * math.sin(2.5 * th) + d0**2)) * (1 - b)**4 / b**2,
             (math.sin(math.pi / 2 - 3 * th) + math.cos(2 * th)) * (1 - b)**2,
         ]
-        assert abs(chi_k1(0.5) - min(cands)) < 1e-12
-        assert abs(chi_k1(0.5) - CHI_K1_HALF) < 1e-12
+        assert abs(closed_form(1, 0.5, None, shifted=True) - min(cands)) < 1e-12
+        assert abs(closed_form(1, 0.5, None, shifted=True) - CHI_K1_HALF) < 1e-12
 
     def test_practical_bound_relations(self):
         # on (0,1): chi2 <= chi0 and chi3 <= chi1 at the default parameters
@@ -99,25 +98,27 @@ class TestChiPsiK1:
 
     def test_domain_checks(self):
         with pytest.raises(ValueError):
-            chi_k1(0.0)
+            closed_form(1, 0.0, None, shifted=True)
         with pytest.raises(ValueError):
-            chi_k1(1.0)
+            closed_form(1, 1.0, None, shifted=True)
         with pytest.raises(ValueError):
-            psi_k1(-0.2)
+            closed_form(1, -0.2, None, shifted=False)
         with pytest.raises(ValueError):
-            chi_k1(0.5, BoundParams(theta0=math.pi / 3))
+            closed_form(1, 0.5, BoundParams(theta0=math.pi / 3), shifted=True)
+        with pytest.raises(ValueError):
+            closed_form(0, 0.5, None, shifted=False)
 
 
 class TestChiPsiK:
     def test_gd_values_at_zero_contraction(self):
         for k in range(2, 7):
-            assert chi_k(k, 0.0) == 1.0
-            assert psi_k(k, 0.0) == 2.0
+            assert closed_form(k, 0.0, None, shifted=True) == 1.0
+            assert closed_form(k, 0.0, None, shifted=False) == 2.0
 
     def test_large_k_stabilizes(self):
         for b in (0.3, 0.6):
-            chis = [chi_k(k, b) for k in range(2, 51)]
-            psis = [psi_k(k, b) for k in range(2, 51)]
+            chis = [closed_form(k, b, None, shifted=True) for k in range(2, 51)]
+            psis = [closed_form(k, b, None, shifted=False) for k in range(2, 51)]
             assert all(v > 0 for v in chis + psis)
             assert abs(chis[-1] - chis[-2]) < 1e-6
             assert abs(psis[-1] - psis[-2]) < 1e-6
@@ -129,10 +130,10 @@ class TestChiPsiK:
         for k in ks:
             for b in bs:
                 p = ScalarProblem(b=float(b), h=1.0, m=1.0).as_problem()
-                tau_s = 0.999 * chi_k(k, float(b))
+                tau_s = 0.999 * closed_form(k, float(b), None, shifted=True)
                 ok, rho = converges(p, MethodSpec(SolverKind.SHIFTED_K_STEP, k), tau_s)
                 assert ok, f"chi k={k} b={b} rho={rho}"
-                tau_n = 0.999 * psi_k(k, float(b))
+                tau_n = 0.999 * closed_form(k, float(b), None, shifted=False)
                 ok, rho = converges(p, MethodSpec(SolverKind.K_STEP, k), tau_n)
                 assert ok, f"psi k={k} b={b} rho={rho}"
 
@@ -174,17 +175,17 @@ class TestChiPsiK:
         for k in (2, 3, 5, 8):
             for b in (0.1, 0.35, 0.6, 0.85):
                 ps = default_params(True, k)
-                assert abs(chi_k(k, b, ps)
+                assert abs(closed_form(k, b, ps, shifted=True)
                            - chi_indep(k, b, ps.theta0, ps.delta0)) < 1e-14
                 pn = default_params(False, k)
-                assert abs(psi_k(k, b, pn)
+                assert abs(closed_form(k, b, pn, shifted=False)
                            - psi_indep(k, b, pn.theta0, pn.delta0)) < 1e-14
 
     def test_strict_theta_for_k_ge_2(self):
         with pytest.raises(ValueError):
-            chi_k(3, 0.5, BoundParams(theta0=math.pi / 6))
+            closed_form(3, 0.5, BoundParams(theta0=math.pi / 6), shifted=True)
         with pytest.raises(ValueError):
-            psi_k(3, 0.5, BoundParams(theta0=math.pi / 4))
+            closed_form(3, 0.5, BoundParams(theta0=math.pi / 4), shifted=False)
         assert default_params(True, 3).theta0 < math.pi / 6
         assert default_params(False, 3).theta0 < math.pi / 4
 
@@ -280,3 +281,24 @@ def test_bound_params_validation():
         BoundParams(theta0=0.5, delta0=0.0)
     with pytest.raises(ValueError):
         BoundParams(theta0=-0.1)
+
+
+@pytest.mark.parametrize("settings", [
+    {"theta0": float("nan")},
+    {"theta0": float("inf")},
+    {"theta0": 0.5, "delta0": float("nan")},
+    {"theta0": 0.5, "delta0": float("inf")},
+    {"theta0": 0.5, "delta0": -2.0},
+    {"theta0": 0.5, "delta0": 1e308},       # finite, but its square is not
+])
+def test_bound_params_rejects_non_finite_values(settings):
+    with pytest.raises(ValueError):
+        BoundParams(**settings)
+
+
+def test_large_delta0_gives_a_finite_bound():
+    p = random_contraction(5, 2, 3, 0.5, seed=3)
+    for k in (1, 2):
+        params = BoundParams(theta0=0.45, delta0=1e150)
+        sb = matrix_bound(p, MethodSpec(SolverKind.SHIFTED_K_STEP, k), params)
+        assert math.isfinite(sb.value) and sb.value > 0.0

@@ -72,6 +72,15 @@ class TestBadInput:
         ["solve", "--scalar", "0.2,1,1", "--method", "gd", "--tau", "0.5,9"],
         ["sweep", "--scalar", "0.2,1,1", "--method", "gd", "--tau", "0.5"],
         ["foo"],
+        # bound parameters must be finite, and delta0 squared as well
+        ["bound", "--random", "8,3,4,0.5", "--method", "skshot", "--k", "2",
+         "--delta0", "nan"],
+        ["bound", "--random", "8,3,4,0.5", "--method", "skshot", "--k", "2",
+         "--delta0", "inf"],
+        ["bound", "--random", "8,3,4,0.5", "--method", "skshot", "--k", "2",
+         "--delta0", "1e308"],
+        ["bound", "--random", "8,3,4,0.5", "--method", "skshot", "--k", "2",
+         "--theta0", "nan"],
     ])
     def test_exit_two_with_one_error_line(self, argv, capsys):
         assert main(argv) == 2

@@ -7,9 +7,11 @@ import pytest
 from oneshot.linear_model import (ScalarProblem, exact_adjoint, exact_state,
                                   random_contraction)
 from oneshot.solvers import (CSV_HEADER, MethodSpec, SolverConfig, SolverKind,
-                             Status, k_step_one_shot, run_method, shifted_gd,
-                             shifted_k_step_one_shot, usual_gd)
+                             Status, run_method)
 from oneshot.spectral import build_iteration_matrix, spectral_radius
+
+GD = MethodSpec(SolverKind.USUAL_GD)
+SGD = MethodSpec(SolverKind.SHIFTED_GD)
 
 
 def _setup(problem, sigma_ex):
@@ -24,7 +26,7 @@ class TestUsualGD:
         p = random_contraction(5, 2, 3, 0.5, seed=1)
         s_ex = np.array([1.0, -1.0])
         f, _, _ = _setup(p, s_ex)
-        tr = usual_gd(p, f, s_ex, SolverConfig(tau=0.1), sigma_exact=s_ex)
+        tr = run_method(GD, p, f, s_ex, SolverConfig(tau=0.1), sigma_exact=s_ex)
         assert tr.status is Status.CONVERGED
         assert len(tr) == 1
         assert tr.cost[0] == 0.0
@@ -33,8 +35,8 @@ class TestUsualGD:
         # b = 0, h = m = 1, tau = 1: the parameter error factor is 1 - tau = 0
         p = ScalarProblem(b=0.0, h=1.0, m=1.0).as_problem()
         f, _, _ = _setup(p, np.array([3.0]))
-        tr = usual_gd(p, f, np.array([7.0]), SolverConfig(tau=1.0),
-                      sigma_exact=np.array([3.0]))
+        tr = run_method(GD, p, f, np.array([7.0]), SolverConfig(tau=1.0),
+                        sigma_exact=np.array([3.0]))
         assert tr.status is Status.CONVERGED
         assert len(tr) == 2
         assert tr.err_sigma[-1] < 1e-12
@@ -42,8 +44,8 @@ class TestUsualGD:
     def test_showcase_instance_diverges(self):
         p = ScalarProblem(b=0.2, h=1.0, m=1.0).as_problem()
         f, _, _ = _setup(p, np.array([10.0]))
-        tr = usual_gd(p, f, np.array([12.0]), SolverConfig(tau=2.08),
-                      sigma_exact=np.array([10.0]))
+        tr = run_method(GD, p, f, np.array([12.0]), SolverConfig(tau=2.08),
+                        sigma_exact=np.array([10.0]))
         assert tr.status is Status.DIVERGED
 
 
@@ -52,7 +54,7 @@ class TestShiftedGD:
         p = random_contraction(4, 2, 2, 0.4, seed=2)
         s_ex = np.array([0.5, 2.0])
         f, _, _ = _setup(p, s_ex)
-        tr = shifted_gd(p, f, s_ex, SolverConfig(tau=0.05), sigma_exact=s_ex)
+        tr = run_method(SGD, p, f, s_ex, SolverConfig(tau=0.05), sigma_exact=s_ex)
         assert tr.status is Status.CONVERGED
         assert len(tr) == 1
 
@@ -60,10 +62,10 @@ class TestShiftedGD:
         # error cubic lambda^3 - lambda^2 + tau lambda = 0: stable iff tau < 1
         p = ScalarProblem(b=0.0, h=1.0, m=1.0).as_problem()
         f, _, _ = _setup(p, np.array([1.0]))
-        ok = shifted_gd(p, f, np.array([4.0]), SolverConfig(tau=0.5),
+        ok = run_method(SGD, p, f, np.array([4.0]), SolverConfig(tau=0.5),
                         sigma_exact=np.array([1.0]))
         assert ok.status is Status.CONVERGED
-        bad = shifted_gd(p, f, np.array([4.0]), SolverConfig(tau=1.5),
+        bad = run_method(SGD, p, f, np.array([4.0]), SolverConfig(tau=1.5),
                          sigma_exact=np.array([1.0]))
         assert bad.status is Status.DIVERGED
         roots = np.roots([1.0, -1.0, 1.5, 0.0])
@@ -79,7 +81,8 @@ class TestOneShot:
         cfg = SolverConfig(tau=tau, max_outer=6, tol_cost=1e-300, tol_grad=1e-300)
         rng = np.random.default_rng(0)
         s0, u0, p0 = rng.standard_normal(2), rng.standard_normal(4), rng.standard_normal(4)
-        tr = k_step_one_shot(p, f, s0, u0, p0, 1, cfg, sigma_exact=s_ex)
+        tr = run_method(MethodSpec(SolverKind.K_STEP, 1), p, f, s0, cfg, u0, p0,
+                        sigma_exact=s_ex)
         s, u, q = s0.copy(), u0.copy(), p0.copy()
         for n in range(len(tr)):
             assert np.allclose(tr.sigma[n], s, atol=1e-13)
@@ -96,7 +99,8 @@ class TestOneShot:
         cfg = SolverConfig(tau=tau, max_outer=6, tol_cost=1e-300, tol_grad=1e-300)
         rng = np.random.default_rng(1)
         s0, u0, p0 = rng.standard_normal(1), rng.standard_normal(4), rng.standard_normal(4)
-        tr = shifted_k_step_one_shot(p, f, s0, u0, p0, 1, cfg, sigma_exact=s_ex)
+        tr = run_method(MethodSpec(SolverKind.SHIFTED_K_STEP, 1), p, f, s0, cfg,
+                        u0, p0, sigma_exact=s_ex)
         s, u, q = s0.copy(), u0.copy(), p0.copy()
         for n in range(len(tr)):
             assert np.allclose(tr.sigma[n], s, atol=1e-13)
@@ -109,8 +113,8 @@ class TestOneShot:
         p = ScalarProblem(b=0.2, h=1.0, m=1.0).as_problem()
         f, _, _ = _setup(p, np.array([10.0]))
         cfg = SolverConfig(tau=2.08, max_outer=30000)
-        tr = k_step_one_shot(p, f, np.array([12.0]), None, None, 2, cfg,
-                             sigma_exact=np.array([10.0]))
+        tr = run_method(MethodSpec(SolverKind.K_STEP, 2), p, f, np.array([12.0]),
+                        cfg, sigma_exact=np.array([10.0]))
         assert tr.status is Status.CONVERGED
 
     def test_large_k_matches_usual_gd(self):
@@ -121,9 +125,10 @@ class TestOneShot:
         tau = 0.2 * 2.0 / np.linalg.norm(
             p.H @ np.linalg.solve(np.eye(5) - p.B, p.M), 2)**2
         cfg = SolverConfig(tau=tau, max_outer=30, tol_cost=1e-300, tol_grad=1e-300)
-        gd = usual_gd(p, f, s0, cfg, sigma_exact=s_ex)
-        os = k_step_one_shot(p, f, s0, exact_state(p, s0),
-                             exact_adjoint(p, s0, f), 200, cfg, sigma_exact=s_ex)
+        gd = run_method(GD, p, f, s0, cfg, sigma_exact=s_ex)
+        os = run_method(MethodSpec(SolverKind.K_STEP, 200), p, f, s0, cfg,
+                        exact_state(p, s0), exact_adjoint(p, s0, f),
+                        sigma_exact=s_ex)
         for a, b in zip(gd.sigma, os.sigma):
             assert np.linalg.norm(a - b) < 1e-6
 
@@ -135,10 +140,10 @@ class TestOneShot:
         tau = 0.1 / np.linalg.norm(
             p.H @ np.linalg.solve(np.eye(5) - p.B, p.M), 2)**2
         cfg = SolverConfig(tau=tau, max_outer=30, tol_cost=1e-300, tol_grad=1e-300)
-        gd = shifted_gd(p, f, s0, cfg, sigma_exact=s_ex)
-        os = shifted_k_step_one_shot(p, f, s0, exact_state(p, s0),
-                                     exact_adjoint(p, s0, f), 200, cfg,
-                                     sigma_exact=s_ex)
+        gd = run_method(SGD, p, f, s0, cfg, sigma_exact=s_ex)
+        os = run_method(MethodSpec(SolverKind.SHIFTED_K_STEP, 200), p, f, s0, cfg,
+                        exact_state(p, s0), exact_adjoint(p, s0, f),
+                        sigma_exact=s_ex)
         for a, b in zip(gd.sigma, os.sigma):
             assert np.linalg.norm(a - b) < 1e-6
 
@@ -147,8 +152,9 @@ class TestOneShot:
         s_ex = np.array([3.0, 1.0])
         f, u_ex, p_ex = _setup(p, s_ex)
         cfg = SolverConfig(tau=0.3, max_outer=20, tol_cost=1e-300, tol_grad=1e-300)
-        for fn in (k_step_one_shot, shifted_k_step_one_shot):
-            tr = fn(p, f, s_ex, u_ex, p_ex, 3, cfg, sigma_exact=s_ex)
+        for kind in (SolverKind.K_STEP, SolverKind.SHIFTED_K_STEP):
+            tr = run_method(MethodSpec(kind, 3), p, f, s_ex, cfg, u_ex, p_ex,
+                            sigma_exact=s_ex)
             assert max(tr.err_sigma) < 1e-12
 
 
@@ -220,8 +226,8 @@ class TestTraceFormat:
         s_ex = np.array([1.0, 1.0])
         f, _, _ = _setup(p, s_ex)
         cfg = SolverConfig(tau=0.05, max_outer=9, tol_cost=1e-300, tol_grad=1e-300)
-        tr = k_step_one_shot(p, f, np.array([0.0, 0.0]), None, None, 3, cfg,
-                             sigma_exact=s_ex)
+        tr = run_method(MethodSpec(SolverKind.K_STEP, 3), p, f,
+                        np.array([0.0, 0.0]), cfg, sigma_exact=s_ex)
         assert tr.accumulated_inner[0] == 1
         for i, acc in enumerate(tr.accumulated_inner):
             n = i + 1
@@ -241,7 +247,7 @@ class TestTraceFormat:
         p = random_contraction(3, 1, 2, 0.3, seed=10)
         f = np.zeros(2)
         cfg = SolverConfig(tau=0.05, max_outer=3, tol_cost=1e-300, tol_grad=1e-300)
-        tr = usual_gd(p, f, np.array([1.0]), cfg)
+        tr = run_method(GD, p, f, np.array([1.0]), cfg)
         assert np.isnan(tr.err_sigma[0])
 
 
@@ -268,37 +274,7 @@ def test_config_rejects_non_finite_and_negative_settings(settings):
 
 def test_config_allows_zero_outer_steps():
     p = random_contraction(3, 1, 2, 0.3, seed=1)
-    trace = usual_gd(p, np.zeros(2), np.ones(1), SolverConfig(tau=0.1, max_outer=0))
+    trace = run_method(GD, p, np.zeros(2), np.ones(1),
+                       SolverConfig(tau=0.1, max_outer=0))
     assert len(trace) == 1 and trace.status is Status.MAX_ITER
 
-
-@pytest.mark.parametrize("kind", list(SolverKind))
-def test_named_solvers_are_run_method(kind):
-    p = random_contraction(5, 2, 4, 0.5, seed=3)
-    s_ex = np.array([1.0, -2.0])
-    f, _, _ = _setup(p, s_ex)
-    sigma0, u0, p0 = np.zeros(2), np.ones(5), -np.ones(5)
-    cfg = SolverConfig(tau=0.01, max_outer=40)
-    if kind is SolverKind.USUAL_GD:
-        named = usual_gd(p, f, sigma0, cfg, sigma_exact=s_ex)
-    elif kind is SolverKind.SHIFTED_GD:
-        named = shifted_gd(p, f, sigma0, cfg, sigma_exact=s_ex)
-    elif kind is SolverKind.K_STEP:
-        named = k_step_one_shot(p, f, sigma0, u0, p0, k=2, config=cfg,
-                                sigma_exact=s_ex)
-    else:
-        named = shifted_k_step_one_shot(p, f, sigma0, u0, p0, k=2, config=cfg,
-                                        sigma_exact=s_ex)
-    direct = run_method(MethodSpec(kind, k=2), p, f, sigma0, cfg, u0, p0,
-                        sigma_exact=s_ex)
-    assert named.status is direct.status
-    assert list(named.rows()) == list(direct.rows())
-
-
-def test_one_shot_needs_a_config():
-    p = random_contraction(3, 1, 2, 0.3, seed=1)
-    with pytest.raises(ValueError, match="config is required"):
-        k_step_one_shot(p, np.zeros(2), np.zeros(1))
-    with pytest.raises(ValueError, match="k must be at least 1"):
-        shifted_k_step_one_shot(p, np.zeros(2), np.zeros(1), k=0,
-                                config=SolverConfig(tau=0.1))

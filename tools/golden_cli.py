@@ -134,6 +134,9 @@ def commands() -> list[list[str]]:
     cmds.append(["solve", *scalar_gd, "--tau", "nan", "--line-search-first"])
     cmds.append(["sweep", *scalar_gd, "--tau", "nan", "--line-search-first",
                  "--out", "{work}/out/sweep_nan"])
+    random8 = ["--random", "8,3,4,0.5", "--method", "skshot", "--k", "2"]
+    cmds.append(["bound", *random8, "--delta0", "nan"])
+    cmds.append(["bound", *random8, "--delta0", "1e308"])
     return cmds
 
 
