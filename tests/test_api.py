@@ -1,13 +1,24 @@
 """Tests for the package's public names."""
 import importlib
+import inspect
 
 import pytest
 
 import oneshot
 
-# named wrappers that run_method and closed_form replaced
-REMOVED = ("usual_gd", "shifted_gd", "k_step_one_shot",
-           "shifted_k_step_one_shot", "chi_k1", "psi_k1", "chi_k", "psi_k")
+# one solver function for all four kinds and one closed-form function for
+# both chi/psi families: no named per-kind or per-family wrappers beside them
+PUBLIC_FUNCTIONS = {
+    "oneshot.solvers": {"run_method"},
+    "oneshot.bounds": {"closed_form", "default_params", "gd_bound",
+                       "matrix_bound", "shifted_gd_bound"},
+}
+
+
+def _functions_from(namespace, module):
+    return {name for name, obj in vars(namespace).items()
+            if inspect.isfunction(obj) and obj.__module__ == module
+            and not name.startswith("_")}
 
 
 @pytest.mark.parametrize("name", oneshot.__all__)
@@ -15,8 +26,9 @@ def test_every_exported_name_resolves(name):
     assert getattr(oneshot, name) is not None
 
 
-@pytest.mark.parametrize("module", ["oneshot", "oneshot.solvers",
-                                    "oneshot.bounds"])
-def test_removed_wrappers_are_gone(module):
+@pytest.mark.parametrize("module", sorted(PUBLIC_FUNCTIONS))
+def test_public_functions_are_the_entry_points(module):
     mod = importlib.import_module(module)
-    assert [name for name in REMOVED if hasattr(mod, name)] == []
+    assert _functions_from(mod, module) == PUBLIC_FUNCTIONS[module]
+    # the package re-exports none beyond them
+    assert _functions_from(oneshot, module) <= PUBLIC_FUNCTIONS[module]
