@@ -15,7 +15,7 @@ import math
 from dataclasses import asdict, dataclass
 
 from .linear_model import (RealInverseProblem, _require_real, data_map,
-                           spectral_norm, spectral_radius_of)
+                           spectral_norm, spectral_radius, tux)
 from .solvers import MethodSpec, SolverKind
 from . import spectral
 
@@ -35,8 +35,8 @@ class BoundParams:
     delta0: float = 1.0
 
     def __post_init__(self):
-        # written as "not 0 < x < inf" so that nan fails too; the case
-        # bounds square delta0, so its square must stay finite as well
+        # written as "not 0 < x < inf" so that nan fails too; delta0 must
+        # also have a finite square, the range the case bounds are tested on
         if not (0.0 < self.delta0 < math.inf
                 and self.delta0 * self.delta0 < math.inf):
             raise ValueError("delta0 must be positive with a finite square, "
@@ -103,6 +103,13 @@ def shifted_gd_bound(problem: RealInverseProblem) -> StepBound:
 # ---------------------------------------------------------------------------
 # closed forms for ||B|| < 1
 
+def _delta_terms(th: float, d0: float, half: float) -> tuple[float, float, float]:
+    """c / d0, sqrt(c) and sqrt(c) / d0 for c = (1 + 2 d0 sin(half th) + d0^2)
+    / cos(half th)^2, formed without c, which overflows for large d0."""
+    cd = (1.0 / d0 + 2.0 * math.sin(half * th) + d0) / math.cos(half * th)**2
+    return cd, math.sqrt(cd) * math.sqrt(d0), math.sqrt(cd) / math.sqrt(d0)
+
+
 def closed_form(k: int, b: float, params: BoundParams | None,
                 shifted: bool) -> float:
     """chi(k, b) for the shifted family, psi(k, b) for the non-shifted one:
@@ -129,8 +136,8 @@ def closed_form(k: int, b: float, params: BoundParams | None,
         # real eigenvalues impose no condition on the non-shifted family
         cases = [(1.0 - b)**4 / (4.0 * b**2),
                  2.0 * math.sin(th / 2.0) * (1.0 - b)**2 / (1.0 + b)**2,
-                 d0 * math.cos(half * th)**2
-                 / (2.0 * (1.0 + 2.0 * d0 * math.sin(half * th) + d0**2))
+                 math.cos(half * th)**2
+                 / (2.0 * (1.0 / d0 + 2.0 * math.sin(half * th) + d0))
                  * (1.0 - b)**4 / b**2]
         if shifted:
             cases += [2.0 * (1.0 - b)**2, angle * (1.0 - b)**2]
@@ -139,15 +146,14 @@ def closed_form(k: int, b: float, params: BoundParams | None,
     bk = b**k
     geom = 1.0 - k * b**(k - 1) + (k - 1) * b**k   # >= (1-b)^2 ||X_k|| / ||H||^2
     front = (1.0 - b)**2 * (1.0 - bk)**2
-    c = (1.0 + 2.0 * d0 * math.sin(half * th) + d0**2) / math.cos(half * th)**2
+    cd, sc, sq = _delta_terms(th, d0, half)
     cos_cap = math.cos((3.0 if shifted else 2.0) * th)
     cases = [front / (4.0 * b**(2 * k) + SQRT2 * geom * (1.0 + bk)**2),
              front / (((1.0 - bk)**2 / (2.0 * math.sin(th / 2.0))
                        + SQRT2 * geom) * (1.0 + bk)**2),
-             front / (2.0 * c * math.sin(th / 2.0) / d0 * b**(2 * k)
-                      + geom * (math.sqrt(c) / d0 * (1.0 + b**(2 * k))
-                                + 2.0 * max(math.sqrt(c) / d0,
-                                            math.sqrt(c) / cos_cap) * bk))]
+             front / (2.0 * cd * math.sin(th / 2.0) * b**(2 * k)
+                      + geom * (sq * (1.0 + b**(2 * k))
+                                + 2.0 * max(sq, sc / cos_cap) * bk))]
     if shifted:
         cases += [2.0 * front / ((1.0 - bk)**2 + 2.0 * geom),
                   angle * front / ((1.0 - bk)**2 + 2.0 * geom * (1.0 + bk)**2)]
@@ -170,8 +176,8 @@ def _general_min_k1(nH, nM, nB, s, params, shifted):
     cases.append(1.0 / (4.0 * hm2 * nB**2 * s**4))
     cases.append(2.0 * math.sin(th / 2.0) / (hm2 * (1.0 + 2.0 * nB)**2 * s**4))
     half = 2.5 if shifted else 1.5
-    cases.append(d0 * math.cos(half * th)**2
-                 / (2.0 * (1.0 + 2.0 * d0 * math.sin(half * th) + d0**2))
+    cases.append(math.cos(half * th)**2
+                 / (2.0 * (1.0 / d0 + 2.0 * math.sin(half * th) + d0))
                  / (hm2 * nB**2 * s**4))
     return min(cases)
 
@@ -199,10 +205,10 @@ def _general_min_k(nH, nM, nT, nX, nBk, s, params, shifted):
                       + SQRT2 * xk * (1.0 + 2.0 * nBk)**2) * s**4))
     cases.append(inv((ht2 / (2.0 * math.sin(th / 2.0)) + SQRT2 * xk)
                      * (1.0 + 2.0 * nBk)**2 * s**4))
-    c = (1.0 + 2.0 * d0 * math.sin(half * th) + d0**2) / math.cos(half * th)**2
-    cases.append(inv((2.0 * c * math.sin(th / 2.0) / d0 * ht2 * nBk**2
-                      + math.sqrt(c) / d0 * xk * (1.0 + 2.0 * nBk + 2.0 * nBk**2)
-                      + 2.0 * max(math.sqrt(c) / d0, math.sqrt(c) / cos_cap)
+    cd, sc, sq = _delta_terms(th, d0, half)
+    cases.append(inv((2.0 * cd * math.sin(th / 2.0) * ht2 * nBk**2
+                      + sq * xk * (1.0 + 2.0 * nBk + 2.0 * nBk**2)
+                      + 2.0 * max(sq, sc / cos_cap)
                       * xk * (nBk + nBk**2)) * s**4))
     return min(cases)
 
@@ -221,7 +227,7 @@ def matrix_bound(problem: RealInverseProblem, method: MethodSpec,
         return gd_bound(problem)
     if method.kind is SolverKind.SHIFTED_GD:
         return shifted_gd_bound(problem)
-    rho = spectral_radius_of(problem.B)
+    rho = spectral_radius(problem.B)
     if rho >= 1.0:
         raise ValueError(f"bounds need rho(B) < 1, got {rho:.6g}")
 
@@ -253,7 +259,7 @@ def matrix_bound(problem: RealInverseProblem, method: MethodSpec,
         norms["s_Bk"] = s
         general = _general_min_k1(nH, nM, nB, s, params, shifted)
     else:
-        t = spectral.tux(problem.B, problem.H, k)
+        t = tux(problem.B, problem.H, k)
         s = spectral.s_functional(t.Bk)
         nT, nX, nBk = spectral_norm(t.T), spectral_norm(t.X), spectral_norm(t.Bk)
         norms.update({"s_Bk": s, "norm_Tk": nT, "norm_Xk": nX, "norm_Bk": nBk})

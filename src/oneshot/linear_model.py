@@ -24,9 +24,10 @@ def spectral_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a, 2))
 
 
-def spectral_radius_of(a: np.ndarray) -> float:
-    """Largest eigenvalue modulus of a square matrix."""
-    return float(np.max(np.abs(np.linalg.eigvals(a))))
+def spectral_radius(a) -> float:
+    """Largest eigenvalue modulus of a square matrix, or of the ``matrix``
+    of a :class:`oneshot.spectral.IterationMatrix`, by a dense eigensolver."""
+    return float(np.max(np.abs(np.linalg.eigvals(getattr(a, "matrix", a)))))
 
 
 @dataclass
@@ -135,19 +136,17 @@ def validate(problem, eps_rho: float = DEFAULT_EPS_RHO,
     largest one.  Works for real and complex problems alike.
     """
     messages: list[str] = []
-    rho = spectral_radius_of(problem.B)
+    rho = spectral_radius(problem.B)
     contraction_ok = rho < 1.0 - eps_rho
     if not contraction_ok:
         messages.append(
             f"spectral radius of B is {rho:.6g}, need < 1 - {eps_rho:g}"
         )
 
-    smin = 0.0
-    smax = 0.0
+    smin = smax = 0.0
     try:
         svals = np.linalg.svd(data_map(problem), compute_uv=False)
-        smax = float(svals[0])
-        smin = float(svals[-1])
+        smax, smin = float(svals[0]), float(svals[-1])
         if problem.n_f < problem.n_sigma:
             smin = 0.0
             messages.append(
@@ -247,6 +246,36 @@ def _require_real(a) -> np.ndarray:
     if np.iscomplexobj(a):
         raise ValueError("complex problem data: convert it with realify first")
     return np.asarray(a)
+
+
+@dataclass(frozen=True)
+class TUXTriple:
+    """T_k = sum_{j<k} B^j, U_k = sum_{i+j=k-1} (B*)^i H*H B^j,
+    X_k = sum_{l<k} U_l (zero for k = 1), and the power B^k."""
+
+    T: np.ndarray
+    U: np.ndarray
+    X: np.ndarray
+    Bk: np.ndarray
+
+
+def tux(B: np.ndarray, H: np.ndarray, k: int) -> TUXTriple:
+    """Build (T_k, U_k, X_k) and B^k by the one-step recursions.
+
+    T_{l+1} = T_l + B^l, U_{l+1} = B* U_l + H*H B^l and
+    X_{l+1} = B* X_l + H*H T_l, started from T_1 = I, U_1 = H*H, X_1 = 0.
+    """
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
+    B, H = _require_real(B), _require_real(H)
+    HtH = H.T @ H
+    T, U, X, Bl = np.eye(len(B)), HtH.copy(), np.zeros(B.shape), np.eye(len(B))
+    for _ in range(1, k):
+        X = B.T @ X + HtH @ T
+        Bl = Bl @ B
+        U = B.T @ U + HtH @ Bl
+        T = T + Bl
+    return TUXTriple(T=T, U=U, X=X, Bk=Bl @ B)
 
 
 def random_contraction(n_u: int, n_sigma: int, n_f: int, target_norm: float,
@@ -360,7 +389,7 @@ def helmholtz_toy(grid_n: int, wavenumber: float, delta: float,
         B = np.zeros((n * n, n * n))
     else:
         B = -delta * np.linalg.solve(A11, A12)
-        rho = spectral_radius_of(B)
+        rho = spectral_radius(B)
         if rho >= 1.0:
             raise ValueError(
                 f"splitting does not contract (rho(B) = {rho:.4g} >= 1); "

@@ -124,10 +124,8 @@ def fk_roots(k: int) -> list[float]:
     """Roots of f_k in (-1, 1), by sign-guaranteed bisection.
 
     k = 1: none (f_1 < 0 throughout).  Even k: a single root in (0, 1).
-    Odd k >= 3: one root in (-1, 0) and one in (0, 1).
+    Odd k >= 3: one root in (-1, 0) and one in (0, 1).  k < 1 raises in fk.
     """
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
     if k == 1:
         return []
     hi = _upper_bracket(k)
@@ -221,11 +219,6 @@ class ScalarThreshold:
     branch: str
 
 
-def _argmin(cands: dict[str, float]) -> tuple[str, float]:
-    branch = min(cands, key=cands.get)
-    return branch, cands[branch]
-
-
 def eta(k: int, b: float) -> ScalarThreshold:
     """Exact threshold of k-step one-shot (tau < eta / (h^2 m^2))."""
     if k < 1:
@@ -247,8 +240,8 @@ def eta(k: int, b: float) -> ScalarThreshold:
         cands["eta22"] = eta22(k, b)
     if fk(k, b) > 0.0:
         cands["eta3"] = eta3(k, b)
-    branch, value = _argmin(cands)
-    return ScalarThreshold(k=k, b=b, value=value, branch=branch)
+    branch = min(cands, key=cands.get)
+    return ScalarThreshold(k=k, b=b, value=cands[branch], branch=branch)
 
 
 def kappa(k: int, b: float) -> ScalarThreshold:
@@ -270,8 +263,8 @@ def kappa(k: int, b: float) -> ScalarThreshold:
     cands["kappa22"] = kappa22(k, b)
     if fk(k, b) < 0.0:
         cands["kappa3"] = kappa3(k, b)
-    branch, value = _argmin(cands)
-    return ScalarThreshold(k=k, b=b, value=value, branch=branch)
+    branch = min(cands, key=cands.get)
+    return ScalarThreshold(k=k, b=b, value=cands[branch], branch=branch)
 
 
 def threshold(kind: SolverKind, k: int, b: float) -> ScalarThreshold:

@@ -9,12 +9,13 @@ three updates can run simultaneously).
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linear_model import adjoint_from_state, exact_state
+from .linear_model import adjoint_from_state, exact_state, tux
 
 
 class SolverKind(enum.Enum):
@@ -117,6 +118,30 @@ def _relative(value: float, ref: float | None) -> float:
     return value / ref
 
 
+def _sweep_map(problem, f, k: int):
+    """The k coupled sweeps as one affine map (u, p, sigma) -> (u, p):
+    u <- B^k u + T_k (M sigma + F) and p <- (B*)^k p + U_k u
+    + X_k (M sigma + F) - T_k* H* f, both from the old (u, p).  U_k = L* R
+    with L = [H; H B; ...; H B^{k-1}] and R its blocks reversed; when L has
+    at most n_u / 2 rows (a measured crossover) U_k u is applied as L*(R u)."""
+    B, M, H, F, n = problem.B, problem.M, problem.H, problem.F, problem.n_u
+    t = tux(B, H, k)
+    Bk, TXM = t.Bk, np.vstack([t.T @ M, t.X @ M])
+    c = np.concatenate([t.T @ F, t.X @ F - t.T.T @ (H.T @ f)])
+    if 2 * k * problem.n_f <= n:
+        L = np.vstack(list(itertools.accumulate([H] + [B] * (k - 1), np.matmul)))
+
+        def apply_U(u):     # R u is L u with its k blocks in reverse order
+            return L.T @ (L @ u).reshape(k, -1)[::-1].ravel()
+    else:
+        apply_U = t.U.__matmul__
+
+    def sweep(u, p, sigma):
+        w = TXM @ sigma + c     # [T_k M; X_k M] sigma + the constant parts
+        return Bk @ u + w[:n], Bk.T @ p + apply_U(u) + w[n:]
+    return sweep
+
+
 def run_method(method: MethodSpec, problem, f, sigma0, config,
                u0=None, p0=None, sigma_exact=None) -> ConvergenceTrace:
     """Run any of the four iterations: the one loop behind all of them.
@@ -124,11 +149,11 @@ def run_method(method: MethodSpec, problem, f, sigma0, config,
     Each outer step moves sigma along -M* p, then refreshes (u, p) from the
     fresh sigma, or from the previous one for the shifted kinds.  The GD
     kinds refresh by exact solves (shifted GD's first is the one at sigma0
-    made before the loop); the one-shot kinds run k coupled sweeps
-    warm-started from (u0, p0), zero by default.  After each recorded row
-    the run stops as diverged, or as converged once cost and gradient fall
-    below their tolerances relative to their first nonzero values;
-    otherwise it ends after max_outer steps.
+    made before the loop); the one-shot kinds apply k coupled sweeps as one
+    affine map, built once per run, to (u, p) from (u0, p0), zero by
+    default.  After each recorded row the run stops as diverged, or as
+    converged once cost and gradient fall below their tolerances relative
+    to their first nonzero values; otherwise it ends after max_outer steps.
     """
     f = np.asarray(f, dtype=float).reshape(-1)
     sigma0 = np.asarray(sigma0, dtype=float).reshape(-1)
@@ -142,21 +167,18 @@ def run_method(method: MethodSpec, problem, f, sigma0, config,
     sigma = sigma0.copy()
     one_shot = method.kind in ONE_SHOT_KINDS
     if one_shot:
-        u = (np.zeros(problem.n_u) if u0 is None
-             else np.asarray(u0, dtype=float).reshape(-1).copy())
-        p = (np.zeros(problem.n_u) if p0 is None
-             else np.asarray(p0, dtype=float).reshape(-1).copy())
+        u, p = (np.zeros(problem.n_u) if v is None
+                else np.asarray(v, dtype=float).reshape(-1).copy() for v in (u0, p0))
+        sweep = _sweep_map(problem, f, method.k)
     else:
         u = exact_state(problem, sigma)
         p = adjoint_from_state(problem, u, f)
-    B, M, H, F = problem.B, problem.M, problem.H, problem.F
-    Bt, Ht = B.T, H.T
-    tau = config.tau
+    M, H, tau = problem.M, problem.H, config.tau
     for n in range(config.max_outer + 1):
         r = H @ u - f
         c = 0.5 * float(r @ r)
         grad = M.T @ p
-        g = float(np.linalg.norm(grad))
+        g = math.sqrt(grad @ grad)      # np.linalg.norm's formula, less overhead
         trace.sigma.append(sigma.copy())
         trace.cost.append(c)
         trace.grad_norm.append(g)
@@ -164,9 +186,9 @@ def run_method(method: MethodSpec, problem, f, sigma0, config,
             math.nan if sigma_exact is None
             else float(np.linalg.norm(sigma - sigma_exact)))
         trace.accumulated_inner.append(1 + n * (method.k if one_shot else 1))
-        if (not np.isfinite(c) or not np.isfinite(g)
-                or not np.all(np.isfinite(sigma))
-                or np.linalg.norm(sigma - sigma0) > DIVERGENCE_THRESHOLD):
+        # a nan or inf in sigma makes the distance fail the comparison too
+        if not (math.isfinite(c) and math.isfinite(g)
+                and np.linalg.norm(sigma - sigma0) <= DIVERGENCE_THRESHOLD):
             trace.status = Status.DIVERGED
             break
         if cost_ref is None and c > 0.0:
@@ -182,12 +204,7 @@ def run_method(method: MethodSpec, problem, f, sigma0, config,
         sigma_new = sigma - tau * grad
         sigma_state = sigma if method.shifted else sigma_new
         if one_shot:
-            rhs_u = M @ sigma_state + F
-            for _ in range(method.k):
-                # coupled sweep: both updates read the previous (u, p) pair
-                u_next = B @ u + rhs_u
-                p_next = Bt @ p + Ht @ (H @ u - f)
-                u, p = u_next, p_next
+            u, p = sweep(u, p, sigma_state)
         elif n > 0 or not method.shifted:
             u = exact_state(problem, sigma_state)
             p = adjoint_from_state(problem, u, f)

@@ -3,8 +3,8 @@
 Every method in :mod:`oneshot.solvers` is, on the error triple (p, u, sigma),
 multiplication by a fixed block matrix; an iteration converges for all
 initial data iff that matrix has spectral radius below one.  This module
-assembles those matrices exactly, builds the accumulated inner-iteration
-operators T_k, U_k, X_k, and computes a certified resolvent-type constant
+assembles those matrices exactly from T_k, U_k, X_k (``linear_model.tux``)
+and computes a certified resolvent-type constant
 
     s(T) = sup_{|z| >= 1} || (I - T/z)^{-1} ||_2
 
@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linear_model import RealInverseProblem, _require_real
+from .linear_model import (RealInverseProblem, TUXTriple, _require_real,
+                           spectral_radius, tux)
 from .solvers import ONE_SHOT_KINDS, MethodSpec
 
 CONVERGENCE_MARGIN = 1e-10
@@ -27,42 +28,8 @@ MAX_LEVELS = 30
 
 
 @dataclass(frozen=True)
-class TUXTriple:
-    """T_k = sum_{j<k} B^j, U_k = sum_{i+j=k-1} (B*)^i H*H B^j,
-    X_k = sum_{l<k} U_l (zero for k = 1), and the power B^k."""
-
-    T: np.ndarray
-    U: np.ndarray
-    X: np.ndarray
-    Bk: np.ndarray
-
-
-@dataclass(frozen=True)
 class IterationMatrix:
     matrix: np.ndarray
-
-
-def tux(B: np.ndarray, H: np.ndarray, k: int) -> TUXTriple:
-    """Build (T_k, U_k, X_k) and B^k by the one-step recursions.
-
-    T_{l+1} = T_l + B^l, U_{l+1} = B* U_l + H*H B^l and
-    X_{l+1} = B* X_l + H*H T_l, started from T_1 = I, U_1 = H*H, X_1 = 0.
-    """
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
-    B, H = _require_real(B), _require_real(H)
-    n = B.shape[0]
-    HtH = H.T @ H
-    T = np.eye(n)
-    U = HtH.copy()
-    X = np.zeros((n, n))
-    Bl = np.eye(n)
-    for _ in range(1, k):
-        X = B.T @ X + HtH @ T
-        Bl = Bl @ B
-        U = B.T @ U + HtH @ Bl
-        T = T + Bl
-    return TUXTriple(T=T, U=U, X=X, Bk=Bl @ B)
 
 
 def build_iteration_matrix(problem: RealInverseProblem, method: MethodSpec,
@@ -97,12 +64,6 @@ def build_iteration_matrix(problem: RealInverseProblem, method: MethodSpec,
         [-tau * M.T, np.zeros((n_s, n_u)), np.eye(n_s)],
     ])
     return IterationMatrix(matrix=mat)
-
-
-def spectral_radius(matrix) -> float:
-    """Largest eigenvalue modulus, by a dense eigensolver."""
-    mat = matrix.matrix if isinstance(matrix, IterationMatrix) else np.asarray(matrix)
-    return float(np.max(np.abs(np.linalg.eigvals(mat))))
 
 
 def converges(problem: RealInverseProblem, method: MethodSpec,

@@ -32,3 +32,11 @@ def test_public_functions_are_the_entry_points(module):
     assert _functions_from(mod, module) == PUBLIC_FUNCTIONS[module]
     # the package re-exports none beyond them
     assert _functions_from(oneshot, module) <= PUBLIC_FUNCTIONS[module]
+
+
+def test_sweep_operators_live_in_linear_model():
+    # spectral and the package re-bind them; solvers imports them from there
+    assert oneshot.tux is oneshot.spectral.tux is oneshot.linear_model.tux
+    assert (oneshot.TUXTriple is oneshot.spectral.TUXTriple
+            is oneshot.linear_model.TUXTriple)
+    assert oneshot.solvers.tux is oneshot.linear_model.tux

@@ -8,7 +8,7 @@ from oneshot.bounds import (BoundParams, closed_form, default_params,
                             gd_bound, matrix_bound, shifted_gd_bound)
 from oneshot.linear_model import (RealInverseProblem, ScalarProblem,
                                   random_contraction, spectral_norm,
-                                  spectral_radius_of)
+                                  spectral_radius)
 from oneshot.solvers import MethodSpec, SolverKind
 from oneshot.spectral import converges
 
@@ -221,7 +221,7 @@ class TestMatrixBound:
         D = np.diag([0.8, -0.5, 0.3])
         V = rng.standard_normal((3, 3)) * 3.0
         B = V @ D @ np.linalg.inv(V)
-        B *= 0.8 / spectral_radius_of(B)
+        B *= 0.8 / spectral_radius(B)
         assert spectral_norm(B) > 1.0
         p = RealInverseProblem(B=B, M=rng.standard_normal((3, 2)),
                                H=rng.standard_normal((2, 3)), F=np.zeros(3))
@@ -302,3 +302,21 @@ def test_large_delta0_gives_a_finite_bound():
         params = BoundParams(theta0=0.45, delta0=1e150)
         sb = matrix_bound(p, MethodSpec(SolverKind.SHIFTED_K_STEP, k), params)
         assert math.isfinite(sb.value) and sb.value > 0.0
+
+
+@pytest.mark.parametrize("kind", [SolverKind.K_STEP, SolverKind.SHIFTED_K_STEP])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_delta0_near_the_top_of_its_range_scales_the_bound(kind, k):
+    # the delta0 case bounds fall like 1 / delta0 for large delta0; once
+    # (1 + 2 delta0 sin + delta0^2) overflowed there and the bound read 0
+    p = random_contraction(8, 3, 4, 0.5, seed=1)
+    shifted = kind is SolverKind.SHIFTED_K_STEP
+    theta0 = default_params(shifted, k).theta0
+    big, top = (matrix_bound(p, MethodSpec(kind, k),
+                             BoundParams(theta0=theta0, delta0=d0)).value
+                for d0 in (1e150, 1e154))
+    assert math.isfinite(top) and top > 0.0
+    assert top / big == pytest.approx(1e-4, rel=1e-6)
+    big, top = (closed_form(k, 0.5, BoundParams(theta0=theta0, delta0=d0),
+                            shifted) for d0 in (1e150, 1e154))
+    assert top > 0.0 and top / big == pytest.approx(1e-4, rel=1e-6)

@@ -1,11 +1,15 @@
 """Tests for the four inversion iterations and their traces."""
 import io
+import math
 
 import numpy as np
 import pytest
 
-from oneshot.linear_model import (ScalarProblem, exact_adjoint, exact_state,
-                                  random_contraction)
+from oneshot import solvers
+from oneshot.bounds import gd_bound
+from oneshot.linear_model import (ComplexInverseProblem, ScalarProblem,
+                                  exact_adjoint, exact_state, helmholtz_toy,
+                                  random_contraction, realify)
 from oneshot.solvers import (CSV_HEADER, MethodSpec, SolverConfig, SolverKind,
                              Status, run_method)
 from oneshot.spectral import build_iteration_matrix, spectral_radius
@@ -156,6 +160,82 @@ class TestOneShot:
             tr = run_method(MethodSpec(kind, 3), p, f, s_ex, cfg, u_ex, p_ex,
                             sigma_exact=s_ex)
             assert max(tr.err_sigma) < 1e-12
+
+
+def _sweep_loop(problem, f, k):
+    """Reference for the fused step: the k coupled sweeps run one by one."""
+    B, M, H, F = problem.B, problem.M, problem.H, problem.F
+
+    def sweep(u, p, sigma):
+        rhs_u = M @ sigma + F
+        for _ in range(k):
+            # both updates read the previous (u, p) pair
+            u, p = B @ u + rhs_u, B.T @ p + H.T @ (H @ u - f)
+        return u, p
+    return sweep
+
+
+@pytest.fixture(scope="module")
+def fused_problems():
+    # U_k is applied factored where 2 k n_f <= n_u: on H12 at k = 1, and on
+    # the few-measurement problem for k <= 5
+    return {"scalar": ScalarProblem(0.2, 1.0, 1.0).as_problem(),
+            "random": random_contraction(20, 3, 10, 0.5, seed=1),
+            "H12": helmholtz_toy(12, 2.0 * math.pi, 0.01, seed=3),
+            "few-measurements": random_contraction(40, 3, 4, 0.5, seed=2)}
+
+
+class TestFusedStep:
+    @pytest.mark.parametrize("name", ["scalar", "random", "H12", "few-measurements"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("kind", [SolverKind.K_STEP, SolverKind.SHIFTED_K_STEP])
+    def test_matches_the_sweep_loop(self, fused_problems, name, k, kind,
+                                    monkeypatch):
+        p = fused_problems[name]
+        rng = np.random.default_rng(k)
+        s_ex = rng.standard_normal(p.n_sigma)
+        f = p.H @ exact_state(p, s_ex)
+        u0, p0 = rng.standard_normal(p.n_u), rng.standard_normal(p.n_u)
+        cfg = SolverConfig(tau=0.1 * gd_bound(p).value, max_outer=49,
+                           tol_cost=1e-300, tol_grad=1e-300)
+        args = (MethodSpec(kind, k), p, f, np.zeros(p.n_sigma), cfg, u0, p0, s_ex)
+        fused = run_method(*args)
+        monkeypatch.setattr(solvers, "_sweep_map", _sweep_loop)
+        loop = run_method(*args)
+        assert len(fused) == len(loop) == 50
+        assert fused.status is loop.status
+        assert fused.accumulated_inner == loop.accumulated_inner
+        for a, b in ((fused.sigma, loop.sigma), (fused.cost, loop.cost),
+                     (fused.grad_norm, loop.grad_norm)):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", list(SolverKind))
+    def test_sweep_map_is_built_once_per_run(self, kind, monkeypatch):
+        calls = []
+        for name in ("_sweep_map", "tux"):
+            def counting(*args, _fn=getattr(solvers, name), _name=name):
+                calls.append(_name)
+                return _fn(*args)
+            monkeypatch.setattr(solvers, name, counting)
+        p = random_contraction(6, 2, 3, 0.5, seed=11)
+        f = p.H @ exact_state(p, np.ones(2))
+        cfg = SolverConfig(tau=0.05, max_outer=30, tol_cost=1e-300, tol_grad=1e-300)
+        trace = run_method(MethodSpec(kind, 3), p, f, np.zeros(2), cfg)
+        assert len(trace) == 31
+        one_shot = kind in solvers.ONE_SHOT_KINDS
+        assert calls == (["_sweep_map", "tux"] if one_shot else [])
+
+    @pytest.mark.parametrize("kind", [SolverKind.K_STEP, SolverKind.SHIFTED_K_STEP])
+    def test_complex_problem_must_be_realified(self, kind):
+        # the sweep map is built by tux, which takes real data only
+        p = ComplexInverseProblem(B=0.3j * np.eye(3), M=np.ones((3, 1)),
+                                  H=np.eye(3), F=np.zeros(3))
+        with pytest.raises(ValueError, match="realify"):
+            run_method(MethodSpec(kind, 2), p, np.ones(3), np.zeros(1),
+                       SolverConfig(tau=0.1, max_outer=3))
+        trace = run_method(MethodSpec(kind, 2), realify(p), np.ones(6),
+                           np.zeros(1), SolverConfig(tau=0.1, max_outer=3))
+        assert len(trace) == 4
 
 
 class TestErrorRecurrenceEquivalence:

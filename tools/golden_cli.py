@@ -110,6 +110,11 @@ def commands() -> list[list[str]]:
                      "--tau", "0.01", "--max-outer", "300"])
         cmds.append(["solve", *H12, "--method", method, "--k", "2",
                      "--tau", H12_TAU, "--max-outer", "150"])
+    # deep k: many inner sweeps per outer step
+    for method in ("kshot", "skshot"):
+        for k in ("5", "8"):
+            cmds.append(["solve", *H12, "--method", method, "--k", k,
+                         "--tau", H12_TAU, "--max-outer", "150"])
     cmds.append(["solve", *real, "--method", "kshot", "--k", "2", "--tau", "0.5",
                  "--line-search-first", "--max-outer", "500",
                  "--out", "{work}/out/solve"])
