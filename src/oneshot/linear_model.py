@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -30,12 +31,12 @@ def spectral_radius(a) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(getattr(a, "matrix", a)))))
 
 
-@dataclass
+@dataclass(frozen=True)
 class _InverseProblem:
     """Problem data ``(B, M, H, F)`` in the subclass's ``dtype``.
 
     Shapes: B is (n_u, n_u), M is (n_u, n_sigma), H is (n_f, n_u) and F is
-    (n_u,).  Arrays are coerced to ``dtype`` and frozen after construction.
+    (n_u,).  Arrays are coerced to ``dtype`` and frozen, as is the container.
     """
 
     B: np.ndarray
@@ -57,9 +58,16 @@ class _InverseProblem:
         F = np.asarray(self.F, dtype=self.dtype).reshape(-1)
         if F.shape != (n_u,):
             raise ValueError(f"F must have length {n_u}, got {F.shape}")
-        for a in (B, M, H, F):
+        for name, a in zip("BMHF", (B, M, H, F)):
             a.setflags(write=False)
-        self.B, self.M, self.H, self.F = B, M, H, F
+            object.__setattr__(self, name, a)
+
+    @cached_property
+    def state_inverse(self) -> np.ndarray:
+        """``(I - B)^{-1}``, inverted on first use and kept for every solve."""
+        R = np.linalg.inv(np.eye(self.n_u, dtype=self.dtype) - self.B)
+        R.setflags(write=False)
+        return R
 
     @property
     def n_u(self) -> int:
@@ -102,7 +110,7 @@ class AssumptionReport:
 
 @dataclass(frozen=True)
 class ScalarProblem:
-    """The scalar case: state factor b in (-1, 1), nonzero h and m."""
+    """The scalar case: state factor b in (-1, 1), finite nonzero h and m."""
 
     b: float
     h: float
@@ -111,8 +119,8 @@ class ScalarProblem:
     def __post_init__(self):
         if not -1.0 < self.b < 1.0:
             raise ValueError(f"b must lie in (-1, 1), got {self.b}")
-        if self.h == 0.0 or self.m == 0.0:
-            raise ValueError("h and m must be nonzero")
+        if not all(np.isfinite(v) and v != 0.0 for v in (self.h, self.m)):
+            raise ValueError("h and m must be finite and nonzero")
 
     def as_problem(self) -> RealInverseProblem:
         """Embed as a 1x1 :class:`RealInverseProblem` with F = 0."""
@@ -123,8 +131,7 @@ class ScalarProblem:
 
 def data_map(problem) -> np.ndarray:
     """The parameter-to-data map ``H (I - B)^{-1} M``, formed explicitly."""
-    eye = np.eye(problem.n_u, dtype=problem.B.dtype)
-    return problem.H @ np.linalg.solve(eye - problem.B, problem.M)
+    return problem.H @ (problem.state_inverse @ problem.M)
 
 
 def validate(problem, eps_rho: float = DEFAULT_EPS_RHO,
@@ -172,18 +179,15 @@ def validate(problem, eps_rho: float = DEFAULT_EPS_RHO,
 
 
 def exact_state(problem: RealInverseProblem, sigma) -> np.ndarray:
-    """Solve ``u = B u + M sigma + F`` by a direct dense solve."""
+    """Solve ``u = B u + M sigma + F`` exactly, by the kept ``(I - B)^{-1}``."""
     sigma = np.asarray(sigma, dtype=float).reshape(-1)
-    eye = np.eye(problem.n_u)
-    return np.linalg.solve(eye - problem.B, problem.M @ sigma + problem.F)
+    return problem.state_inverse @ (problem.M @ sigma + problem.F)
 
 
 def adjoint_from_state(problem: RealInverseProblem, u, f) -> np.ndarray:
     """Solve ``p = B* p + H*(H u - f)`` for an already computed state u."""
-    f = np.asarray(f, dtype=float).reshape(-1)
-    eye = np.eye(problem.n_u)
-    rhs = problem.H.T @ (problem.H @ np.asarray(u, dtype=float) - f)
-    return np.linalg.solve(eye - problem.B.T, rhs)
+    r = problem.H @ np.asarray(u, dtype=float) - np.asarray(f, dtype=float).reshape(-1)
+    return problem.state_inverse.T @ (problem.H.T @ r)
 
 
 def exact_adjoint(problem: RealInverseProblem, sigma, f) -> np.ndarray:

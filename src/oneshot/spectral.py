@@ -51,7 +51,7 @@ def build_iteration_matrix(problem: RealInverseProblem, method: MethodSpec,
         t = tux(B, H, method.k)
         Bk, T, U, X = t.Bk, t.T, t.U, t.X
     else:
-        T = np.linalg.solve(np.eye(n_u) - B, np.eye(n_u))
+        T = problem.state_inverse
         X = T.T @ (H.T @ H) @ T
         Bk = U = np.zeros((n_u, n_u))
     if method.shifted:

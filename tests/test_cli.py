@@ -81,6 +81,9 @@ class TestBadInput:
          "--delta0", "1e308"],
         ["bound", "--random", "8,3,4,0.5", "--method", "skshot", "--k", "2",
          "--theta0", "nan"],
+        # the scalar triple's h and m must be finite
+        ["bound", "--scalar", "0.2,nan,1", "--method", "kshot", "--k", "2"],
+        ["bound", "--scalar", "0.2,1,inf", "--method", "gd"],
     ])
     def test_exit_two_with_one_error_line(self, argv, capsys):
         assert main(argv) == 2

@@ -1,4 +1,5 @@
 """Tests for problem containers, validation, exact solves and generators."""
+import dataclasses
 import json
 
 import numpy as np
@@ -11,7 +12,10 @@ from oneshot.linear_model import (ComplexInverseProblem, RealInverseProblem,
                                   problem_from_dict, problem_to_dict,
                                   random_contraction, realify, save_problem,
                                   spectral_norm, validate)
-from oneshot.linear_model import _boundary_rhs, _five_point_operator
+from oneshot.linear_model import (_boundary_rhs, _five_point_operator,
+                                  adjoint_from_state)
+from oneshot.solvers import MethodSpec, SolverConfig, SolverKind, run_method
+from oneshot.spectral import build_iteration_matrix
 
 
 def _rho_oracle(B):
@@ -358,6 +362,22 @@ def test_problem_arrays_are_frozen():
         p.F[0] = 1.0
 
 
+def test_problem_container_is_frozen():
+    # the kept (I - B)^{-1} cannot go stale: B cannot be rebound, and a
+    # replaced problem is a new object that inverts its own I - B
+    p = random_contraction(4, 2, 3, 0.5, seed=2)
+    old = p.state_inverse
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.B = np.zeros((4, 4))
+    with pytest.raises(ValueError):
+        old[0, 0] = 1.0
+    q = dataclasses.replace(p, B=0.5 * p.B)
+    assert type(q) is RealInverseProblem and p.state_inverse is old
+    np.testing.assert_allclose(q.state_inverse @ (np.eye(4) - 0.5 * p.B),
+                               np.eye(4), atol=1e-12)
+    assert not np.allclose(q.state_inverse, old)
+
+
 def test_real_and_complex_containers_differ_only_in_dtype():
     data = dict(B=[[0.5]], M=[[1.0]], H=[[2.0]], F=[0.0])
     real, cplx = RealInverseProblem(**data), ComplexInverseProblem(**data)
@@ -381,6 +401,9 @@ def test_scalar_problem_invariants():
         ScalarProblem(b=1.0, h=1.0, m=1.0)
     with pytest.raises(ValueError):
         ScalarProblem(b=0.5, h=0.0, m=1.0)
+    for h, m in ((np.nan, 1.0), (1.0, np.inf), (-np.inf, 1.0), (1.0, np.nan)):
+        with pytest.raises(ValueError, match="finite and nonzero"):
+            ScalarProblem(b=0.2, h=h, m=m)
     sp = ScalarProblem(b=-0.25, h=2.0, m=0.5)
     p = sp.as_problem()
     assert p.n_u == p.n_sigma == p.n_f == 1
@@ -400,3 +423,68 @@ def test_geometric_convergence_of_state_iteration():
     rate = (errs[-1] / errs[4]) ** (1.0 / 25.0)
     assert rate < 0.55
     assert errs[-1] < 1e-7 * errs[0]
+
+
+def _nonnormal_problem():
+    # ||B|| > 1 but rho(B) = 0.5
+    rng = np.random.default_rng(7)
+    return RealInverseProblem(B=0.5 * np.eye(6) + np.diag(np.full(5, 1.2), 1),
+                              M=rng.standard_normal((6, 2)),
+                              H=rng.standard_normal((4, 6)),
+                              F=rng.standard_normal(6))
+
+
+def _complex_problem():
+    rng = np.random.default_rng(8)
+    B = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    return ComplexInverseProblem(
+        B=0.5 * B / np.linalg.norm(B, 2),
+        M=rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2)),
+        H=rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5)),
+        F=rng.standard_normal(5) + 1j * rng.standard_normal(5))
+
+
+class TestStateInverse:
+    """One kept (I - B)^{-1} per problem serves every exact solve."""
+
+    PROBLEMS = {
+        "random": lambda: random_contraction(20, 3, 10, 0.5, seed=1),
+        "H12": lambda: helmholtz_toy(12, 2.0 * np.pi, 0.01, seed=3),
+        "nonnormal": _nonnormal_problem,
+        "complex": _complex_problem,
+    }
+
+    @pytest.mark.parametrize("name", list(PROBLEMS))
+    def test_matches_direct_solves(self, name):
+        p = self.PROBLEMS[name]()
+        rng = np.random.default_rng(4)
+        sigma = rng.standard_normal(p.n_sigma)
+        u, f = rng.standard_normal(p.n_u), rng.standard_normal(p.n_f)
+        A = np.eye(p.n_u) - p.B
+        refs = {
+            "state": (exact_state(p, sigma),
+                      np.linalg.solve(A, p.M @ sigma + p.F)),
+            "adjoint": (adjoint_from_state(p, u, f),
+                        np.linalg.solve(A.T, p.H.T @ (p.H @ u - f))),
+            "data_map": (data_map(p), p.H @ np.linalg.solve(A, p.M)),
+        }
+        for what, (got, want) in refs.items():
+            gap = np.linalg.norm(got - want) / np.linalg.norm(want)
+            assert gap <= 1e-12, (what, gap)
+
+    @pytest.mark.parametrize("kind", [SolverKind.USUAL_GD, SolverKind.SHIFTED_GD])
+    def test_one_inverse_and_no_solve_per_problem(self, kind, monkeypatch):
+        q = random_contraction(8, 2, 5, 0.5, seed=6)
+        f = q.H @ exact_state(q, np.ones(2))
+        calls = []
+        for name in ("inv", "solve"):
+            def counting(*args, _fn=getattr(np.linalg, name), _name=name):
+                calls.append(_name)
+                return _fn(*args)
+            monkeypatch.setattr(np.linalg, name, counting)
+        p = RealInverseProblem(B=q.B, M=q.M, H=q.H, F=q.F)   # nothing kept yet
+        cfg = SolverConfig(tau=0.01, max_outer=30, tol_cost=1e-300, tol_grad=1e-300)
+        assert len(run_method(MethodSpec(kind), p, f, np.zeros(2), cfg)) == 31
+        data_map(p)
+        build_iteration_matrix(p, MethodSpec(kind), 0.01)
+        assert calls == ["inv"]

@@ -225,9 +225,9 @@ class TestFusedStep:
         one_shot = kind in solvers.ONE_SHOT_KINDS
         assert calls == (["_sweep_map", "tux"] if one_shot else [])
 
-    @pytest.mark.parametrize("kind", [SolverKind.K_STEP, SolverKind.SHIFTED_K_STEP])
+    @pytest.mark.parametrize("kind", list(SolverKind))
     def test_complex_problem_must_be_realified(self, kind):
-        # the sweep map is built by tux, which takes real data only
+        # run_method takes real data only, whatever the kind
         p = ComplexInverseProblem(B=0.3j * np.eye(3), M=np.ones((3, 1)),
                                   H=np.eye(3), F=np.zeros(3))
         with pytest.raises(ValueError, match="realify"):

@@ -115,6 +115,11 @@ def commands() -> list[list[str]]:
         for k in ("5", "8"):
             cmds.append(["solve", *H12, "--method", method, "--k", k,
                          "--tau", H12_TAU, "--max-outer", "150"])
+    # exact start, sigma0 = sigma_ex: data and state come from the same solve,
+    # so the misfit is exactly 0 and the run stops at its first row
+    for method in ("gd", "sgd"):
+        cmds.append(["solve", *H12, "--method", method, "--tau", "0.001",
+                     "--sigma0", "10"])
     cmds.append(["solve", *real, "--method", "kshot", "--k", "2", "--tau", "0.5",
                  "--line-search-first", "--max-outer", "500",
                  "--out", "{work}/out/solve"])
