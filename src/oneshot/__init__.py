@@ -6,9 +6,8 @@ explicit descent-step bounds, and the exact scalar-case stability theory.
 """
 from .linear_model import (AssumptionReport, ComplexInverseProblem,
                            RealInverseProblem, ScalarProblem, exact_adjoint,
-                           exact_state, fixed_point_state, helmholtz_toy,
-                           load_problem, random_contraction, realify,
-                           save_problem, validate)
+                           exact_state, helmholtz_toy, load_problem,
+                           random_contraction, realify, save_problem, validate)
 from .solvers import (ConvergenceTrace, MethodSpec, SolverConfig, SolverKind,
                       Status, run_method)
 from .spectral import (IterationMatrix, TUXTriple, build_iteration_matrix,
@@ -23,9 +22,9 @@ from .scalar import (CubicCoeffs, MardenTable, ScalarThreshold, eta, fk,
 
 __all__ = [
     "AssumptionReport", "ComplexInverseProblem", "RealInverseProblem",
-    "ScalarProblem", "exact_adjoint", "exact_state", "fixed_point_state",
-    "helmholtz_toy", "load_problem", "random_contraction", "realify",
-    "save_problem", "validate",
+    "ScalarProblem", "exact_adjoint", "exact_state", "helmholtz_toy",
+    "load_problem", "random_contraction", "realify", "save_problem",
+    "validate",
     "ConvergenceTrace", "MethodSpec", "SolverConfig", "SolverKind", "Status",
     "run_method",
     "IterationMatrix", "TUXTriple", "build_iteration_matrix", "converges",

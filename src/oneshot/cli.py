@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import sys
@@ -228,23 +229,25 @@ def _cmd_scalar_region(args) -> int:
     if args.b_min <= -1.0 or args.b_max >= 1.0:
         raise ValueError("the b grid must stay inside (-1, 1)")
     methods = args.method.split(",") if args.method else list(METHOD_NAMES)
-    lines = ["b,k,method,threshold,branch"]
-    for b in bs:
-        b = float(b)
-        for name in methods:
-            kind = _method_kind(name)
-            # GD rows come once per b and carry k = 0: no inner iterations
-            for k in (ks if kind in ONE_SHOT_KINDS else ks[:1]):
-                thr = scalar.threshold(kind, k, b)
-                val = "inf" if math.isinf(thr.value) else f"{thr.value:.17g}"
-                lines.append(f"{b:.17g},{thr.k},{name},{val},{thr.branch}")
-    text = "\n".join(lines) + "\n"
+    columns = []   # per (method, k): the rows' middle, values and branches
+    for name in methods:
+        kind = _method_kind(name)
+        # GD rows come once per b and carry k = 0: no inner iterations
+        for k in (ks if kind in ONE_SHOT_KINDS else ks[:1]):
+            thr = scalar.threshold(kind, k, bs)
+            columns.append((f",{thr.k},{name},", thr.value.tolist(),
+                            thr.branch.tolist()))
+    lines = itertools.chain(["b,k,method,threshold,branch\n"], (
+        f"{b}{mid}{values[i]:.17g},{branches[i]}\n"   # made as it is written
+        for i, b in enumerate(f"{b:.17g}" for b in bs.tolist())
+        for mid, values, branches in columns))
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.out).write_text(text)
+        with open(args.out, "w") as fh:
+            fh.writelines(lines)
         print(args.out)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
     return 0
 
 

@@ -207,25 +207,6 @@ def gradient(problem: RealInverseProblem, sigma, f) -> np.ndarray:
     return problem.M.T @ exact_adjoint(problem, sigma, f)
 
 
-def fixed_point_state(problem: RealInverseProblem, sigma, u0=None,
-                      tol: float = 1e-12, max_iter: int = 200000) -> np.ndarray:
-    """Solve the state equation by the plain fixed-point iteration.
-
-    Converges geometrically whenever ``rho(B) < 1``; kept as the iterative
-    counterpart of :func:`exact_state` (and used as a cross-check oracle).
-    """
-    sigma = np.asarray(sigma, dtype=float).reshape(-1)
-    rhs = problem.M @ sigma + problem.F
-    u = np.zeros(problem.n_u) if u0 is None else np.asarray(u0, dtype=float).copy()
-    for _ in range(max_iter):
-        u_next = problem.B @ u + rhs
-        if np.linalg.norm(u_next - u) <= tol * (1.0 + np.linalg.norm(u_next)):
-            return u_next
-        u = u_next
-    raise RuntimeError(f"fixed-point state iteration did not reach {tol:g} "
-                       f"in {max_iter} sweeps (rho(B) too close to 1?)")
-
-
 def realify(problem: ComplexInverseProblem) -> RealInverseProblem:
     """Rewrite a complex-state problem as a real one of doubled dimension.
 

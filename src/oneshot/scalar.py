@@ -15,7 +15,6 @@ are pinned by bisection on intervals where the sign change is guaranteed.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,11 +84,21 @@ def jury_marden_general(coeffs) -> tuple[bool | None, MardenTable]:
 # ---------------------------------------------------------------------------
 # the polynomial f_k and its roots
 
-def fk(k: int, b: float) -> float:
-    """f_k(b) = 1 - 2k b^{k-1} + 2k b^k - b^{2k} (with 0^0 = 1)."""
+def _pow(x, n):
+    """``x**n`` by Python's float power, elementwise over an array: numpy's
+    ``power`` may differ from it in the last bit, even for the square, and
+    each b of an array must get the bits it gets alone."""
+    if not isinstance(x, np.ndarray):
+        return float(x)**n
+    return (x.astype(object)**n).astype(float)   # Python's ** per entry
+
+
+def fk(k: int, b):
+    """f_k(b) = 1 - 2k b^{k-1} + 2k b^k - b^{2k} (with 0^0 = 1), for a
+    float or an array of b."""
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
-    return 1.0 - 2.0*k*b**(k-1) + 2.0*k*b**k - b**(2*k)
+    return 1.0 - 2.0*k*_pow(b, k-1) + 2.0*k*_pow(b, k) - _pow(b, 2*k)
 
 
 def _bisect(f, lo: float, hi: float, tol: float = 1e-13) -> float:
@@ -138,44 +147,45 @@ def fk_roots(k: int) -> list[float]:
 # ---------------------------------------------------------------------------
 # threshold ingredients
 
-def _yk(k: int, b: float) -> float:
-    # X_k / h^2 in closed form; equals (1 - k b^{k-1} + (k-1) b^k) / (1-b)^2
-    return (1.0 - k*b**(k-1) + (k-1)*b**k) / (1.0 - b)**2
+def eta21(k: int, b):
+    if k == 1:   # the only branch at k = 1 (f_1 < 0): a clean closed form
+        return _pow(1.0 - b, 3) * (1.0 + b)
+    bk = _pow(b, k)
+    g = k - (k + 1)*b + k*bk - (k - 1)*_pow(b, k+1)
+    return (_pow(1.0 - b, 2) * (1.0 + bk) * _pow(1.0 - bk, 2)
+            / (_pow(b, k-1) * g))
 
 
-def eta21(k: int, b: float) -> float:
-    g = k - (k + 1)*b + k*b**k - (k - 1)*b**(k+1)
-    return (1.0 - b)**2 * (1.0 + b**k) * (1.0 - b**k)**2 / (b**(k-1) * g)
+def eta22(k: int, b):
+    bk = _pow(b, k)
+    g = k - (k + 1)*b + k*bk - (k - 1)*_pow(b, k+1)
+    return -_pow(1.0 - b, 2) * _pow(1.0 + bk, 3) / (_pow(b, k-1) * g)
 
 
-def eta22(k: int, b: float) -> float:
-    g = k - (k + 1)*b + k*b**k - (k - 1)*b**(k+1)
-    return -(1.0 - b)**2 * (1.0 + b**k)**3 / (b**(k-1) * g)
+def eta3(k: int, b):
+    return 2.0 * _pow(1.0 - b, 2) * _pow(1.0 + _pow(b, k), 2) / fk(k, b)
 
 
-def eta3(k: int, b: float) -> float:
-    return 2.0 * (1.0 - b)**2 * (1.0 + b**k)**2 / fk(k, b)
+def kappa11(k: int, b):
+    w = k - (k + 1)*b + _pow(b, k+1)
+    return _pow(1.0 - b, 2) * (1.0 + _pow(b, 2*k)) / (_pow(b, k-1) * w)
 
 
-def kappa11(k: int, b: float) -> float:
-    w = k - (k + 1)*b + b**(k+1)
-    return (1.0 - b)**2 * (1.0 + b**(2*k)) / (b**(k-1) * w)
+def kappa12(k: int, b):
+    w = k - (k + 1)*b + _pow(b, k+1)
+    return _pow(1.0 - b, 2) * (-1.0 + _pow(b, 2*k)) / (_pow(b, k-1) * w)
 
 
-def kappa12(k: int, b: float) -> float:
-    w = k - (k + 1)*b + b**(k+1)
-    return (1.0 - b)**2 * (-1.0 + b**(2*k)) / (b**(k-1) * w)
+def _kappa2_pieces(k: int, b):
+    # s = b^k, y = y_k = X_k / h^2 in closed form, and v = t_k^2 - y_k in
+    # factored form: the plain difference cancels near b = 0 once k >= 6
+    # and can even come out zero or of the wrong sign
+    bk1, s, a = _pow(b, k-1), _pow(b, k), _pow(1.0 - b, 2)
+    w = k - (k + 1)*b + _pow(b, k+1)
+    return s, (1.0 - k*bk1 + (k-1)*s) / a, bk1 * w / a
 
 
-def _kappa2_pieces(k: int, b: float):
-    # v = t_k^2 - y_k in factored form: the plain difference cancels near
-    # b = 0 once k >= 6 and can even come out zero or of the wrong sign
-    w = k - (k + 1)*b + b**(k+1)
-    v = b**(k-1) * w / (1.0 - b)**2
-    return b**k, _yk(k, b), v
-
-
-def kappa21(k: int, b: float) -> float:
+def kappa21(k: int, b):
     """First quadratic-root threshold of the shifted family.
 
     The direct quotient of root formulas loses precision once v_k is tiny
@@ -183,27 +193,28 @@ def kappa21(k: int, b: float) -> float:
     denominator is used.
     """
     s, y, v = _kappa2_pieces(k, b)
-    disc = math.sqrt((-4.0*s + 5.0)*v*v + y*y + 2.0*(-2.0*s*s + 2.0*s + 1.0)*v*y)
-    w = k - (k + 1)*b + b**(k+1)
-    term1 = b * (1.0 - b)**2 * (b**k - 1.0) / w
-    num2 = 2.0 * (-b**k + 1.0 + b*(1.0 - b)**2*(1.0 - b**k)*y / w)
+    disc = np.sqrt((-4.0*s + 5.0)*v*v + y*y + 2.0*(-2.0*s*s + 2.0*s + 1.0)*v*y)
+    w = k - (k + 1)*b + _pow(b, k+1)
+    a = _pow(1.0 - b, 2)
+    term1 = b * a * (s - 1.0) / w
+    num2 = 2.0 * (-s + 1.0 + b*a*(1.0 - s)*y / w)
     return term1 + num2 / (y + v + disc)
 
 
-def kappa22(k: int, b: float) -> float:
+def kappa22(k: int, b):
     s, y, v = _kappa2_pieces(k, b)
-    if v*v == 0.0:
-        return math.inf              # the limit as v -> 0
-    disc = math.sqrt((8.0*s*s + 12.0*s + 5.0)*v*v + y*y
-                     + 2.0*(2.0*s*s + 2.0*s + 1.0)*v*y)
-    return ((2.0*s*s + 2.0*s + 1.0)*v + y + disc) / (2.0*v*v)
+    disc = np.sqrt((8.0*s*s + 12.0*s + 5.0)*v*v + y*y
+                   + 2.0*(2.0*s*s + 2.0*s + 1.0)*v*y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        value = ((2.0*s*s + 2.0*s + 1.0)*v + y + disc) / (2.0*v*v)
+    return np.where(v*v == 0.0, np.inf, value)[()]   # the limit as v -> 0
 
 
-def kappa3(k: int, b: float) -> float:
+def kappa3(k: int, b):
     # numerator carries (1 + b^k)^2: expanding the third sign condition for
     # the shifted family gives the constant term -2 (1 + b^k)^2, exactly as
     # in the non-shifted family (verified against the 3x3 eigenvalues)
-    return 2.0 * (1.0 - b)**2 * (1.0 + b**k)**2 / (-fk(k, b))
+    return 2.0 * _pow(1.0 - b, 2) * _pow(1.0 + _pow(b, k), 2) / (-fk(k, b))
 
 
 # ---------------------------------------------------------------------------
@@ -211,85 +222,90 @@ def kappa3(k: int, b: float) -> float:
 
 @dataclass(frozen=True)
 class ScalarThreshold:
-    """Normalized admissible-step supremum (the h = m = 1 factor)."""
+    """Normalized admissible-step supremum (the h = m = 1 factor): arrays in
+    the shape of b for an array b, a float and a str for a float b."""
 
     k: int
-    b: float
-    value: float
-    branch: str
+    b: float | np.ndarray
+    value: float | np.ndarray
+    branch: str | np.ndarray
 
 
-def eta(k: int, b: float) -> ScalarThreshold:
-    """Exact threshold of k-step one-shot (tau < eta / (h^2 m^2))."""
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
-    if not -1.0 < b < 1.0:
-        raise ValueError(f"b must lie in (-1, 1), got {b}")
-    if k == 1:
-        # eta21 collapses to a clean closed form at one inner sweep
-        return ScalarThreshold(k=1, b=b, value=(1.0 - b)**3 * (1.0 + b),
-                               branch="eta21")
-    if b == 0.0:
-        # zero contraction: the method is exactly usual gradient descent
-        return ScalarThreshold(k=k, b=0.0, value=2.0, branch="gd-limit")
-    cands = {}
-    # both branches divide by b^(k-1) and tend to +inf where it underflows
-    if b**(k-1) > 0.0:
-        cands["eta21"] = eta21(k, b)
-    elif b**(k-1) < 0.0:
-        cands["eta22"] = eta22(k, b)
-    if fk(k, b) > 0.0:
-        cands["eta3"] = eta3(k, b)
-    branch = min(cands, key=cands.get)
-    return ScalarThreshold(k=k, b=b, value=cands[branch], branch=branch)
+def _grid(b) -> np.ndarray:
+    """b as a flat float array, each entry checked to lie in (-1, 1)."""
+    grid = np.asarray(b, dtype=float).ravel()
+    outside = ~((-1.0 < grid) & (grid < 1.0))
+    if outside.any():
+        raise ValueError(f"b must lie in (-1, 1), got {grid[outside][0]}")
+    return grid
 
 
-def kappa(k: int, b: float) -> ScalarThreshold:
-    """Exact threshold of shifted k-step one-shot (tau < kappa / (h^2 m^2))."""
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
-    if not -1.0 < b < 1.0:
-        raise ValueError(f"b must lie in (-1, 1), got {b}")
-    if k >= 2 and b == 0.0:
-        # zero contraction: the method is exactly shifted gradient descent
-        return ScalarThreshold(k=k, b=0.0, value=1.0, branch="gd-limit")
-    cands = {}
-    # both branches divide by b^(k-1) and tend to +inf where it underflows
-    if b**(k-1) > 0.0:
-        cands["kappa11"] = kappa11(k, b)
-    elif b**(k-1) < 0.0:
-        cands["kappa12"] = kappa12(k, b)
-    cands["kappa21"] = kappa21(k, b)
-    cands["kappa22"] = kappa22(k, b)
-    if fk(k, b) < 0.0:
-        cands["kappa3"] = kappa3(k, b)
-    branch = min(cands, key=cands.get)
-    return ScalarThreshold(k=k, b=b, value=cands[branch], branch=branch)
+def _least(k: int, b, grid, branches, gd_limit=None) -> ScalarThreshold:
+    """The least candidate at each b of the grid, and its branch name: each
+    ``(name, mask, formula)`` counts where its mask holds, +inf elsewhere,
+    and ``argmin`` keeps the first of equal values, as ``min`` over the
+    branches in order does.  A ``gd_limit`` wins at b = 0 once k >= 2."""
+    cands = np.full((len(branches), grid.size), np.inf)
+    for row, (_, mask, formula) in zip(cands, branches):
+        sub = grid[mask]   # one b runs as a float: the same bits, far sooner
+        if sub.size:
+            row[mask] = formula(k, sub if sub.size > 1 else sub.item())
+    pick = np.argmin(cands, axis=0)
+    value = cands[pick, np.arange(grid.size)]
+    branch = np.array([name for name, _, _ in branches], dtype=object)[pick]
+    if gd_limit is not None and k >= 2:   # zero contraction: exactly GD
+        value[grid == 0.0], branch[grid == 0.0] = gd_limit, "gd-limit"
+    value, branch = value.reshape(np.shape(b)), branch.reshape(np.shape(b))
+    if value.ndim == 0:
+        value, branch = value.item(), branch.item()
+    return ScalarThreshold(k=k, b=b, value=value, branch=branch)
 
 
-def threshold(kind: SolverKind, k: int, b: float) -> ScalarThreshold:
-    """Exact normalized threshold of any method kind.
-
-    The one-shot kinds go to :func:`eta` and :func:`kappa`; the GD kinds
-    have no inner sweeps, so they ignore k, report k = 0 and name their
-    branch after the kind ("gd" or "sgd").
-    """
-    if kind is SolverKind.USUAL_GD:
-        return ScalarThreshold(k=0, b=b, value=usual_gd_threshold(b), branch="gd")
-    if kind is SolverKind.SHIFTED_GD:
-        return ScalarThreshold(k=0, b=b, value=shifted_gd_threshold(b),
-                               branch="sgd")
-    return (eta if kind is SolverKind.K_STEP else kappa)(k, b)
+def eta(k: int, b) -> ScalarThreshold:
+    """Exact threshold of k-step one-shot (tau < eta / (h^2 m^2)), for a
+    float or an array of b.  k < 1 raises in fk."""
+    grid = _grid(b)
+    above, bk1 = fk(k, grid) > 0.0, _pow(grid, k - 1)
+    # both b^(k-1) branches divide by it and tend to +inf where it underflows
+    return _least(k, b, grid, [("eta21", bk1 > 0.0, eta21),
+                               ("eta22", bk1 < 0.0, eta22),
+                               ("eta3", above, eta3)], gd_limit=2.0)
 
 
-def usual_gd_threshold(b: float) -> float:
+def kappa(k: int, b) -> ScalarThreshold:
+    """Exact threshold of shifted k-step one-shot (tau < kappa / (h^2 m^2)),
+    for a float or an array of b.  k < 1 raises in fk."""
+    grid = _grid(b)
+    below, bk1 = fk(k, grid) < 0.0, _pow(grid, k - 1)
+    # both b^(k-1) branches divide by it and tend to +inf where it underflows
+    return _least(k, b, grid, [("kappa11", bk1 > 0.0, kappa11),
+                               ("kappa12", bk1 < 0.0, kappa12),
+                               ("kappa21", ..., kappa21),
+                               ("kappa22", ..., kappa22),
+                               ("kappa3", below, kappa3)], gd_limit=1.0)
+
+
+def threshold(kind: SolverKind, k: int, b) -> ScalarThreshold:
+    """Exact normalized threshold of any method kind, for a float or an
+    array of b.  The one-shot kinds go to :func:`eta` and :func:`kappa`;
+    the GD kinds have no inner sweeps, so they ignore k, report k = 0 and
+    name their branch after the kind ("gd" or "sgd")."""
+    if kind is SolverKind.K_STEP:
+        return eta(k, b)
+    if kind is SolverKind.SHIFTED_K_STEP:
+        return kappa(k, b)
+    gd = usual_gd_threshold if kind is SolverKind.USUAL_GD else shifted_gd_threshold
+    return _least(0, b, _grid(b), [(kind.value, ..., lambda _, b: gd(b))])
+
+
+def usual_gd_threshold(b):
     """Exact normalized threshold of usual gradient descent, 2 (1-b)^2."""
-    return 2.0 * (1.0 - b)**2
+    return 2.0 * _pow(1.0 - b, 2)
 
 
-def shifted_gd_threshold(b: float) -> float:
+def shifted_gd_threshold(b):
     """Exact normalized threshold of shifted gradient descent, (1-b)^2."""
-    return (1.0 - b)**2
+    return _pow(1.0 - b, 2)
 
 
 # ---------------------------------------------------------------------------

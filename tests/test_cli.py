@@ -84,6 +84,9 @@ class TestBadInput:
         # the scalar triple's h and m must be finite
         ["bound", "--scalar", "0.2,nan,1", "--method", "kshot", "--k", "2"],
         ["bound", "--scalar", "0.2,1,inf", "--method", "gd"],
+        # every b of the grid is checked, for the GD kinds as well
+        ["scalar-region", "--b-min", "nan"],
+        ["scalar-region", "--method", "gd", "--b-min", "nan"],
     ])
     def test_exit_two_with_one_error_line(self, argv, capsys):
         assert main(argv) == 2

@@ -312,6 +312,75 @@ class TestKappaNearZero:
             assert _radius_crosses_one(kind, k, b, value)
 
 
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+class TestArrayThresholds:
+    """eta, kappa and threshold over an array of b, one call per (kind, k).
+
+    A single b runs the branch formulas on a Python float, an array runs
+    them in numpy; the two must agree bit for bit, in value and branch.
+    """
+
+    GRID = np.linspace(-0.95, 0.95, 20001)   # scalar-region --b-count 20001
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_one_shot_array_equals_the_calls_per_b(self, k):
+        for kind, thr in ((SolverKind.K_STEP, eta),
+                          (SolverKind.SHIFTED_K_STEP, kappa)):
+            whole = thr(k, self.GRID)
+            each = [thr(k, b) for b in self.GRID.tolist()]
+            assert whole.k == k and whole.value.shape == self.GRID.shape
+            assert np.array_equal(_bits(whole.value), _bits([t.value for t in each]))
+            assert whole.branch.tolist() == [t.branch for t in each]
+            via = threshold(kind, k, self.GRID)
+            assert np.array_equal(_bits(via.value), _bits(whole.value))
+            assert via.branch.tolist() == whole.branch.tolist()
+
+    @pytest.mark.parametrize("kind", [SolverKind.USUAL_GD, SolverKind.SHIFTED_GD])
+    def test_gd_array_equals_the_calls_per_b(self, kind):
+        each = [threshold(kind, 1, b) for b in self.GRID.tolist()]
+        for k in range(1, 9):   # the GD kinds ignore k
+            whole = threshold(kind, k, self.GRID)
+            assert whole.k == 0
+            assert np.array_equal(_bits(whole.value), _bits([t.value for t in each]))
+            assert whole.branch.tolist() == [kind.value] * self.GRID.size
+
+    @pytest.mark.parametrize("kind", list(SolverKind))
+    def test_a_float_b_gives_plain_python_values(self, kind):
+        for b in (0.2, -0.0, np.float64(-0.7), np.array(0.4)):
+            t = threshold(kind, 3, b)
+            assert type(t.value) is float and type(t.branch) is str
+        # repr of the value must read back as a float on a command line
+        value = threshold(kind, 2, 0.2).value
+        assert float(repr(value)) == value
+
+    def test_an_array_keeps_its_shape(self):
+        b = self.GRID[:12].reshape(3, 4)
+        t = kappa(5, b)
+        assert t.value.shape == t.branch.shape == (3, 4)
+        assert t.value[1, 2] == kappa(5, float(b[1, 2])).value
+        assert eta(2, []).value.shape == (0,)
+        assert eta(2, [0.2]).value.tolist() == [eta(2, 0.2).value]
+
+    @pytest.mark.parametrize("bad", [np.nan, 1.0, -1.0, 2.5, -np.inf])
+    def test_a_bad_b_anywhere_in_an_array_raises(self, bad):
+        grid = self.GRID.copy()
+        grid[1234] = bad
+        for kind in SolverKind:
+            with pytest.raises(ValueError, match=r"b must lie in \(-1, 1\)"):
+                threshold(kind, 2, grid)
+        with pytest.raises(ValueError, match=f"got {bad}"):
+            eta(3, [0.1, bad])
+
+    def test_k_below_one_raises_for_an_array(self):
+        for thr in (eta, kappa):
+            for k in (0, -1):
+                with pytest.raises(ValueError, match="k must be at least 1"):
+                    thr(k, self.GRID)
+
+
 class TestThresholdDispatch:
     @pytest.mark.parametrize("b", [-0.9, -0.3, 0.0, 0.2, 0.7])
     @pytest.mark.parametrize("k", [1, 2, 5])

@@ -135,6 +135,9 @@ def commands() -> list[list[str]]:
     cmds.append(["scalar-region", "--k", "1,2,3,5", "--b-count", "391"])
     cmds.append(["scalar-region", "--k", "2,8", "--method", "kshot,skshot,sgd",
                  "--out", "{work}/out/region.csv"])
+    # the benchmark's own grid: 20001 b values, k = 1..8
+    cmds.append(["scalar-region", "--k", "1,2,3,4,5,6,7,8", "--b-count", "20001",
+                 "--out", "{work}/out/region_bench.csv"])
 
     # bad input: pins the error line and exit code of each path
     scalar_gd = ["--scalar", "0.2,1,1", "--method", "gd"]
