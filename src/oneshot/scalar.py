@@ -90,7 +90,7 @@ def _pow(x, n):
     each b of an array must get the bits it gets alone."""
     if not isinstance(x, np.ndarray):
         return float(x)**n
-    return (x.astype(object)**n).astype(float)   # Python's ** per entry
+    return np.array([v**n for v in x.ravel().tolist()]).reshape(x.shape)
 
 
 def fk(k: int, b):
@@ -246,10 +246,12 @@ def _least(k: int, b, grid, branches, gd_limit=None) -> ScalarThreshold:
     and ``argmin`` keeps the first of equal values, as ``min`` over the
     branches in order does.  A ``gd_limit`` wins at b = 0 once k >= 2."""
     cands = np.full((len(branches), grid.size), np.inf)
-    for row, (_, mask, formula) in zip(cands, branches):
-        sub = grid[mask]   # one b runs as a float: the same bits, far sooner
-        if sub.size:
-            row[mask] = formula(k, sub if sub.size > 1 else sub.item())
+    for row, (name, mask, formula) in zip(cands, branches):
+        try:   # no value where a formula divides by zero or makes a nan
+            with np.errstate(divide="raise", invalid="raise"):
+                row[mask] = formula(k, grid[mask])
+        except FloatingPointError as exc:   # at a lone b or in any grid
+            raise ValueError(f"{name} has no value at some b: {exc}") from None
     pick = np.argmin(cands, axis=0)
     value = cands[pick, np.arange(grid.size)]
     branch = np.array([name for name, _, _ in branches], dtype=object)[pick]

@@ -87,6 +87,12 @@ class TestBadInput:
         # every b of the grid is checked, for the GD kinds as well
         ["scalar-region", "--b-min", "nan"],
         ["scalar-region", "--method", "gd", "--b-min", "nan"],
+        # kappa11 divides by zero at b = 1 - 2^-30, alone or next to another b
+        ["scalar-region", "--method", "skshot", "--k", "2",
+         "--b-min", "0.99999999906867742538", "--b-max", "0.999999999",
+         "--b-count", "2"],
+        ["bound", "--scalar", "0.99999999906867742538,1,1", "--method",
+         "skshot", "--k", "2"],
     ])
     def test_exit_two_with_one_error_line(self, argv, capsys):
         assert main(argv) == 2

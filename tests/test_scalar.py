@@ -319,33 +319,60 @@ def _bits(values):
 class TestArrayThresholds:
     """eta, kappa and threshold over an array of b, one call per (kind, k).
 
-    A single b runs the branch formulas on a Python float, an array runs
-    them in numpy; the two must agree bit for bit, in value and branch.
+    Each b of an array must get the value and branch it gets alone, bit for
+    bit, whatever other b share the array.
     """
 
     GRID = np.linspace(-0.95, 0.95, 20001)   # scalar-region --b-count 20001
+    EVERY = slice(None, None, 20)   # the single-b calls: b = 0 and both ends
 
     @pytest.mark.parametrize("k", range(1, 9))
     def test_one_shot_array_equals_the_calls_per_b(self, k):
         for kind, thr in ((SolverKind.K_STEP, eta),
                           (SolverKind.SHIFTED_K_STEP, kappa)):
             whole = thr(k, self.GRID)
-            each = [thr(k, b) for b in self.GRID.tolist()]
+            each = [thr(k, b) for b in self.GRID[self.EVERY].tolist()]
             assert whole.k == k and whole.value.shape == self.GRID.shape
-            assert np.array_equal(_bits(whole.value), _bits([t.value for t in each]))
-            assert whole.branch.tolist() == [t.branch for t in each]
+            assert np.array_equal(_bits(whole.value[self.EVERY]),
+                                  _bits([t.value for t in each]))
+            assert whole.branch[self.EVERY].tolist() == [t.branch for t in each]
             via = threshold(kind, k, self.GRID)
             assert np.array_equal(_bits(via.value), _bits(whole.value))
             assert via.branch.tolist() == whole.branch.tolist()
 
     @pytest.mark.parametrize("kind", [SolverKind.USUAL_GD, SolverKind.SHIFTED_GD])
     def test_gd_array_equals_the_calls_per_b(self, kind):
-        each = [threshold(kind, 1, b) for b in self.GRID.tolist()]
+        each = [threshold(kind, 1, b) for b in self.GRID[self.EVERY].tolist()]
         for k in range(1, 9):   # the GD kinds ignore k
             whole = threshold(kind, k, self.GRID)
             assert whole.k == 0
-            assert np.array_equal(_bits(whole.value), _bits([t.value for t in each]))
+            assert np.array_equal(_bits(whole.value[self.EVERY]),
+                                  _bits([t.value for t in each]))
             assert whole.branch.tolist() == [kind.value] * self.GRID.size
+
+    # grid points where numpy's power in place of Python's ** moves the
+    # value, with the value the per-b float formulas give, as hex
+    @pytest.mark.parametrize("thr,k,b,value,branch", [
+        (eta, 1, 0.17327999999999988, "0x1.536d6d5a43d19p-1", "eta21"),
+        (kappa, 1, 0.8500599999999998, "0x1.4468e447a66c0p-8", "kappa21"),
+        (kappa, 2, 0.9361299999999999, "0x1.ab99a7eeb7f40p-11", "kappa21"),
+        (kappa, 3, 0.9478149999999999, "0x1.511e157906b20p-11", "kappa21"),
+        (eta, 4, 0.9463899999999998, "0x1.3a88442187c14p-10", "eta21"),
+        (eta, 8, 0.9471499999999999, "0x1.2dbefc6bb3210p-9", "eta21"),
+        (kappa, 8, 0.9471499999999999, "0x1.575af6fa7e6f0p-10", "kappa21")])
+    def test_pinned_bits(self, thr, k, b, value, branch):
+        assert (thr(k, b).value, thr(k, b).branch) == (float.fromhex(value), branch)
+        t = thr(k, [0.1, b, -0.3])
+        assert (t.value[1], t.branch[1]) == (float.fromhex(value), branch)
+
+    def test_a_zero_denominator_raises_alone_and_in_an_array(self):
+        # at b = 1 - 2^-30, k = 2 the kappa11 denominator rounds to 0.0
+        b = 1.0 - 2.0**-30
+        for arg in (b, [b], [0.5, b], [b, 0.5, 0.3], np.append(self.GRID, b)):
+            with pytest.raises(ValueError, match="kappa11 has no value at some b"):
+                kappa(2, arg)
+        assert eta(2, [0.5, b]).value.tolist() == [eta(2, 0.5).value,
+                                                   eta(2, b).value]
 
     @pytest.mark.parametrize("kind", list(SolverKind))
     def test_a_float_b_gives_plain_python_values(self, kind):
