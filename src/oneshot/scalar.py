@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linear_model import ScalarProblem
-from .solvers import SolverKind
+from .solvers import ONE_SHOT_KINDS, SolverKind
 
 
 # ---------------------------------------------------------------------------
@@ -292,10 +292,8 @@ def threshold(kind: SolverKind, k: int, b) -> ScalarThreshold:
     array of b.  The one-shot kinds go to :func:`eta` and :func:`kappa`;
     the GD kinds have no inner sweeps, so they ignore k, report k = 0 and
     name their branch after the kind ("gd" or "sgd")."""
-    if kind is SolverKind.K_STEP:
-        return eta(k, b)
-    if kind is SolverKind.SHIFTED_K_STEP:
-        return kappa(k, b)
+    if kind in ONE_SHOT_KINDS:
+        return (eta if kind is SolverKind.K_STEP else kappa)(k, b)
     gd = usual_gd_threshold if kind is SolverKind.USUAL_GD else shifted_gd_threshold
     return _least(0, b, _grid(b), [(kind.value, ..., lambda _, b: gd(b))])
 
