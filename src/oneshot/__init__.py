@@ -4,10 +4,10 @@ Solvers that iterate simultaneously on state, adjoint state and parameter,
 together with their block iteration matrices, spectral convergence oracles,
 explicit descent-step bounds, and the exact scalar-case stability theory.
 """
-from .linear_model import (AssumptionReport, ComplexInverseProblem,
-                           RealInverseProblem, ScalarProblem, exact_adjoint,
-                           exact_state, helmholtz_toy, load_problem,
-                           random_contraction, realify, save_problem, validate)
+from .linear_model import (AssumptionReport, RealInverseProblem, ScalarProblem,
+                           exact_adjoint, exact_state, helmholtz_toy,
+                           load_problem, random_contraction, realify,
+                           save_problem, validate)
 from .solvers import (ConvergenceTrace, MethodSpec, SolverConfig, SolverKind,
                       Status, run_method)
 from .spectral import (IterationMatrix, TUXTriple, build_iteration_matrix,
@@ -21,10 +21,9 @@ from .scalar import (CubicCoeffs, MardenTable, ScalarThreshold, eta, fk,
                      usual_gd_threshold)
 
 __all__ = [
-    "AssumptionReport", "ComplexInverseProblem", "RealInverseProblem",
-    "ScalarProblem", "exact_adjoint", "exact_state", "helmholtz_toy",
-    "load_problem", "random_contraction", "realify", "save_problem",
-    "validate",
+    "AssumptionReport", "RealInverseProblem", "ScalarProblem",
+    "exact_adjoint", "exact_state", "helmholtz_toy", "load_problem",
+    "random_contraction", "realify", "save_problem", "validate",
     "ConvergenceTrace", "MethodSpec", "SolverConfig", "SolverKind", "Status",
     "run_method",
     "IterationMatrix", "TUXTriple", "build_iteration_matrix", "converges",

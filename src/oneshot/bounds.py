@@ -14,8 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-from .linear_model import (RealInverseProblem, _require_real, data_map,
-                           spectral_norm, spectral_radius, tux)
+from .linear_model import (RealInverseProblem, data_map, spectral_norm,
+                           spectral_radius, tux)
 from .solvers import MethodSpec, SolverKind
 from . import spectral
 
@@ -222,7 +222,6 @@ def matrix_bound(problem: RealInverseProblem, method: MethodSpec,
     evaluates the sharper closed form and reports the larger of the two
     sufficient values.  GD method kinds are forwarded to their exact bounds.
     """
-    _require_real(problem.B)
     if method.kind is SolverKind.USUAL_GD:
         return gd_bound(problem)
     if method.kind is SolverKind.SHIFTED_GD:

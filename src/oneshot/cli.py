@@ -31,7 +31,7 @@ import numpy as np
 from . import bounds, scalar, spectral
 from .linear_model import (RealInverseProblem, ScalarProblem, exact_state,
                            cost, gradient, helmholtz_toy, load_problem,
-                           random_contraction, realify, validate)
+                           random_contraction, validate)
 from .solvers import (ONE_SHOT_KINDS, MethodSpec, SolverConfig, SolverKind,
                       run_method)
 
@@ -74,10 +74,7 @@ def _read_problem(path):
 
 def _load_problem_arg(args) -> RealInverseProblem:
     if getattr(args, "problem", None):
-        problem = _read_problem(args.problem)
-        if not isinstance(problem, RealInverseProblem):
-            problem = realify(problem)
-        return problem
+        return _read_problem(args.problem)
     if getattr(args, "scalar", None):
         return _parse_scalar(args.scalar).as_problem()
     if getattr(args, "random", None):

@@ -3,9 +3,11 @@
 The forward model is ``u = B u + M sigma + F`` with measurement ``f = H u``.
 Recovering ``sigma`` from ``f`` is well posed when the state iteration
 contracts (``rho(B) < 1``) and ``H (I - B)^{-1} M`` is injective.  This module
-holds the problem containers (real, complex and scalar), the assumption
-checks, exact direct/adjoint solves, the realification of complex-state
-problems, synthetic generators, and JSON (de)serialization.
+holds the real and scalar problem containers, the assumption checks, exact
+direct/adjoint solves, the realification of complex-state problems,
+synthetic generators, and JSON (de)serialization.  sigma is real, so a
+complex-state problem enters only through its real block form: a complex
+problem file loads as its realification.
 """
 from __future__ import annotations
 
@@ -31,12 +33,21 @@ def spectral_radius(a) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(getattr(a, "matrix", a)))))
 
 
+def _require_real(a) -> np.ndarray:
+    """``a`` as an array; complex problem data must be realified first."""
+    if np.iscomplexobj(a):
+        raise ValueError("complex problem data: convert it with realify first")
+    return np.asarray(a)
+
+
 @dataclass(frozen=True)
-class _InverseProblem:
-    """Problem data ``(B, M, H, F)`` in the subclass's ``dtype``.
+class RealInverseProblem:
+    """Real problem data ``(B, M, H, F)``.
 
     Shapes: B is (n_u, n_u), M is (n_u, n_sigma), H is (n_f, n_u) and F is
-    (n_u,).  Arrays are coerced to ``dtype`` and frozen, as is the container.
+    (n_u,).  Complex data is rejected, not cast (see :func:`realify`), and so
+    is a non-finite entry; the arrays are then coerced to float64 and
+    frozen, as is the container.
     """
 
     B: np.ndarray
@@ -45,27 +56,28 @@ class _InverseProblem:
     F: np.ndarray
 
     def __post_init__(self):
-        B = np.asarray(self.B, dtype=self.dtype)
+        B, M, H, F = (np.asarray(_require_real(getattr(self, name)), dtype=float)
+                      for name in "BMHF")
         if B.ndim != 2 or B.shape[0] != B.shape[1] or B.shape[0] < 1:
             raise ValueError(f"B must be square and non-empty, got shape {B.shape}")
         n_u = B.shape[0]
-        M = np.asarray(self.M, dtype=self.dtype)
         if M.ndim != 2 or M.shape[0] != n_u or M.shape[1] < 1:
             raise ValueError(f"M must have shape ({n_u}, n_sigma), got {M.shape}")
-        H = np.asarray(self.H, dtype=self.dtype)
         if H.ndim != 2 or H.shape[1] != n_u or H.shape[0] < 1:
             raise ValueError(f"H must have shape (n_f, {n_u}), got {H.shape}")
-        F = np.asarray(self.F, dtype=self.dtype).reshape(-1)
+        F = F.reshape(-1)
         if F.shape != (n_u,):
             raise ValueError(f"F must have length {n_u}, got {F.shape}")
         for name, a in zip("BMHF", (B, M, H, F)):
+            if not np.isfinite(a).all():
+                raise ValueError(f"{name} has a non-finite entry")
             a.setflags(write=False)
             object.__setattr__(self, name, a)
 
     @cached_property
     def state_inverse(self) -> np.ndarray:
         """``(I - B)^{-1}``, inverted on first use and kept for every solve."""
-        R = np.linalg.inv(np.eye(self.n_u, dtype=self.dtype) - self.B)
+        R = np.linalg.inv(np.eye(self.n_u) - self.B)
         R.setflags(write=False)
         return R
 
@@ -80,18 +92,6 @@ class _InverseProblem:
     @property
     def n_f(self) -> int:
         return self.H.shape[0]
-
-
-class RealInverseProblem(_InverseProblem):
-    """Real problem data ``(B, M, H, F)``, coerced to float64."""
-
-    dtype = float
-
-
-class ComplexInverseProblem(_InverseProblem):
-    """Complex-state problem data; same shapes as :class:`RealInverseProblem`."""
-
-    dtype = complex
 
 
 @dataclass
@@ -134,13 +134,14 @@ def data_map(problem) -> np.ndarray:
     return problem.H @ (problem.state_inverse @ problem.M)
 
 
-def validate(problem, eps_rho: float = DEFAULT_EPS_RHO,
+def validate(problem: RealInverseProblem, eps_rho: float = DEFAULT_EPS_RHO,
              eps_inj: float = DEFAULT_EPS_INJ) -> AssumptionReport:
     """Check contraction of B and injectivity of ``H (I - B)^{-1} M``.
 
     Valid iff ``rho(B) < 1 - eps_rho`` and the smallest singular value of the
     explicitly formed ``H (I - B)^{-1} M`` exceeds ``eps_inj`` times the
-    largest one.  Works for real and complex problems alike.
+    largest one.  A complex-state problem is checked in its realified
+    form, so injectivity is over real sigma.
     """
     messages: list[str] = []
     rho = spectral_radius(problem.B)
@@ -207,30 +208,20 @@ def gradient(problem: RealInverseProblem, sigma, f) -> np.ndarray:
     return problem.M.T @ exact_adjoint(problem, sigma, f)
 
 
-def realify(problem: ComplexInverseProblem) -> RealInverseProblem:
-    """Rewrite a complex-state problem as a real one of doubled dimension.
+def realify(B, M, H, F) -> RealInverseProblem:
+    """Rewrite complex-state problem data as a real problem of doubled dimension.
 
     With B = B1 + i B2 etc., the real system uses the block matrices
     ``[[B1, -B2], [B2, B1]]`` for B and H, and stacks [M1; M2], [F1; F2].
     The spectrum of the new B is Spec(B) together with its conjugate, so
     contraction and injectivity carry over.
     """
-    B1, B2 = problem.B.real, problem.B.imag
-    M1, M2 = problem.M.real, problem.M.imag
-    H1, H2 = problem.H.real, problem.H.imag
-    F1, F2 = problem.F.real, problem.F.imag
-    B = np.block([[B1, -B2], [B2, B1]])
-    H = np.block([[H1, -H2], [H2, H1]])
-    M = np.vstack([M1, M2])
-    F = np.concatenate([F1, F2])
-    return RealInverseProblem(B=B, M=M, H=H, F=F)
-
-
-def _require_real(a) -> np.ndarray:
-    """``a`` as an array; complex problem data must be realified first."""
-    if np.iscomplexobj(a):
-        raise ValueError("complex problem data: convert it with realify first")
-    return np.asarray(a)
+    B, M, H, F = (np.asarray(a) for a in (B, M, H, F))
+    return RealInverseProblem(
+        B=np.block([[B.real, -B.imag], [B.imag, B.real]]),
+        M=np.vstack([M.real, M.imag]),
+        H=np.block([[H.real, -H.imag], [H.imag, H.real]]),
+        F=np.concatenate([F.real, F.imag]))
 
 
 @dataclass(frozen=True)
@@ -424,28 +415,19 @@ def helmholtz_toy(grid_n: int, wavenumber: float, delta: float,
 # ---------------------------------------------------------------------------
 # JSON problem files
 
-def problem_to_dict(problem) -> dict:
-    """Serialize a real or complex problem to the JSON problem-file schema."""
-    d = {"n_u": problem.n_u, "n_sigma": problem.n_sigma, "n_f": problem.n_f}
-    if isinstance(problem, ComplexInverseProblem):
-        d["complex"] = {
-            name: {
-                "re": np.asarray(a.real, dtype=float).ravel().tolist(),
-                "im": np.asarray(a.imag, dtype=float).ravel().tolist(),
-            }
-            for name, a in (("B", problem.B), ("M", problem.M),
-                            ("H", problem.H), ("F", problem.F))
-        }
-    else:
-        d["B"] = problem.B.ravel().tolist()
-        d["M"] = problem.M.ravel().tolist()
-        d["H"] = problem.H.ravel().tolist()
-        d["F"] = problem.F.tolist()
-    return d
+def problem_to_dict(problem: RealInverseProblem) -> dict:
+    """Serialize a problem to the (real) JSON problem-file schema."""
+    return {"n_u": problem.n_u, "n_sigma": problem.n_sigma, "n_f": problem.n_f,
+            "B": problem.B.ravel().tolist(), "M": problem.M.ravel().tolist(),
+            "H": problem.H.ravel().tolist(), "F": problem.F.tolist()}
 
 
-def problem_from_dict(d: dict):
-    """Inverse of :func:`problem_to_dict`; raises ValueError on bad input."""
+def problem_from_dict(d: dict) -> RealInverseProblem:
+    """Inverse of :func:`problem_to_dict`; raises ValueError on bad input.
+
+    The ``"complex"`` schema (``{"re": [...], "im": [...]}`` per field) is
+    read too, and returns :func:`realify` of the complex arrays.
+    """
     try:
         n_u, n_sigma, n_f = int(d["n_u"]), int(d["n_sigma"]), int(d["n_f"])
     except (KeyError, TypeError, ValueError) as exc:
@@ -470,7 +452,7 @@ def problem_from_dict(d: dict):
             except (KeyError, TypeError) as exc:
                 raise ValueError(f"complex field {name} malformed: {exc}") from exc
             arrays[name] = re + 1j * im
-        return ComplexInverseProblem(**arrays)
+        return realify(**arrays)
 
     try:
         arrays = {name: reshape(name, d[name]) for name in ("B", "M", "H", "F")}
@@ -479,11 +461,11 @@ def problem_from_dict(d: dict):
     return RealInverseProblem(**arrays)
 
 
-def save_problem(problem, path) -> None:
+def save_problem(problem: RealInverseProblem, path) -> None:
     with open(path, "w") as fh:
         json.dump(problem_to_dict(problem), fh)
 
 
-def load_problem(path):
+def load_problem(path) -> RealInverseProblem:
     with open(path) as fh:
         return problem_from_dict(json.load(fh))

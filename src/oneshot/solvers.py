@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linear_model import _require_real, adjoint_from_state, exact_state, tux
+from .linear_model import adjoint_from_state, exact_state, tux
 
 
 class SolverKind(enum.Enum):
@@ -155,7 +155,6 @@ def run_method(method: MethodSpec, problem, f, sigma0, config,
     converged once cost and gradient fall below their tolerances relative
     to their first nonzero values; otherwise it ends after max_outer steps.
     """
-    _require_real(problem.B)
     f = np.asarray(f, dtype=float).reshape(-1)
     sigma0 = np.asarray(sigma0, dtype=float).reshape(-1)
     if sigma0.shape != (problem.n_sigma,):

@@ -45,7 +45,7 @@ def build_iteration_matrix(problem: RealInverseProblem, method: MethodSpec,
     """
     if not 0.0 < tau < math.inf:
         raise ValueError(f"tau must be positive and finite, got {tau}")
-    B, M, H = _require_real(problem.B), problem.M, problem.H
+    B, M, H = problem.B, problem.M, problem.H
     n_u, n_s = problem.n_u, problem.n_sigma
     if method.kind in ONE_SHOT_KINDS:
         t = tux(B, H, method.k)

@@ -20,8 +20,7 @@ import time
 import numpy as np
 
 from oneshot.bounds import gd_bound, matrix_bound, shifted_gd_bound
-from oneshot.linear_model import (ComplexInverseProblem, RealInverseProblem,
-                                  ScalarProblem, exact_adjoint, exact_state,
+from oneshot.linear_model import (RealInverseProblem, ScalarProblem, exact_adjoint, exact_state,
                                   helmholtz_toy, random_contraction, realify,
                                   spectral_norm, validate)
 from oneshot.scalar import (CubicCoeffs, eta, fk_roots, jury_marden_cubic,
@@ -274,12 +273,9 @@ def test_criterion_08_realification():
         n = int(rng.integers(2, 7))
         B = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         B *= (0.2 + 0.03 * trial) / spectral_norm(B)
-        cp = ComplexInverseProblem(
-            B=B,
-            M=rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2)),
-            H=rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n)),
-            F=np.zeros(n, dtype=complex))
-        rp = realify(cp)
+        M = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+        H = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+        rp = realify(B, M, H, np.zeros(n))
         expected = np.concatenate([np.linalg.eigvals(B),
                                    np.conj(np.linalg.eigvals(B))])
         got = np.linalg.eigvals(rp.B)
@@ -287,7 +283,12 @@ def test_criterion_08_realification():
         if not np.allclose(sorted(expected, key=key), sorted(got, key=key),
                            atol=1e-8):
             failures.append(("spectrum", trial))
-        if validate(cp).is_valid:
+        # validate's verdict in complex arithmetic: contraction, and
+        # injectivity of H (I - B)^{-1} M over complex sigma
+        sv = np.linalg.svd(H @ np.linalg.solve(np.eye(n) - B, M),
+                           compute_uv=False)
+        if (np.max(np.abs(np.linalg.eigvals(B))) < 1.0 - 1e-8
+                and sv[-1] > 1e-10 * sv[0]):
             preserved += 1
             if not validate(rp).is_valid:
                 failures.append(("validity", trial))

@@ -1,4 +1,5 @@
 """Tests for the package's public names."""
+import dataclasses
 import importlib
 import inspect
 
@@ -32,6 +33,18 @@ def test_public_functions_are_the_entry_points(module):
     assert _functions_from(mod, module) == PUBLIC_FUNCTIONS[module]
     # the package re-exports none beyond them
     assert _functions_from(oneshot, module) <= PUBLIC_FUNCTIONS[module]
+
+
+def test_one_matrix_problem_container():
+    # a complex-state problem is held as its realification: there is no
+    # complex container beside the real one, nor a shared base class
+    assert not hasattr(oneshot, "ComplexInverseProblem")
+    lm = oneshot.linear_model
+    containers = {name for name, obj in vars(lm).items()
+                  if inspect.isclass(obj) and obj.__module__ == lm.__name__
+                  and dataclasses.is_dataclass(obj)
+                  and {"B", "M", "H", "F"} <= {f.name for f in dataclasses.fields(obj)}}
+    assert containers == {"RealInverseProblem"}
 
 
 def test_sweep_operators_live_in_linear_model():

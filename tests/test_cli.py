@@ -135,6 +135,65 @@ class TestBadInput:
                 "error: cannot read problem file: ")
 
 
+    @pytest.mark.parametrize("entry", [math.inf, math.nan, None])
+    def test_non_finite_problem_file(self, valid_problem_file, entry, capsys):
+        # json writes inf and nan as Infinity and NaN; null reads as nan
+        data = json.loads(valid_problem_file.read_text())
+        data["M"][-1] = entry
+        valid_problem_file.write_text(json.dumps(data))
+        path = str(valid_problem_file)
+        for argv in (["check", "--problem", path],
+                     ["bound", "--problem", path, "--method", "gd"],
+                     ["solve", "--problem", path, "--method", "gd",
+                      "--tau", "0.01"]):
+            assert main(argv) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == ("error: cannot read problem file: "
+                           "M has a non-finite entry\n")
+
+
+@pytest.fixture
+def complex_problem_file(tmp_path):
+    """A seeded 6x6 complex-state file with 2 complex measurement rows for
+    3 real parameters: injective over real sigma only."""
+    rng = np.random.default_rng(0)
+    n_u, n_sigma, n_f = 6, 3, 2
+    B = rng.standard_normal((n_u, n_u)) + 1j * rng.standard_normal((n_u, n_u))
+    parts = {"B": B * (0.5 / np.linalg.norm(B, 2)),
+             "M": rng.standard_normal((n_u, n_sigma)) + 1j * rng.standard_normal((n_u, n_sigma)),
+             "H": rng.standard_normal((n_f, n_u)) + 1j * rng.standard_normal((n_f, n_u)),
+             "F": rng.standard_normal(n_u) + 1j * rng.standard_normal(n_u)}
+    path = tmp_path / "complex.json"
+    path.write_text(json.dumps({
+        "n_u": n_u, "n_sigma": n_sigma, "n_f": n_f,
+        "complex": {name: {"re": a.real.ravel().tolist(),
+                           "im": a.imag.ravel().tolist()}
+                    for name, a in parts.items()}}))
+    return str(path)
+
+
+class TestComplexFile:
+    """Every command runs the realification of a complex problem file."""
+
+    def test_check_judges_the_realified_problem(self, complex_problem_file,
+                                                capsys):
+        assert main(["check", "--problem", complex_problem_file]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["is_valid"] is True and report["messages"] == []
+        assert main(["bound", "--problem", complex_problem_file,
+                     "--method", "gd"]) == 0
+        bound = json.loads(capsys.readouterr().out)
+        assert (report["max_singular_value"]
+                == bound["norm_inputs"]["data_map_norm"])
+
+    def test_gd_solve_converges(self, complex_problem_file, capsys):
+        assert main(["solve", "--problem", complex_problem_file,
+                     "--method", "gd", "--tau", "0.01"]) == 0
+        last = capsys.readouterr().out.strip().split("\n")[-1].split(",")
+        assert last[5] == "converged"
+
+
 class TestBound:
     def test_scalar_usual_gd(self, capsys):
         rc = main(["bound", "--scalar", "0,1,1", "--method", "gd"])

@@ -1,13 +1,13 @@
 """Tests for problem containers, validation, exact solves and generators."""
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from oneshot.linear_model import (ComplexInverseProblem, RealInverseProblem,
-                                  ScalarProblem, cost, data_map, exact_adjoint,
-                                  exact_state, gradient,
+from oneshot.linear_model import (RealInverseProblem, ScalarProblem, cost,
+                                  data_map, exact_adjoint, exact_state, gradient,
                                   helmholtz_toy, load_problem,
                                   problem_from_dict, problem_to_dict,
                                   random_contraction, realify, save_problem,
@@ -134,24 +134,40 @@ class TestExactSolves:
         assert np.linalg.norm(fd - g) <= 1e-5 * max(1.0, np.linalg.norm(g))
 
 
+def _complex_valid(B, M, H):
+    """validate's verdict taken in complex arithmetic, i.e. with injectivity
+    of H (I - B)^{-1} M over complex sigma."""
+    if np.max(np.abs(np.linalg.eigvals(B))) >= 1.0 - 1e-8 or len(H) < M.shape[1]:
+        return False
+    s = np.linalg.svd(H @ np.linalg.solve(np.eye(len(B)) - B, M),
+                      compute_uv=False)
+    return s[-1] > 1e-10 * s[0]
+
+
+def _complex_arrays(rng, n_u, n_sigma, n_f, norm):
+    """Random complex (B, M, H, F) with ||B|| = norm."""
+    B = rng.standard_normal((n_u, n_u)) + 1j * rng.standard_normal((n_u, n_u))
+    return (norm * B / spectral_norm(B),
+            rng.standard_normal((n_u, n_sigma)) + 1j * rng.standard_normal((n_u, n_sigma)),
+            rng.standard_normal((n_f, n_u)) + 1j * rng.standard_normal((n_f, n_u)),
+            rng.standard_normal(n_u) + 1j * rng.standard_normal(n_u))
+
+
 class TestRealify:
     def test_real_input_gives_block_diagonal(self):
         rng = np.random.default_rng(1)
         B = 0.5 * rng.standard_normal((3, 3))
-        cp = ComplexInverseProblem(B=B.astype(complex),
-                                   M=rng.standard_normal((3, 2)).astype(complex),
-                                   H=rng.standard_normal((2, 3)).astype(complex),
-                                   F=np.zeros(3, dtype=complex))
-        rp = realify(cp)
+        rp = realify(B.astype(complex),
+                     rng.standard_normal((3, 2)).astype(complex),
+                     rng.standard_normal((2, 3)).astype(complex),
+                     np.zeros(3, dtype=complex))
         assert np.allclose(rp.B[:3, :3], B)
         assert np.allclose(rp.B[3:, 3:], B)
         assert np.allclose(rp.B[:3, 3:], 0.0)
         assert np.allclose(rp.B[3:, :3], 0.0)
 
     def test_pure_imaginary_rotation(self):
-        cp = ComplexInverseProblem(B=[[1j]], M=[[1.0 + 0j]], H=[[1.0 + 0j]],
-                                   F=[0.0 + 0j])
-        rp = realify(cp)
+        rp = realify([[1j]], [[1.0 + 0j]], [[1.0 + 0j]], [0.0 + 0j])
         assert np.allclose(rp.B, [[0.0, -1.0], [1.0, 0.0]])
         eig = np.sort_complex(np.linalg.eigvals(rp.B))
         assert np.allclose(eig, [-1j, 1j])
@@ -161,14 +177,11 @@ class TestRealify:
         for _ in range(5):
             B = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
             B *= 0.7 / spectral_norm(B)
-            cp = ComplexInverseProblem(
-                B=B,
-                M=rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)),
-                H=rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4)),
-                F=np.zeros(4, dtype=complex))
+            M = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+            H = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
             expected = np.concatenate([np.linalg.eigvals(B),
                                        np.conj(np.linalg.eigvals(B))])
-            got = np.linalg.eigvals(realify(cp).B)
+            got = np.linalg.eigvals(realify(B, M, H, np.zeros(4)).B)
             # multiset comparison by sorting lexicographically
             key = lambda z: (np.round(z.real, 8), np.round(z.imag, 8))
             expected = sorted(expected, key=key)
@@ -180,13 +193,10 @@ class TestRealify:
         for _ in range(5):
             B = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
             B *= 0.6 / spectral_norm(B)
-            cp = ComplexInverseProblem(
-                B=B,
-                M=rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)),
-                H=rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4)),
-                F=np.zeros(4, dtype=complex))
-            if validate(cp).is_valid:
-                assert validate(realify(cp)).is_valid
+            M = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+            H = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+            if _complex_valid(B, M, H):
+                assert validate(realify(B, M, H, np.zeros(4))).is_valid
 
 
 class TestGenerators:
@@ -344,16 +354,26 @@ class TestJsonRoundTrip:
         assert np.array_equal(p.B, q.B) and np.array_equal(p.M, q.M)
         assert np.array_equal(p.H, q.H) and np.array_equal(p.F, q.F)
 
-    def test_complex_round_trip(self):
+    def test_complex_round_trip(self, tmp_path):
+        # a complex file loads as the realification of its arrays, which
+        # then saves and loads exactly
         rng = np.random.default_rng(3)
-        cp = ComplexInverseProblem(
-            B=rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)),
-            M=rng.standard_normal((2, 1)) + 1j * rng.standard_normal((2, 1)),
-            H=rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)),
-            F=rng.standard_normal(2) + 1j * rng.standard_normal(2))
-        q = problem_from_dict(problem_to_dict(cp))
-        assert isinstance(q, ComplexInverseProblem)
-        assert np.array_equal(cp.B, q.B) and np.array_equal(cp.F, q.F)
+        arrays = _complex_arrays(rng, 2, 1, 2, 0.5)
+        d = {"n_u": 2, "n_sigma": 1, "n_f": 2,
+             "complex": {name: {"re": a.real.ravel().tolist(),
+                                "im": a.imag.ravel().tolist()}
+                         for name, a in zip("BMHF", arrays)}}
+        q, want = problem_from_dict(d), realify(*arrays)
+        assert type(q) is RealInverseProblem
+        for name in "BMHF":
+            assert np.array_equal(getattr(q, name), getattr(want, name))
+        path = tmp_path / "realified.json"
+        save_problem(q, path)
+        assert set(json.loads(path.read_text())) == {
+            "n_u", "n_sigma", "n_f", "B", "M", "H", "F"}
+        r = load_problem(path)
+        for name in "BMHF":
+            assert np.array_equal(getattr(q, name), getattr(r, name))
 
     def test_malformed(self):
         with pytest.raises(ValueError):
@@ -392,15 +412,25 @@ def test_problem_container_is_frozen():
     assert not np.allclose(q.state_inverse, old)
 
 
-def test_real_and_complex_containers_differ_only_in_dtype():
+def test_container_coerces_real_data_to_float64():
+    p = RealInverseProblem(B=[[0]], M=[[1]], H=[[2]], F=[0])
+    assert all(getattr(p, name).dtype == np.float64 for name in "BMHF")
+    assert repr(p).startswith("RealInverseProblem(")
+
+
+@pytest.mark.parametrize("name", list("BMHF"))
+@pytest.mark.parametrize("bad", [0.3j, 1.0 + 0j, np.inf, -np.inf, np.nan])
+def test_container_rejects_complex_and_non_finite_data(name, bad):
+    # complex data is rejected before any cast to float (which would drop
+    # the imaginary part with only a ComplexWarning), as an array or a list
     data = dict(B=[[0.5]], M=[[1.0]], H=[[2.0]], F=[0.0])
-    real, cplx = RealInverseProblem(**data), ComplexInverseProblem(**data)
-    assert real.B.dtype == np.float64 and cplx.B.dtype == np.complex128
-    assert not isinstance(real, ComplexInverseProblem)
-    assert not isinstance(cplx, RealInverseProblem)
-    assert repr(real).startswith("RealInverseProblem(")
-    with pytest.raises(TypeError):
-        RealInverseProblem(B=[[1j]], M=[[1.0]], H=[[1.0]], F=[0.0])
+    match = "realify" if isinstance(bad, complex) else f"{name} has a non-finite"
+    for wrap in (list, np.array):
+        data[name] = wrap([[bad]] if name != "F" else [bad])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=match):
+                RealInverseProblem(**data)
 
 
 def test_data_map_is_the_parameter_to_data_map():
@@ -449,13 +479,7 @@ def _nonnormal_problem():
 
 
 def _complex_problem():
-    rng = np.random.default_rng(8)
-    B = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-    return ComplexInverseProblem(
-        B=0.5 * B / np.linalg.norm(B, 2),
-        M=rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2)),
-        H=rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5)),
-        F=rng.standard_normal(5) + 1j * rng.standard_normal(5))
+    return realify(*_complex_arrays(np.random.default_rng(8), 5, 2, 4, 0.5))
 
 
 class TestStateInverse:

@@ -7,7 +7,7 @@ import pytest
 
 from oneshot import solvers
 from oneshot.bounds import gd_bound
-from oneshot.linear_model import (ComplexInverseProblem, ScalarProblem,
+from oneshot.linear_model import (RealInverseProblem, ScalarProblem,
                                   exact_adjoint, exact_state, helmholtz_toy,
                                   random_contraction, realify)
 from oneshot.solvers import (CSV_HEADER, MethodSpec, SolverConfig, SolverKind,
@@ -227,13 +227,12 @@ class TestFusedStep:
 
     @pytest.mark.parametrize("kind", list(SolverKind))
     def test_complex_problem_must_be_realified(self, kind):
-        # run_method takes real data only, whatever the kind
-        p = ComplexInverseProblem(B=0.3j * np.eye(3), M=np.ones((3, 1)),
-                                  H=np.eye(3), F=np.zeros(3))
+        # run_method takes the container, which holds real data only
+        data = dict(B=0.3j * np.eye(3), M=np.ones((3, 1)), H=np.eye(3),
+                    F=np.zeros(3))
         with pytest.raises(ValueError, match="realify"):
-            run_method(MethodSpec(kind, 2), p, np.ones(3), np.zeros(1),
-                       SolverConfig(tau=0.1, max_outer=3))
-        trace = run_method(MethodSpec(kind, 2), realify(p), np.ones(6),
+            RealInverseProblem(**data)
+        trace = run_method(MethodSpec(kind, 2), realify(**data), np.ones(6),
                            np.zeros(1), SolverConfig(tau=0.1, max_outer=3))
         assert len(trace) == 4
 

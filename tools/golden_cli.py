@@ -15,11 +15,12 @@ checkout's ``src``).  Run both captures with the same ``OPENBLAS_NUM_THREADS``,
 since BLAS threading can change the last bits of dense products; the
 capture records the BLAS environment and ``compare`` warns when it differs.
 
-``compare`` prints one line per command whose output moved: the largest
-relative change between corresponding numbers, and any change of exit
-code, of text other than numbers, or of a ``formula_id``, ``branch`` or
-``status`` value.  It exits 0 when every command is byte-identical and 1
-otherwise.  Needs only the standard library and numpy.
+``compare`` goes through the commands of the first capture only, so a
+change may add commands.  It prints one line per command whose output
+moved: the largest relative change between corresponding numbers, and any
+change of exit code, of text other than numbers, or of a ``formula_id``,
+``branch`` or ``status`` value.  It exits 0 when every command is
+byte-identical and 1 otherwise.  Needs only the standard library and numpy.
 """
 from __future__ import annotations
 
@@ -58,6 +59,17 @@ def _real_file(rng, n_u, n_sigma, n_f, B) -> dict:
             "F": _rows(rng.standard_normal(n_u))}
 
 
+def _complex_file(rng, n_u, n_sigma, n_f) -> dict:
+    B = rng.standard_normal((n_u, n_u)) + 1j * rng.standard_normal((n_u, n_u))
+    parts = {"B": B * (0.5 / np.linalg.norm(B, 2)),
+             "M": rng.standard_normal((n_u, n_sigma)) + 1j * rng.standard_normal((n_u, n_sigma)),
+             "H": rng.standard_normal((n_f, n_u)) + 1j * rng.standard_normal((n_f, n_u)),
+             "F": rng.standard_normal(n_u) + 1j * rng.standard_normal(n_u)}
+    return {"n_u": n_u, "n_sigma": n_sigma, "n_f": n_f,
+            "complex": {name: {"re": _rows(a.real), "im": _rows(a.imag)}
+                        for name, a in parts.items()}}
+
+
 def write_problem_files(root: Path) -> None:
     """Seeded problem files, built with numpy alone so that both captures
     read the same bytes whatever library version they run."""
@@ -68,17 +80,11 @@ def write_problem_files(root: Path) -> None:
     nonnormal = 0.5 * np.eye(6) + np.diag(np.full(5, 1.2), 1)
     files["nonnormal.json"] = _real_file(rng, 6, 2, 4, nonnormal)
     files["invalid.json"] = _real_file(rng, 4, 2, 3, 1.1 * np.eye(4))
-    n_u, n_sigma, n_f = 5, 2, 4
-    Bc = rng.standard_normal((n_u, n_u)) + 1j * rng.standard_normal((n_u, n_u))
-    Bc *= 0.5 / np.linalg.norm(Bc, 2)
-    parts = {"B": Bc,
-             "M": rng.standard_normal((n_u, n_sigma)) + 1j * rng.standard_normal((n_u, n_sigma)),
-             "H": rng.standard_normal((n_f, n_u)) + 1j * rng.standard_normal((n_f, n_u)),
-             "F": rng.standard_normal(n_u) + 1j * rng.standard_normal(n_u)}
-    files["complex.json"] = {
-        "n_u": n_u, "n_sigma": n_sigma, "n_f": n_f,
-        "complex": {name: {"re": _rows(a.real), "im": _rows(a.imag)}
-                    for name, a in parts.items()}}
+    files["complex.json"] = _complex_file(rng, 5, 2, 4)
+    # 2 complex rows for 3 real parameters: injective only over real sigma
+    files["complex6.json"] = _complex_file(np.random.default_rng(0), 6, 3, 2)
+    real = files["real.json"]
+    files["nonfinite.json"] = dict(real, M=[*real["M"][:-1], math.inf])
     for name, data in files.items():
         (root / name).write_text(json.dumps(data))
 
@@ -91,7 +97,8 @@ def commands() -> list[list[str]]:
     cplx = ["--problem", "{work}/complex.json"]
     nonnormal = ["--problem", "{work}/nonnormal.json"]
     cmds = [["check", "--problem", f"{{work}}/{name}.json"]
-            for name in ("real", "complex", "nonnormal", "invalid")]
+            for name in ("real", "complex", "nonnormal", "invalid", "complex6",
+                         "nonfinite")]
 
     bound_sources = [["--scalar", "0.2,1,1"], ["--scalar=-0.5,2,0.5"], real,
                      cplx, nonnormal, ["--random", "20,3,10,0.5", "--seed", "1"],
@@ -150,6 +157,11 @@ def commands() -> list[list[str]]:
     random8 = ["--random", "8,3,4,0.5", "--method", "skshot", "--k", "2"]
     cmds.append(["bound", *random8, "--delta0", "nan"])
     cmds.append(["bound", *random8, "--delta0", "1e308"])
+    # a complex file runs as its realification; a non-finite entry exits 2
+    for name in ("complex6", "nonfinite"):
+        cmds.append(["bound", "--problem", f"{{work}}/{name}.json", "--method", "gd"])
+        cmds.append(["solve", "--problem", f"{{work}}/{name}.json", "--method", "gd",
+                     "--tau", "0.01"])
     return cmds
 
 
