@@ -122,9 +122,14 @@ def _cmd_bound(args) -> int:
     if args.scalar:
         sp = _parse_scalar(args.scalar)
         thr = scalar.threshold(kind, args.k, sp.b)
+        try:   # h^2 m^2, or the quotient, may leave the float range
+            value = thr.value / (sp.h**2 * sp.m**2)
+        except ArithmeticError:
+            value = math.nan
+        if not 0.0 < value < math.inf:   # written so that nan fails too
+            raise ValueError("h^2 m^2 puts the step bound out of the float range")
         print(json.dumps({"b": sp.b, "h": sp.h, "m": sp.m, "k": args.k,
-                          "method": args.method,
-                          "value": thr.value / (sp.h**2 * sp.m**2),
+                          "method": args.method, "value": value,
                           "branch": thr.branch}))
         return 0
     problem = _load_problem_arg(args)

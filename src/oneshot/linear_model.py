@@ -430,7 +430,7 @@ def problem_from_dict(d: dict) -> RealInverseProblem:
     """
     try:
         n_u, n_sigma, n_f = int(d["n_u"]), int(d["n_sigma"]), int(d["n_f"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"problem file misses valid dimensions: {exc}") from exc
     shapes = {"B": (n_u, n_u), "M": (n_u, n_sigma), "H": (n_f, n_u), "F": (n_u,)}
 
@@ -458,6 +458,8 @@ def problem_from_dict(d: dict) -> RealInverseProblem:
         arrays = {name: reshape(name, d[name]) for name in ("B", "M", "H", "F")}
     except KeyError as exc:
         raise ValueError(f"problem file misses field {exc}") from exc
+    except TypeError as exc:   # such as an object {} where a number belongs
+        raise ValueError(f"problem file has a non-numeric entry: {exc}") from exc
     return RealInverseProblem(**arrays)
 
 

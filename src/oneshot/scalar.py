@@ -9,13 +9,14 @@ gives *exact* (necessary and sufficient) admissible-step thresholds:
 ``tau < kappa(k, b) / (h^2 m^2)`` for the shifted variant, next to the
 classical ``2 (1-b)^2`` and ``(1-b)^2`` gradient-descent thresholds.
 
-The branch structure of eta and kappa switches on the sign of
-``f_k(b) = 1 - 2k b^{k-1} + 2k b^k - b^{2k}`` whose root locations in (-1, 1)
-are pinned by bisection on intervals where the sign change is guaranteed.
+The branches of eta and kappa switch on the sign of ``f_k(b) = 1 - 2k
+b^{k-1} + 2k b^k - b^{2k}``, taken from the terms all branches share;
+``fk_roots`` only locates its roots in (-1, 1), by sign-guaranteed bisection.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -95,10 +96,8 @@ def _pow(x, n):
 
 def fk(k: int, b):
     """f_k(b) = 1 - 2k b^{k-1} + 2k b^k - b^{2k} (with 0^0 = 1), for a
-    float or an array of b."""
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
-    return 1.0 - 2.0*k*_pow(b, k-1) + 2.0*k*_pow(b, k) - _pow(b, 2*k)
+    float or an array of b: the ``f`` of :func:`_terms`."""
+    return _terms(k, b).f
 
 
 def _bisect(f, lo: float, hi: float, tol: float = 1e-13) -> float:
@@ -137,72 +136,66 @@ def fk_roots(k: int) -> list[float]:
     """
     if k == 1:
         return []
-    hi = _upper_bracket(k)
-    if k % 2 == 0:
-        return [_bisect(lambda b: fk(k, b), 0.0, hi)]
-    return [_bisect(lambda b: fk(k, b), -1.0, 0.0),
-            _bisect(lambda b: fk(k, b), 0.0, hi)]
+    f, hi = (lambda b: fk(k, b)), _upper_bracket(k)
+    upper = [_bisect(f, 0.0, hi)]
+    return upper if k % 2 == 0 else [_bisect(f, -1.0, 0.0), *upper]
 
 
 # ---------------------------------------------------------------------------
 # threshold ingredients
 
-def eta21(k: int, b):
+def _terms(k: int, b) -> SimpleNamespace:
+    """The terms the branch formulas share, for a float or an array of b:
+    bk1, bk, bk2, b2k = b^(k-1), b^k, b^(k+1), b^(2k), a = (1 - b)^2, f =
+    f_k(b), the sums g and w, y = y_k = X_k / h^2 and v = t_k^2 - y_k."""
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
+    bk1, bk, bk2, b2k = _pow(b, k-1), _pow(b, k), _pow(b, k+1), _pow(b, 2*k)
+    a, w = _pow(1.0 - b, 2), k - (k + 1)*b + bk2
+    # v factored: t_k^2 - y_k cancels near b = 0 once k >= 6, even to zero
+    # or the wrong sign; a = 0 only at b = 1, which fk accepts
+    with np.errstate(divide="ignore", invalid="ignore"):
+        y, v = np.divide(1.0 - k*bk1 + (k-1)*bk, a), np.divide(bk1 * w, a)
+    return SimpleNamespace(b=b, bk1=bk1, bk=bk, bk2=bk2, b2k=b2k, a=a, w=w,
+                           y=y, v=v, f=1.0 - 2.0*k*bk1 + 2.0*k*bk - b2k,
+                           g=k - (k + 1)*b + k*bk - (k - 1)*bk2)
+
+
+def eta21(k: int, t: SimpleNamespace):
     if k == 1:   # the only branch at k = 1 (f_1 < 0): a clean closed form
-        return _pow(1.0 - b, 3) * (1.0 + b)
-    bk = _pow(b, k)
-    g = k - (k + 1)*b + k*bk - (k - 1)*_pow(b, k+1)
-    return (_pow(1.0 - b, 2) * (1.0 + bk) * _pow(1.0 - bk, 2)
-            / (_pow(b, k-1) * g))
+        return _pow(1.0 - t.b, 3) * (1.0 + t.b)
+    return t.a * (1.0 + t.bk) * _pow(1.0 - t.bk, 2) / (t.bk1 * t.g)
 
 
-def eta22(k: int, b):
-    bk = _pow(b, k)
-    g = k - (k + 1)*b + k*bk - (k - 1)*_pow(b, k+1)
-    return -_pow(1.0 - b, 2) * _pow(1.0 + bk, 3) / (_pow(b, k-1) * g)
+def eta22(k: int, t: SimpleNamespace):
+    return -t.a * _pow(1.0 + t.bk, 3) / (t.bk1 * t.g)
 
 
-def eta3(k: int, b):
-    return 2.0 * _pow(1.0 - b, 2) * _pow(1.0 + _pow(b, k), 2) / fk(k, b)
+def eta3(k: int, t: SimpleNamespace):
+    return 2.0 * t.a * _pow(1.0 + t.bk, 2) / t.f
 
 
-def kappa11(k: int, b):
-    w = k - (k + 1)*b + _pow(b, k+1)
-    return _pow(1.0 - b, 2) * (1.0 + _pow(b, 2*k)) / (_pow(b, k-1) * w)
+def kappa11(k: int, t: SimpleNamespace):
+    return t.a * (1.0 + t.b2k) / (t.bk1 * t.w)
 
 
-def kappa12(k: int, b):
-    w = k - (k + 1)*b + _pow(b, k+1)
-    return _pow(1.0 - b, 2) * (-1.0 + _pow(b, 2*k)) / (_pow(b, k-1) * w)
+def kappa12(k: int, t: SimpleNamespace):
+    return t.a * (-1.0 + t.b2k) / (t.bk1 * t.w)
 
 
-def _kappa2_pieces(k: int, b):
-    # s = b^k, y = y_k = X_k / h^2 in closed form, and v = t_k^2 - y_k in
-    # factored form: the plain difference cancels near b = 0 once k >= 6
-    # and can even come out zero or of the wrong sign
-    bk1, s, a = _pow(b, k-1), _pow(b, k), _pow(1.0 - b, 2)
-    w = k - (k + 1)*b + _pow(b, k+1)
-    return s, (1.0 - k*bk1 + (k-1)*s) / a, bk1 * w / a
-
-
-def kappa21(k: int, b):
-    """First quadratic-root threshold of the shifted family.
-
-    The direct quotient of root formulas loses precision once v_k is tiny
-    (large k), so the algebraically equivalent rewrite with the conjugate
-    denominator is used.
-    """
-    s, y, v = _kappa2_pieces(k, b)
+def kappa21(k: int, t: SimpleNamespace):
+    """First quadratic-root threshold of the shifted family, with the
+    conjugate denominator: the direct quotient of the root formulas loses
+    precision once v_k is tiny (large k)."""
+    s, y, v = t.bk, t.y, t.v
     disc = np.sqrt((-4.0*s + 5.0)*v*v + y*y + 2.0*(-2.0*s*s + 2.0*s + 1.0)*v*y)
-    w = k - (k + 1)*b + _pow(b, k+1)
-    a = _pow(1.0 - b, 2)
-    term1 = b * a * (s - 1.0) / w
-    num2 = 2.0 * (-s + 1.0 + b*a*(1.0 - s)*y / w)
+    term1 = t.b * t.a * (s - 1.0) / t.w
+    num2 = 2.0 * (-s + 1.0 + t.b*t.a*(1.0 - s)*y / t.w)
     return term1 + num2 / (y + v + disc)
 
 
-def kappa22(k: int, b):
-    s, y, v = _kappa2_pieces(k, b)
+def kappa22(k: int, t: SimpleNamespace):
+    s, y, v = t.bk, t.y, t.v
     disc = np.sqrt((8.0*s*s + 12.0*s + 5.0)*v*v + y*y
                    + 2.0*(2.0*s*s + 2.0*s + 1.0)*v*y)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -210,11 +203,10 @@ def kappa22(k: int, b):
     return np.where(v*v == 0.0, np.inf, value)[()]   # the limit as v -> 0
 
 
-def kappa3(k: int, b):
-    # numerator carries (1 + b^k)^2: expanding the third sign condition for
-    # the shifted family gives the constant term -2 (1 + b^k)^2, exactly as
-    # in the non-shifted family (verified against the 3x3 eigenvalues)
-    return 2.0 * _pow(1.0 - b, 2) * _pow(1.0 + _pow(b, k), 2) / (-fk(k, b))
+def kappa3(k: int, t: SimpleNamespace):
+    # the third sign condition of the shifted family expands with the constant
+    # term -2 (1 + b^k)^2, as in eta3 (verified against the 3x3 eigenvalues)
+    return 2.0 * t.a * _pow(1.0 + t.bk, 2) / (-t.f)
 
 
 # ---------------------------------------------------------------------------
@@ -240,16 +232,19 @@ def _grid(b) -> np.ndarray:
     return grid
 
 
-def _least(k: int, b, grid, branches, gd_limit=None) -> ScalarThreshold:
-    """The least candidate at each b of the grid, and its branch name: each
-    ``(name, mask, formula)`` counts where its mask holds, +inf elsewhere,
-    and ``argmin`` keeps the first of equal values, as ``min`` over the
-    branches in order does.  A ``gd_limit`` wins at b = 0 once k >= 2."""
+def _least(k: int, b, terms, branches, gd_limit=None) -> ScalarThreshold:
+    """The least candidate at each b of ``terms.b``, and its branch name.
+    Each ``(name, mask, formula)`` is ``formula(k, terms at those b)`` where
+    its mask holds and +inf elsewhere; ``argmin`` keeps the first of equal
+    values, as ``min`` over the branches in order does.  A ``gd_limit``
+    wins at b = 0 once k >= 2."""
+    grid = terms.b
     cands = np.full((len(branches), grid.size), np.inf)
     for row, (name, mask, formula) in zip(cands, branches):
+        at = SimpleNamespace(**{n: x[mask] for n, x in vars(terms).items()})
         try:   # no value where a formula divides by zero or makes a nan
             with np.errstate(divide="raise", invalid="raise"):
-                row[mask] = formula(k, grid[mask])
+                row[mask] = formula(k, at)
         except FloatingPointError as exc:   # at a lone b or in any grid
             raise ValueError(f"{name} has no value at some b: {exc}") from None
     pick = np.argmin(cands, axis=0)
@@ -265,26 +260,23 @@ def _least(k: int, b, grid, branches, gd_limit=None) -> ScalarThreshold:
 
 def eta(k: int, b) -> ScalarThreshold:
     """Exact threshold of k-step one-shot (tau < eta / (h^2 m^2)), for a
-    float or an array of b.  k < 1 raises in fk."""
-    grid = _grid(b)
-    above, bk1 = fk(k, grid) > 0.0, _pow(grid, k - 1)
-    # both b^(k-1) branches divide by it and tend to +inf where it underflows
-    return _least(k, b, grid, [("eta21", bk1 > 0.0, eta21),
-                               ("eta22", bk1 < 0.0, eta22),
-                               ("eta3", above, eta3)], gd_limit=2.0)
+    float or an array of b.  k < 1 raises."""
+    t = _terms(k, _grid(b))
+    # the b^(k-1) branches (and kappa's) divide by it: +inf where it underflows
+    return _least(k, b, t, [("eta21", t.bk1 > 0.0, eta21),
+                            ("eta22", t.bk1 < 0.0, eta22),
+                            ("eta3", t.f > 0.0, eta3)], gd_limit=2.0)
 
 
 def kappa(k: int, b) -> ScalarThreshold:
     """Exact threshold of shifted k-step one-shot (tau < kappa / (h^2 m^2)),
-    for a float or an array of b.  k < 1 raises in fk."""
-    grid = _grid(b)
-    below, bk1 = fk(k, grid) < 0.0, _pow(grid, k - 1)
-    # both b^(k-1) branches divide by it and tend to +inf where it underflows
-    return _least(k, b, grid, [("kappa11", bk1 > 0.0, kappa11),
-                               ("kappa12", bk1 < 0.0, kappa12),
-                               ("kappa21", ..., kappa21),
-                               ("kappa22", ..., kappa22),
-                               ("kappa3", below, kappa3)], gd_limit=1.0)
+    for a float or an array of b.  k < 1 raises."""
+    t = _terms(k, _grid(b))
+    return _least(k, b, t, [("kappa11", t.bk1 > 0.0, kappa11),
+                            ("kappa12", t.bk1 < 0.0, kappa12),
+                            ("kappa21", ..., kappa21),
+                            ("kappa22", ..., kappa22),
+                            ("kappa3", t.f < 0.0, kappa3)], gd_limit=1.0)
 
 
 def threshold(kind: SolverKind, k: int, b) -> ScalarThreshold:
@@ -295,7 +287,8 @@ def threshold(kind: SolverKind, k: int, b) -> ScalarThreshold:
     if kind in ONE_SHOT_KINDS:
         return (eta if kind is SolverKind.K_STEP else kappa)(k, b)
     gd = usual_gd_threshold if kind is SolverKind.USUAL_GD else shifted_gd_threshold
-    return _least(0, b, _grid(b), [(kind.value, ..., lambda _, b: gd(b))])
+    return _least(0, b, SimpleNamespace(b=_grid(b)),
+                  [(kind.value, ..., lambda _, t: gd(t.b))])
 
 
 def usual_gd_threshold(b):

@@ -23,9 +23,10 @@ from oneshot.bounds import gd_bound, matrix_bound, shifted_gd_bound
 from oneshot.linear_model import (RealInverseProblem, ScalarProblem, exact_adjoint, exact_state,
                                   helmholtz_toy, random_contraction, realify,
                                   spectral_norm, validate)
-from oneshot.scalar import (CubicCoeffs, eta, fk_roots, jury_marden_cubic,
-                            jury_marden_general, kappa, kappa3,
-                            scalar_iteration_matrix, usual_gd_threshold)
+from oneshot.scalar import (CubicCoeffs, _terms, eta, fk_roots,
+                            jury_marden_cubic, jury_marden_general, kappa,
+                            kappa3, scalar_iteration_matrix,
+                            usual_gd_threshold)
 from oneshot.solvers import (MethodSpec, SolverConfig, SolverKind, Status,
                              run_method)
 from oneshot.spectral import (build_iteration_matrix, converges,
@@ -131,7 +132,8 @@ def test_criterion_03_closed_form_golden_values():
     # third unit-circle sign condition needs p(-1) = tau - 2 (1 + b)^2 < 0,
     # so the branch constant is 2 (1 + b)^2.
     b_grid = [float(b) for b in np.linspace(-0.9, 0.9, 19)]
-    kappa3_dev = max(abs(kappa3(1, b) - 2.0 * (1.0 + b)**2) for b in b_grid)
+    kappa3_dev = max(abs(kappa3(1, _terms(1, b)) - 2.0 * (1.0 + b)**2)
+                     for b in b_grid)
     kappa3_ok = kappa3_dev <= 1e-12
     # Independent of oneshot.scalar: the block oracle's radius crosses 1
     # between 0.99 and 1.01 times 2 (1 + b)^2, with a real eigenvalue leaving

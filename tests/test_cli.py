@@ -93,6 +93,9 @@ class TestBadInput:
          "--b-count", "2"],
         ["bound", "--scalar", "0.99999999906867742538,1,1", "--method",
          "skshot", "--k", "2"],
+        # h^2 m^2 overflows, or underflows to 0
+        ["bound", "--scalar", "0.2,1e200,1", "--method", "kshot"],
+        ["bound", "--scalar", "0.2,1e-200,1e-200", "--method", "kshot"],
     ])
     def test_exit_two_with_one_error_line(self, argv, capsys):
         assert main(argv) == 2
@@ -151,6 +154,19 @@ class TestBadInput:
             assert out == ""
             assert err == ("error: cannot read problem file: "
                            "M has a non-finite entry\n")
+
+    @pytest.mark.parametrize("field,entry", [("B", [{}]), ("n_u", 1e400)])
+    def test_malformed_problem_file(self, valid_problem_file, field, entry,
+                                    capsys):
+        # a non-numeric entry, and a dimension that reads as infinity
+        data = json.loads(valid_problem_file.read_text())
+        data[field] = entry
+        valid_problem_file.write_text(json.dumps(data))
+        assert main(["check", "--problem", str(valid_problem_file)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: cannot read problem file: ")
+        assert err.count("\n") == 1
 
 
 @pytest.fixture

@@ -1,11 +1,13 @@
 """Tests for the exact scalar thresholds and the Jury-Marden criterion."""
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from oneshot import scalar
 from oneshot.linear_model import ScalarProblem
-from oneshot.scalar import (CubicCoeffs, _kappa2_pieces, eta, eta3, eta21,
+from oneshot.scalar import (CubicCoeffs, _terms, eta, eta3, eta21,
                             eta22, fk, fk_roots, jury_marden_cubic,
                             jury_marden_general, kappa, kappa3, kappa11,
                             kappa21, kappa22, scalar_iteration_matrix,
@@ -21,7 +23,8 @@ def _kappa21_direct(k, b):
     """kappa21 as the direct quotient of the root formulas: the reference
     for the library's conjugate-denominator rewrite, accurate only while
     v_k is not tiny."""
-    s, y, v = _kappa2_pieces(k, b)
+    t = _terms(k, b)
+    s, y, v = t.bk, t.y, t.v
     disc = math.sqrt((-4.0*s + 5.0)*v*v + y*y + 2.0*(-2.0*s*s + 2.0*s + 1.0)*v*y)
     return ((2.0*s*s - 2.0*s - 1.0)*v - y + disc) / (2.0*v*v)
 
@@ -100,6 +103,16 @@ class TestFkRoots:
         assert fk_roots(1) == []
         for b in np.linspace(-0.99, 0.99, 21):
             assert fk(1, b) <= 0.0
+
+    def test_fk_is_a_polynomial_beyond_the_threshold_range(self):
+        # f_k(1) = 0 and f_k(-1) = 4k (-1)^k; fk reads f_k from the table
+        # the thresholds share, whose kappa2 pieces divide by (1 - b)^2 = 0
+        # at b = 1, without an error or a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for k in range(1, 6):
+                assert fk(k, 1.0) == 0.0
+                assert fk(k, np.array([1.0, -1.0])).tolist() == [0.0, 4.0*k*(-1)**k]
 
     def test_k2_closed_form(self):
         roots = fk_roots(2)
@@ -185,10 +198,10 @@ class TestKappa:
 
     def test_k1_branch_values(self):
         b = 0.4
-        assert abs(kappa11(1, b) - (1.0 + b * b)) < 1e-14
-        assert abs(kappa21(1, b)
+        assert abs(kappa11(1, _terms(1, b)) - (1.0 + b * b)) < 1e-14
+        assert abs(kappa21(1, _terms(1, b))
                    - (2*b*b - 2*b - 1 + math.sqrt(5.0 - 4.0*b)) / 2.0) < 1e-13
-        assert abs(kappa22(1, b)
+        assert abs(kappa22(1, _terms(1, b))
                    - (2*b*b + 2*b + 1
                       + math.sqrt(8*b*b + 12*b + 5)) / 2.0) < 1e-13
 
@@ -196,7 +209,7 @@ class TestKappa:
         # the third sign condition expands with -2 (1 + b^k)^2, so at k = 1
         # the branch value is 2 (1 + b)^2; the spectral oracle confirms it
         # is the binding branch for strongly negative b
-        assert abs(kappa3(1, -0.9) - 2.0 * (1.0 + (-0.9))**2) < 1e-14
+        assert abs(kappa3(1, _terms(1, -0.9)) - 2.0 * (1.0 + (-0.9))**2) < 1e-14
         t = kappa(1, -0.9)
         assert t.branch == "kappa3"
         assert abs(t.value - 0.02) < 1e-14
@@ -208,8 +221,8 @@ class TestKappa:
         assert rho_lo < 1.0 <= rho_hi
 
     def test_kappa21_limit(self):
-        assert abs(kappa21(60, 0.5) - 0.25) < 1e-12
-        vals = [kappa21(k, 0.5) for k in range(2, 61)]
+        assert abs(kappa21(60, _terms(60, 0.5)) - 0.25) < 1e-12
+        vals = [kappa21(k, _terms(k, 0.5)) for k in range(2, 61)]
         assert abs(vals[-1] - (1.0 - 0.5)**2) < 1e-10
 
     def test_kappa21_naive_cross_check(self):
@@ -219,7 +232,7 @@ class TestKappa:
             for b in [x / 10.0 for x in range(-9, 10) if x != 0]:
                 if abs(b)**(k - 1) < 1e-3:
                     continue
-                stable = kappa21(k, b)
+                stable = kappa21(k, _terms(k, b))
                 naive = _kappa21_direct(k, b)
                 assert abs(stable - naive) < 1e-9 * max(1.0, abs(stable))
 
@@ -298,7 +311,7 @@ class TestKappaNearZero:
 
     def test_kappa22_is_infinite_when_v_vanishes(self):
         # b^(k-1) underflows, so v_k is exactly zero: the limit is +inf
-        assert kappa22(200, 1e-5) == math.inf
+        assert kappa22(200, _terms(200, 1e-5)) == math.inf
 
     @pytest.mark.parametrize("k,b", [(60, 1e-8), (100, -1e-5), (200, -0.0228),
                                      (200, 0.02)])
@@ -373,6 +386,20 @@ class TestArrayThresholds:
                 kappa(2, arg)
         assert eta(2, [0.5, b]).value.tolist() == [eta(2, 0.5).value,
                                                    eta(2, b).value]
+
+    def test_each_power_is_computed_once(self, monkeypatch):
+        # the branches read b^(k-1), b^k, b^(k+1), b^(2k) and (1 - b)^2 from
+        # one table; eta adds (1 - b^k)^2, (1 + b^k)^3 and (1 + b^k)^2 of its
+        # own branches, kappa only the (1 + b^k)^2 of kappa3
+        calls = []
+        pow_ = scalar._pow
+        monkeypatch.setattr(scalar, "_pow",
+                            lambda x, n: calls.append(n) or pow_(x, n))
+        eta(5, self.GRID)
+        assert len(calls) == 8
+        calls.clear()
+        kappa(5, self.GRID)
+        assert len(calls) == 6
 
     @pytest.mark.parametrize("kind", list(SolverKind))
     def test_a_float_b_gives_plain_python_values(self, kind):

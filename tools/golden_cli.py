@@ -85,6 +85,9 @@ def write_problem_files(root: Path) -> None:
     files["complex6.json"] = _complex_file(np.random.default_rng(0), 6, 3, 2)
     real = files["real.json"]
     files["nonfinite.json"] = dict(real, M=[*real["M"][:-1], math.inf])
+    # a non-numeric entry, and a dimension that reads as infinity
+    files["nonnumeric.json"] = dict(real, B=[{}, *real["B"][1:]])
+    files["infdim.json"] = dict(real, n_u=math.inf)
     for name, data in files.items():
         (root / name).write_text(json.dumps(data))
 
@@ -162,6 +165,11 @@ def commands() -> list[list[str]]:
         cmds.append(["bound", "--problem", f"{{work}}/{name}.json", "--method", "gd"])
         cmds.append(["solve", "--problem", f"{{work}}/{name}.json", "--method", "gd",
                      "--tau", "0.01"])
+    # malformed problem files, and h^2 m^2 out of the float range, exit 2
+    for name in ("nonnumeric", "infdim"):
+        cmds.append(["check", "--problem", f"{{work}}/{name}.json"])
+    cmds.append(["bound", "--scalar", "0.2,1e200,1", "--method", "kshot"])
+    cmds.append(["bound", "--scalar", "0.2,1e-200,1e-200", "--method", "kshot"])
     return cmds
 
 
