@@ -16,11 +16,10 @@ from dataclasses import asdict, dataclass
 
 from .linear_model import (RealInverseProblem, data_map, spectral_norm,
                            spectral_radius, tux)
-from .solvers import MethodSpec, SolverKind
-from . import spectral
+from .solvers import MethodSpec
+from . import scalar, spectral
 
 SQRT2 = math.sqrt(2.0)
-GOLDEN_THRESHOLD = (-1.0 + math.sqrt(5.0)) / 2.0
 
 SHIFTED_THETA0_MAX = math.pi / 6.0
 NON_SHIFTED_THETA0_MAX = math.pi / 4.0
@@ -48,7 +47,7 @@ class BoundParams:
 def default_params(shifted: bool, k: int) -> BoundParams:
     theta_max = SHIFTED_THETA0_MAX if shifted else NON_SHIFTED_THETA0_MAX
     theta0 = theta_max if k == 1 else STRICT_THETA0_SCALE * theta_max
-    return BoundParams(theta0=theta0, delta0=1.0)
+    return BoundParams(theta0=theta0)
 
 
 def _check_params(params: BoundParams | None, shifted: bool,
@@ -222,16 +221,13 @@ def matrix_bound(problem: RealInverseProblem, method: MethodSpec,
     evaluates the sharper closed form and reports the larger of the two
     sufficient values.  GD method kinds are forwarded to their exact bounds.
     """
-    if method.kind is SolverKind.USUAL_GD:
-        return gd_bound(problem)
-    if method.kind is SolverKind.SHIFTED_GD:
-        return shifted_gd_bound(problem)
+    shifted, k = method.kind.shifted, method.k
+    if not method.kind.one_shot:
+        return shifted_gd_bound(problem) if shifted else gd_bound(problem)
     rho = spectral_radius(problem.B)
     if rho >= 1.0:
         raise ValueError(f"bounds need rho(B) < 1, got {rho:.6g}")
 
-    shifted = method.kind is SolverKind.SHIFTED_K_STEP
-    k = method.k
     params = _check_params(params, shifted, k)
     nB = spectral_norm(problem.B)
     nH = spectral_norm(problem.H)
@@ -240,17 +236,16 @@ def matrix_bound(problem: RealInverseProblem, method: MethodSpec,
     family = "shifted-one-shot" if shifted else "one-shot"
 
     if nB == 0.0:
-        # the method degenerates: for k = 1 the cubic-root thresholds apply,
-        # for k >= 2 it is plain (shifted) gradient descent with data map H M
+        # the exact scalar threshold at b = 0, over ||H||^2 ||M||^2 at k = 1;
+        # for k >= 2 the method is (shifted) GD with data map H M
+        value = scalar.threshold(method.kind, k, 0.0).value
         if k == 1:
-            hm2 = nH**2 * nM**2
-            value = (GOLDEN_THRESHOLD / hm2) if shifted else (1.0 / hm2)
-            return StepBound(value=value, formula_id=f"{family}:zero-B",
+            return StepBound(value=value / (nH**2 * nM**2),
+                             formula_id=f"{family}:zero-B",
                              params=params, norm_inputs=norms)
         g = spectral_norm(problem.H @ problem.M)
-        value = (1.0 if shifted else 2.0) / g**2
         norms["data_map_norm"] = g
-        return StepBound(value=value, formula_id=f"{family}:zero-B-gd-limit",
+        return StepBound(value=value / g**2, formula_id=f"{family}:zero-B-gd-limit",
                          params=params, norm_inputs=norms)
 
     if k == 1:

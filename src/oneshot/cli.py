@@ -32,8 +32,7 @@ from . import bounds, scalar, spectral
 from .linear_model import (RealInverseProblem, ScalarProblem, exact_state,
                            cost, gradient, helmholtz_toy, load_problem,
                            random_contraction, validate)
-from .solvers import (ONE_SHOT_KINDS, MethodSpec, SolverConfig, SolverKind,
-                      run_method)
+from .solvers import MethodSpec, SolverConfig, SolverKind, run_method
 
 EXIT_INVALID = 1
 EXIT_PARSE = 2
@@ -41,20 +40,14 @@ LINE_SEARCH_SHRINK = 0.5        # --line-search-first: step factor per try,
 LINE_SEARCH_ARMIJO = 1e-4       # sufficient-decrease slope,
 LINE_SEARCH_TRIES = 30          # and tries before the last step is kept
 
-METHOD_NAMES = {
-    "gd": SolverKind.USUAL_GD,
-    "sgd": SolverKind.SHIFTED_GD,
-    "kshot": SolverKind.K_STEP,
-    "skshot": SolverKind.SHIFTED_K_STEP,
-}
-
 
 def _method_kind(name: str) -> SolverKind:
     """The solver kind of a method name; the one lookup of CLI names."""
-    if name not in METHOD_NAMES:
+    try:
+        return SolverKind(name)
+    except ValueError:
         raise ValueError(f"unknown method {name!r}, choose from "
-                         f"{', '.join(METHOD_NAMES)}")
-    return METHOD_NAMES[name]
+                         f"{', '.join(kind.value for kind in SolverKind)}") from None
 
 
 def _parse_scalar(text: str) -> ScalarProblem:
@@ -122,18 +115,15 @@ def _cmd_bound(args) -> int:
     if args.scalar:
         sp = _parse_scalar(args.scalar)
         thr = scalar.threshold(kind, args.k, sp.b)
-        try:   # h^2 m^2, or the quotient, may leave the float range
-            value = thr.value / (sp.h**2 * sp.m**2)
-        except ArithmeticError:
-            value = math.nan
-        if not 0.0 < value < math.inf:   # written so that nan fails too
+        value = thr.value / (sp.h**2 * sp.m**2)   # sp keeps h^2 m^2 a float
+        if not 0.0 < value < math.inf:   # the quotient may leave the range
             raise ValueError("h^2 m^2 puts the step bound out of the float range")
         print(json.dumps({"b": sp.b, "h": sp.h, "m": sp.m, "k": args.k,
                           "method": args.method, "value": value,
                           "branch": thr.branch}))
         return 0
     problem = _load_problem_arg(args)
-    defaults = bounds.default_params(kind is SolverKind.SHIFTED_K_STEP, args.k)
+    defaults = bounds.default_params(kind.shifted, args.k)
     params = bounds.BoundParams(
         theta0=defaults.theta0 if args.theta0 is None else args.theta0,
         delta0=defaults.delta0 if args.delta0 is None else args.delta0)
@@ -228,16 +218,14 @@ def _cmd_sweep(args) -> int:
 def _cmd_scalar_region(args) -> int:
     ks = [int(x) for x in args.k.split(",")]
     bs = np.linspace(args.b_min, args.b_max, args.b_count)
-    if args.b_min <= -1.0 or args.b_max >= 1.0:
-        raise ValueError("the b grid must stay inside (-1, 1)")
-    methods = args.method.split(",") if args.method else list(METHOD_NAMES)
+    kinds = ([_method_kind(name) for name in args.method.split(",")]
+             if args.method else list(SolverKind))
     columns = []   # per (method, k): the rows' middle, values and branches
-    for name in methods:
-        kind = _method_kind(name)
+    for kind in kinds:
         # GD rows come once per b and carry k = 0: no inner iterations
-        for k in (ks if kind in ONE_SHOT_KINDS else ks[:1]):
+        for k in (ks if kind.one_shot else ks[:1]):
             thr = scalar.threshold(kind, k, bs)
-            columns.append((f",{thr.k},{name},", thr.value.tolist(),
+            columns.append((f",{thr.k},{kind.value},", thr.value.tolist(),
                             thr.branch.tolist()))
     lines = itertools.chain(["b,k,method,threshold,branch\n"], (
         f"{b}{mid}{values[i]:.17g},{branches[i]}\n"   # made as it is written

@@ -110,7 +110,8 @@ class AssumptionReport:
 
 @dataclass(frozen=True)
 class ScalarProblem:
-    """The scalar case: state factor b in (-1, 1), finite nonzero h and m."""
+    """The scalar case: state factor b in (-1, 1); h, m, their squares and
+    h^2 m^2 finite and nonzero."""
 
     b: float
     h: float
@@ -119,8 +120,10 @@ class ScalarProblem:
     def __post_init__(self):
         if not -1.0 < self.b < 1.0:
             raise ValueError(f"b must lie in (-1, 1), got {self.b}")
-        if not all(np.isfinite(v) and v != 0.0 for v in (self.h, self.m)):
-            raise ValueError("h and m must be finite and nonzero")
+        h, m = float(self.h), float(self.m)   # a float ** raises on overflow
+        if not all(0.0 < v < np.inf for v in (h * h, m * m, (h * h) * (m * m))):
+            raise ValueError("h and m must be finite and nonzero, "
+                             "and so must h^2, m^2 and h^2 m^2")
 
     def as_problem(self) -> RealInverseProblem:
         """Embed as a 1x1 :class:`RealInverseProblem` with F = 0."""

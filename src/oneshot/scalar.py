@@ -21,7 +21,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .linear_model import ScalarProblem
-from .solvers import ONE_SHOT_KINDS, SolverKind
+from .solvers import SolverKind
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +242,8 @@ def _least(k: int, b, terms, branches, gd_limit=None) -> ScalarThreshold:
     cands = np.full((len(branches), grid.size), np.inf)
     for row, (name, mask, formula) in zip(cands, branches):
         at = SimpleNamespace(**{n: x[mask] for n, x in vars(terms).items()})
-        try:   # no value where a formula divides by zero or makes a nan
-            with np.errstate(divide="raise", invalid="raise"):
+        try:   # a zero divisor or a nan leaves no value; an overflow is +inf
+            with np.errstate(divide="raise", invalid="raise", over="ignore"):
                 row[mask] = formula(k, at)
         except FloatingPointError as exc:   # at a lone b or in any grid
             raise ValueError(f"{name} has no value at some b: {exc}") from None
@@ -284,9 +284,9 @@ def threshold(kind: SolverKind, k: int, b) -> ScalarThreshold:
     array of b.  The one-shot kinds go to :func:`eta` and :func:`kappa`;
     the GD kinds have no inner sweeps, so they ignore k, report k = 0 and
     name their branch after the kind ("gd" or "sgd")."""
-    if kind in ONE_SHOT_KINDS:
-        return (eta if kind is SolverKind.K_STEP else kappa)(k, b)
-    gd = usual_gd_threshold if kind is SolverKind.USUAL_GD else shifted_gd_threshold
+    if kind.one_shot:
+        return (kappa if kind.shifted else eta)(k, b)
+    gd = shifted_gd_threshold if kind.shifted else usual_gd_threshold
     return _least(0, b, SimpleNamespace(b=_grid(b)),
                   [(kind.value, ..., lambda _, t: gd(t.b))])
 

@@ -4,7 +4,8 @@ Two reference methods solve state and adjoint exactly each outer step (usual
 and shifted gradient descent); the one-shot methods replace those solves by k
 warm-started coupled fixed-point sweeps, using either the fresh parameter
 iterate (k-step one-shot) or the previous one (shifted k-step one-shot, whose
-three updates can run simultaneously).
+three updates can run simultaneously).  ``SolverKind`` names the four methods
+and carries these two choices as its flags ``one_shot`` and ``shifted``.
 """
 from __future__ import annotations
 
@@ -24,8 +25,17 @@ class SolverKind(enum.Enum):
     K_STEP = "kshot"
     SHIFTED_K_STEP = "skshot"
 
+    @property
+    def one_shot(self) -> bool:
+        """k inner sweeps per outer step, in place of exact solves."""
+        return self in (SolverKind.K_STEP, SolverKind.SHIFTED_K_STEP)
 
-ONE_SHOT_KINDS = (SolverKind.K_STEP, SolverKind.SHIFTED_K_STEP)
+    @property
+    def shifted(self) -> bool:
+        """(u, p) are refreshed from the previous sigma, not the fresh one."""
+        return self in (SolverKind.SHIFTED_GD, SolverKind.SHIFTED_K_STEP)
+
+
 DIVERGENCE_THRESHOLD = 1e12     # ||sigma - sigma0|| beyond this: diverged
 
 
@@ -39,10 +49,6 @@ class MethodSpec:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError(f"k must be at least 1, got {self.k}")
-
-    @property
-    def shifted(self) -> bool:
-        return self.kind in (SolverKind.SHIFTED_GD, SolverKind.SHIFTED_K_STEP)
 
 
 @dataclass(frozen=True)
@@ -165,7 +171,7 @@ def run_method(method: MethodSpec, problem, f, sigma0, config,
     trace = ConvergenceTrace(method=method, tau=config.tau)
     cost_ref = grad_ref = None
     sigma = sigma0.copy()
-    one_shot = method.kind in ONE_SHOT_KINDS
+    one_shot, shifted = method.kind.one_shot, method.kind.shifted
     if one_shot:
         u, p = (np.zeros(problem.n_u) if v is None
                 else np.asarray(v, dtype=float).reshape(-1).copy() for v in (u0, p0))
@@ -202,10 +208,10 @@ def run_method(method: MethodSpec, problem, f, sigma0, config,
         if n == config.max_outer:
             break           # the status stays MAX_ITER
         sigma_new = sigma - tau * grad
-        sigma_state = sigma if method.shifted else sigma_new
+        sigma_state = sigma if shifted else sigma_new
         if one_shot:
             u, p = sweep(u, p, sigma_state)
-        elif n > 0 or not method.shifted:
+        elif n > 0 or not shifted:
             u = exact_state(problem, sigma_state)
             p = adjoint_from_state(problem, u, f)
         sigma = sigma_new

@@ -19,7 +19,7 @@ import numpy as np
 
 from .linear_model import (RealInverseProblem, TUXTriple, _require_real,
                            spectral_radius, tux)
-from .solvers import ONE_SHOT_KINDS, MethodSpec
+from .solvers import MethodSpec
 
 CONVERGENCE_MARGIN = 1e-10
 LEVEL_MARGIN = 2e-12        # first relative gap of the s(T) level above the best value
@@ -47,14 +47,14 @@ def build_iteration_matrix(problem: RealInverseProblem, method: MethodSpec,
         raise ValueError(f"tau must be positive and finite, got {tau}")
     B, M, H = problem.B, problem.M, problem.H
     n_u, n_s = problem.n_u, problem.n_sigma
-    if method.kind in ONE_SHOT_KINDS:
+    if method.kind.one_shot:
         t = tux(B, H, method.k)
         Bk, T, U, X = t.Bk, t.T, t.U, t.X
     else:
         T = problem.state_inverse
         X = T.T @ (H.T @ H) @ T
         Bk = U = np.zeros((n_u, n_u))
-    if method.shifted:
+    if method.kind.shifted:
         P, Q = Bk.T, np.zeros((n_u, n_u))
     else:
         P, Q = Bk.T - tau * X @ M @ M.T, -tau * T @ M @ M.T

@@ -53,3 +53,22 @@ def test_sweep_operators_live_in_linear_model():
     assert (oneshot.TUXTriple is oneshot.spectral.TUXTriple
             is oneshot.linear_model.TUXTriple)
     assert oneshot.solvers.tux is oneshot.linear_model.tux
+
+
+def test_solver_kind_is_the_method_table():
+    # the method names, and which kinds are one-shot or shifted, are read
+    # from SolverKind: no module keeps a copy of them
+    assert not hasattr(oneshot.cli, "METHOD_NAMES")
+    assert not hasattr(oneshot.solvers, "ONE_SHOT_KINDS")
+    assert not hasattr(oneshot.bounds, "GOLDEN_THRESHOLD")
+    assert "shifted" not in dir(oneshot.solvers.MethodSpec)
+    kinds = oneshot.solvers.SolverKind
+    for kind in kinds:
+        assert oneshot.cli._method_kind(kind.value) is kind
+    flags = {kind.value: (kind.one_shot, kind.shifted) for kind in kinds}
+    assert flags == {"gd": (False, False), "sgd": (False, True),
+                     "kshot": (True, False), "skshot": (True, True)}
+    with pytest.raises(ValueError) as exc:
+        oneshot.cli._method_kind("foo")
+    assert str(exc.value) == ("unknown method 'foo', choose from "
+                              "gd, sgd, kshot, skshot")

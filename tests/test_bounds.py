@@ -6,6 +6,7 @@ import pytest
 
 from oneshot.bounds import (BoundParams, closed_form, default_params,
                             gd_bound, matrix_bound, shifted_gd_bound)
+from oneshot import scalar
 from oneshot.linear_model import (RealInverseProblem, ScalarProblem,
                                   random_contraction, spectral_norm,
                                   spectral_radius)
@@ -269,6 +270,14 @@ class TestMatrixBound:
         sb = matrix_bound(p, MethodSpec(SolverKind.SHIFTED_K_STEP, 2))
         for key in ("norm_B", "norm_H", "norm_M", "s_Bk", "norm_Tk", "norm_Xk"):
             assert key in sb.norm_inputs
+
+    @pytest.mark.parametrize("kind", [SolverKind.K_STEP, SolverKind.SHIFTED_K_STEP])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_zero_B_is_the_exact_scalar_threshold_at_b_zero(self, kind, k):
+        p = RealInverseProblem(B=[[0.0]], M=[[1.0]], H=[[1.0]], F=[0.0])
+        sb = matrix_bound(p, MethodSpec(kind, k))
+        assert sb.formula_id.endswith("zero-B" if k == 1 else "zero-B-gd-limit")
+        assert sb.value == scalar.threshold(kind, k, 0.0).value
 
     def test_rejects_non_contractive_spectrum(self):
         p = RealInverseProblem(B=[[1.5]], M=[[1.0]], H=[[1.0]], F=[0.0])

@@ -96,6 +96,14 @@ class TestBadInput:
         # h^2 m^2 overflows, or underflows to 0
         ["bound", "--scalar", "0.2,1e200,1", "--method", "kshot"],
         ["bound", "--scalar", "0.2,1e-200,1e-200", "--method", "kshot"],
+        # the scalar problem itself keeps h^2, m^2 and h^2 m^2 in range
+        ["solve", "--scalar", "0.2,1e200,1", "--method", "kshot", "--tau", "0.1"],
+        ["sweep", "--scalar", "0.2,1e200,1", "--method", "gd", "--tau", "0.1",
+         "--out", "never_written"],
+        ["solve", "--scalar", "0.2,1e-200,1e-200", "--method", "kshot",
+         "--tau", "0.1"],
+        ["sweep", "--scalar", "0.2,1e-200,1e-200", "--method", "gd",
+         "--tau", "0.1", "--out", "never_written"],
     ])
     def test_exit_two_with_one_error_line(self, argv, capsys):
         assert main(argv) == 2

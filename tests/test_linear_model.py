@@ -526,3 +526,12 @@ class TestStateInverse:
         data_map(p)
         build_iteration_matrix(p, MethodSpec(kind), 0.01)
         assert calls == ["inv"]
+
+
+@pytest.mark.parametrize("h,m", [(1e200, 1.0), (1.0, 1e-170), (1e-200, 1e-200),
+                                 (1e100, 1e110)])
+def test_scalar_problem_squares_stay_in_the_float_range(h, m):
+    # h^2, m^2 or h^2 m^2 overflows, or underflows to 0
+    with pytest.raises(ValueError, match="h\\^2, m\\^2 and h\\^2 m\\^2"):
+        ScalarProblem(b=0.2, h=h, m=m)
+    ScalarProblem(b=0.2, h=1e-160, m=1.0)    # h^2 m^2 is subnormal, not 0

@@ -324,6 +324,17 @@ class TestKappaNearZero:
             assert math.isfinite(value) and value > 0.0
             assert _radius_crosses_one(kind, k, b, value)
 
+    @pytest.mark.parametrize("k", [20, 40, 60])
+    def test_an_overflowing_branch_is_silent(self, k):
+        # where a branch overflows there, its +inf loses the minimum silently
+        bs = np.logspace(-17, -8, 40)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for b in np.concatenate([bs, -bs]).tolist():
+                for thr in (eta, kappa):
+                    value = thr(k, b).value
+                    assert math.isfinite(value) and value > 0.0
+
 
 def _bits(values):
     return np.asarray(values, dtype=float).view(np.int64)

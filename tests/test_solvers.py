@@ -222,7 +222,7 @@ class TestFusedStep:
         cfg = SolverConfig(tau=0.05, max_outer=30, tol_cost=1e-300, tol_grad=1e-300)
         trace = run_method(MethodSpec(kind, 3), p, f, np.zeros(2), cfg)
         assert len(trace) == 31
-        one_shot = kind in solvers.ONE_SHOT_KINDS
+        one_shot = kind.one_shot
         assert calls == (["_sweep_map", "tux"] if one_shot else [])
 
     @pytest.mark.parametrize("kind", list(SolverKind))

@@ -170,6 +170,17 @@ def commands() -> list[list[str]]:
         cmds.append(["check", "--problem", f"{{work}}/{name}.json"])
     cmds.append(["bound", "--scalar", "0.2,1e200,1", "--method", "kshot"])
     cmds.append(["bound", "--scalar", "0.2,1e-200,1e-200", "--method", "kshot"])
+    # the scalar problem keeps h^2 in range for solve and sweep as well
+    cmds.append(["solve", "--scalar", "0.2,1e200,1", "--method", "kshot",
+                 "--tau", "0.1"])
+    cmds.append(["sweep", "--scalar", "0.2,1e200,1", "--method", "gd",
+                 "--tau", "0.1", "--out", "{work}/out/sweep_big_h"])
+    # a threshold branch that overflows to +inf warns nothing
+    cmds.append(["bound", "--scalar", "3.1622776601683795e-09,1,1",
+                 "--method", "skshot", "--k", "20"])
+    # an end of the b grid outside (-1, 1) is named as the first bad b
+    cmds.append(["scalar-region", "--b-min", "-1", "--b-max", "0.5",
+                 "--b-count", "3"])
     return cmds
 
 
