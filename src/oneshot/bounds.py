@@ -14,8 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-from .linear_model import (RealInverseProblem, data_map, spectral_norm,
-                           spectral_radius, tux)
+from .linear_model import (RealInverseProblem, _contraction_bound, data_map,
+                           spectral_norm, tux)
 from .solvers import MethodSpec
 from . import scalar, spectral
 
@@ -126,7 +126,7 @@ def closed_form(k: int, b: float, params: BoundParams | None,
         raise ValueError(f"{name} needs {'0 <' if k == 1 else '0 <='} b < 1 "
                          f"at k = {k}, got {b}")
     if b == 0.0:
-        return 1.0 if shifted else 2.0
+        return scalar._SGD_LIMIT if shifted else scalar._GD_LIMIT
     params = _check_params(params, shifted, k)
     th, d0 = params.theta0, params.delta0
     half = 2.5 if shifted else 1.5
@@ -224,12 +224,12 @@ def matrix_bound(problem: RealInverseProblem, method: MethodSpec,
     shifted, k = method.kind.shifted, method.k
     if not method.kind.one_shot:
         return shifted_gd_bound(problem) if shifted else gd_bound(problem)
-    rho = spectral_radius(problem.B)
+    nB = spectral_norm(problem.B)
+    rho = _contraction_bound(problem.B, nB)
     if rho >= 1.0:
         raise ValueError(f"bounds need rho(B) < 1, got {rho:.6g}")
 
     params = _check_params(params, shifted, k)
-    nB = spectral_norm(problem.B)
     nH = spectral_norm(problem.H)
     nM = spectral_norm(problem.M)
     norms = {"norm_B": nB, "norm_H": nH, "norm_M": nM}

@@ -265,7 +265,7 @@ def eta(k: int, b) -> ScalarThreshold:
     # the b^(k-1) branches (and kappa's) divide by it: +inf where it underflows
     return _least(k, b, t, [("eta21", t.bk1 > 0.0, eta21),
                             ("eta22", t.bk1 < 0.0, eta22),
-                            ("eta3", t.f > 0.0, eta3)], gd_limit=2.0)
+                            ("eta3", t.f > 0.0, eta3)], gd_limit=_GD_LIMIT)
 
 
 def kappa(k: int, b) -> ScalarThreshold:
@@ -276,7 +276,7 @@ def kappa(k: int, b) -> ScalarThreshold:
                             ("kappa12", t.bk1 < 0.0, kappa12),
                             ("kappa21", ..., kappa21),
                             ("kappa22", ..., kappa22),
-                            ("kappa3", t.f < 0.0, kappa3)], gd_limit=1.0)
+                            ("kappa3", t.f < 0.0, kappa3)], gd_limit=_SGD_LIMIT)
 
 
 def threshold(kind: SolverKind, k: int, b) -> ScalarThreshold:
@@ -299,6 +299,10 @@ def usual_gd_threshold(b):
 def shifted_gd_threshold(b):
     """Exact normalized threshold of shifted gradient descent, (1-b)^2."""
     return _pow(1.0 - b, 2)
+
+
+# eta and kappa at b = 0 for k >= 2, where the one-shot method is exactly GD
+_GD_LIMIT, _SGD_LIMIT = usual_gd_threshold(0.0), shifted_gd_threshold(0.0)
 
 
 # ---------------------------------------------------------------------------

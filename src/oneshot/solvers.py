@@ -37,6 +37,7 @@ class SolverKind(enum.Enum):
 
 
 DIVERGENCE_THRESHOLD = 1e12     # ||sigma - sigma0|| beyond this: diverged
+PANEL_BYTES = 1 << 20           # a B^k row panel, about half an L2 cache
 
 
 @dataclass(frozen=True)
@@ -117,11 +118,8 @@ class ConvergenceTrace:
 
 
 def _relative(value: float, ref: float | None) -> float:
-    if value == 0.0:
-        return 0.0
-    if ref is None or ref <= 0.0:
-        return math.inf
-    return value / ref
+    # ref is the first positive value, None while there has been none
+    return 0.0 if value == 0.0 else math.inf if ref is None else value / ref
 
 
 def _sweep_map(problem, f, k: int):
@@ -129,10 +127,11 @@ def _sweep_map(problem, f, k: int):
     u <- B^k u + T_k (M sigma + F) and p <- (B*)^k p + U_k u
     + X_k (M sigma + F) - T_k* H* f, both from the old (u, p).  U_k = L* R
     with L = [H; H B; ...; H B^{k-1}] and R its blocks reversed; when L has
-    at most n_u / 2 rows (a measured crossover) U_k u is applied as L*(R u)."""
+    at most n_u / 2 rows (a measured crossover) U_k u is applied as L*(R u).
+    Each row panel of B^k (one if B^k fits PANEL_BYTES) serves both products."""
     B, M, H, F, n = problem.B, problem.M, problem.H, problem.F, problem.n_u
     t = tux(B, H, k)
-    Bk, TXM = t.Bk, np.vstack([t.T @ M, t.X @ M])
+    TXM = np.vstack([t.T @ M, t.X @ M])
     c = np.concatenate([t.T @ F, t.X @ F - t.T.T @ (H.T @ f)])
     if 2 * k * problem.n_f <= n:
         L = np.vstack(list(itertools.accumulate([H] + [B] * (k - 1), np.matmul)))
@@ -141,10 +140,16 @@ def _sweep_map(problem, f, k: int):
             return L.T @ (L @ u).reshape(k, -1)[::-1].ravel()
     else:
         apply_U = t.U.__matmul__
+    rows = max(1, PANEL_BYTES // (8 * n))
+    panels = [(slice(i, i + rows), t.Bk[i:i + rows]) for i in range(0, n, rows)]
 
     def sweep(u, p, sigma):
         w = TXM @ sigma + c     # [T_k M; X_k M] sigma + the constant parts
-        return Bk @ u + w[:n], Bk.T @ p + apply_U(u) + w[n:]
+        u_new, p_new = np.empty(n), apply_U(u)
+        for r, A in panels:
+            np.matmul(A, u, out=u_new[r])
+            p_new += A.T @ p[r]     # while the panel is still in cache
+        return u_new + w[:n], p_new + w[n:]
     return sweep
 
 
@@ -185,16 +190,15 @@ def run_method(method: MethodSpec, problem, f, sigma0, config,
         c = 0.5 * float(r @ r)
         grad = M.T @ p
         g = math.sqrt(grad @ grad)      # np.linalg.norm's formula, less overhead
-        trace.sigma.append(sigma.copy())
+        trace.sigma.append(sigma)       # a new array each step, never changed
         trace.cost.append(c)
         trace.grad_norm.append(g)
-        trace.err_sigma.append(
-            math.nan if sigma_exact is None
-            else float(np.linalg.norm(sigma - sigma_exact)))
+        d = None if sigma_exact is None else sigma - sigma_exact
+        trace.err_sigma.append(math.nan if d is None else math.sqrt(d @ d))
         trace.accumulated_inner.append(1 + n * (method.k if one_shot else 1))
-        # a nan or inf in sigma makes the distance fail the comparison too
+        d = sigma - sigma0      # a nan or inf fails the comparison below too
         if not (math.isfinite(c) and math.isfinite(g)
-                and np.linalg.norm(sigma - sigma0) <= DIVERGENCE_THRESHOLD):
+                and math.sqrt(d @ d) <= DIVERGENCE_THRESHOLD):
             trace.status = Status.DIVERGED
             break
         if cost_ref is None and c > 0.0:

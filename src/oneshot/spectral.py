@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linear_model import (RealInverseProblem, TUXTriple, _require_real,
-                           spectral_radius, tux)
+from .linear_model import (RealInverseProblem, TUXTriple, _contraction_bound,
+                           _require_real, spectral_radius, tux)
 from .solvers import MethodSpec
 
 CONVERGENCE_MARGIN = 1e-10
@@ -100,7 +100,8 @@ def s_functional(T: np.ndarray, n_samples: int = 16) -> float:
     e^{i phi} is an eigenvalue of z [[I, 0], [I/gamma, T^T]] -
     [[T, I/gamma], [0, I]].  At gamma = (1 + 2e-12) * best, the midpoints of
     the crossing angles raise best, until no eigenvalue lies on the unit
-    circle; that gamma bounds s(T) from above.  Needs real T, rho(T) < 1.
+    circle; that gamma bounds s(T) from above.  Needs real T, rho(T) < 1
+    (certified by ||T||_inf < 1 where it holds, else by an eigensolve).
     """
     import scipy.linalg     # deferred: the import costs about 0.25 s
 
@@ -109,7 +110,7 @@ def s_functional(T: np.ndarray, n_samples: int = 16) -> float:
         raise ValueError(f"n_samples too small: {n_samples}")
     if not T.any():
         return 1.0          # the resolvent is I
-    rho = spectral_radius(T)
+    rho = _contraction_bound(T)
     if rho >= 1.0:
         raise ValueError(f"s(T) requires rho(T) < 1, got rho = {rho:.6g}")
     eye, zero = np.eye(T.shape[0]), np.zeros(T.shape)

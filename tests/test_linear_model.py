@@ -12,6 +12,8 @@ from oneshot.linear_model import (RealInverseProblem, ScalarProblem, cost,
                                   problem_from_dict, problem_to_dict,
                                   random_contraction, realify, save_problem,
                                   spectral_norm, validate)
+from oneshot import linear_model, spectral
+from oneshot.bounds import matrix_bound
 from oneshot.linear_model import (_boundary_rhs, _five_point_operator,
                                   adjoint_from_state)
 from oneshot.solvers import MethodSpec, SolverConfig, SolverKind, run_method
@@ -535,3 +537,54 @@ def test_scalar_problem_squares_stay_in_the_float_range(h, m):
     with pytest.raises(ValueError, match="h\\^2, m\\^2 and h\\^2 m\\^2"):
         ScalarProblem(b=0.2, h=h, m=m)
     ScalarProblem(b=0.2, h=1e-160, m=1.0)    # h^2 m^2 is subnormal, not 0
+
+
+class TestContractionCertificate:
+    """rho(B) <= ||B|| in any induced norm: below 1, it settles rho(B) < 1
+    with no eigensolve; otherwise the radius is computed and reported."""
+
+    @pytest.fixture
+    def radius_calls(self, monkeypatch):
+        calls, radius = [], linear_model.spectral_radius
+        monkeypatch.setattr(linear_model, "spectral_radius",
+                            lambda a: calls.append(a) or radius(a))
+        return calls
+
+    def test_helmholtz_small_norm_needs_no_eigensolve(self, radius_calls):
+        p = helmholtz_toy(8, 2 * np.pi, 0.01, seed=3)
+        assert np.linalg.norm(p.B, np.inf) < 0.15
+        assert radius_calls == []
+
+    def test_helmholtz_norm_above_one_takes_the_eigensolve(self, radius_calls):
+        p = helmholtz_toy(8, 2 * np.pi, 0.08, seed=3)
+        assert np.linalg.norm(p.B, np.inf) > 1.0
+        assert len(radius_calls) == 1
+        assert 0.7 < np.max(np.abs(np.linalg.eigvals(p.B))) < 0.75
+
+    def test_helmholtz_rejection_reports_the_radius(self, radius_calls):
+        with pytest.raises(ValueError, match=r"\(rho\(B\) = [0-9.]+ >= 1\)"):
+            helmholtz_toy(8, 2 * np.pi, 50.0, seed=3)
+        assert len(radius_calls) == 1
+
+    def test_bound_and_s_need_no_eigensolve_below_norm_one(self, radius_calls):
+        p = random_contraction(8, 2, 4, 0.5, seed=1)
+        radius_calls.clear()            # validate's own eigensolve
+        for kind in (SolverKind.K_STEP, SolverKind.SHIFTED_K_STEP):
+            for k in (1, 2):
+                matrix_bound(p, MethodSpec(kind, k))
+        spectral.s_functional(p.B)
+        assert radius_calls == []
+
+    def test_non_normal_B_takes_the_eigensolve(self, radius_calls):
+        p = _nonnormal_problem()       # ||B|| > 1, rho(B) = 0.5
+        sb = matrix_bound(p, MethodSpec(SolverKind.K_STEP, 1))
+        assert sb.formula_id.endswith("resolvent")
+        assert radius_calls[0] is p.B
+
+    def test_error_texts_name_the_radius(self):
+        B = 1.1 * np.eye(3)
+        p = RealInverseProblem(B=B, M=np.ones((3, 1)), H=np.eye(3), F=np.zeros(3))
+        with pytest.raises(ValueError, match=r"bounds need rho\(B\) < 1, got 1\.1$"):
+            matrix_bound(p, MethodSpec(SolverKind.K_STEP, 2))
+        with pytest.raises(ValueError, match=r"rho\(T\) < 1, got rho = 1\.1$"):
+            spectral.s_functional(B)

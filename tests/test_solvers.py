@@ -178,15 +178,23 @@ def _sweep_loop(problem, f, k):
 @pytest.fixture(scope="module")
 def fused_problems():
     # U_k is applied factored where 2 k n_f <= n_u: on H12 at k = 1, and on
-    # the few-measurement problem for k <= 5
+    # the few-measurement and the two-panel problems for k <= 5
     return {"scalar": ScalarProblem(0.2, 1.0, 1.0).as_problem(),
             "random": random_contraction(20, 3, 10, 0.5, seed=1),
             "H12": helmholtz_toy(12, 2.0 * math.pi, 0.01, seed=3),
-            "few-measurements": random_contraction(40, 3, 4, 0.5, seed=2)}
+            "few-measurements": random_contraction(40, 3, 4, 0.5, seed=2),
+            "two-panels": random_contraction(400, 3, 40, 0.5, seed=4)}
 
 
 class TestFusedStep:
-    @pytest.mark.parametrize("name", ["scalar", "random", "H12", "few-measurements"])
+    def test_the_large_problem_spans_two_panels(self, fused_problems):
+        n = fused_problems["two-panels"].n_u
+        rows = solvers.PANEL_BYTES // (8 * n)
+        assert rows < n <= 2 * rows
+        assert 8 * fused_problems["H12"].n_u ** 2 <= solvers.PANEL_BYTES
+
+    @pytest.mark.parametrize("name", ["scalar", "random", "H12", "few-measurements",
+                                      "two-panels"])
     @pytest.mark.parametrize("k", [1, 2, 3, 5, 8])
     @pytest.mark.parametrize("kind", [SolverKind.K_STEP, SolverKind.SHIFTED_K_STEP])
     def test_matches_the_sweep_loop(self, fused_problems, name, k, kind,

@@ -125,6 +125,10 @@ def commands() -> list[list[str]]:
         for k in ("5", "8"):
             cmds.append(["solve", *H12, "--method", method, "--k", k,
                          "--tau", H12_TAU, "--max-outer", "150"])
+    # n_u = 400: B^k spans two row panels of the fused one-shot step
+    cmds.append(["solve", "--helmholtz", "20,6.283185307179586,0.01", "--seed", "3",
+                 "--method", "kshot", "--k", "2", "--tau", "0.0004",
+                 "--max-outer", "200"])
     # exact start, sigma0 = sigma_ex: data and state come from the same solve,
     # so the misfit is exactly 0 and the run stops at its first row
     for method in ("gd", "sgd"):
