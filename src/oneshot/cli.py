@@ -250,9 +250,13 @@ def _add_problem_sources(p: argparse.ArgumentParser) -> None:
 
 
 def _add_run_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--sigma-ex", dest="sigma_ex", type=float, default=10.0,
+    def finite_float(text: str) -> float:
+        if not math.isfinite(value := float(text)):
+            raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+        return value
+    p.add_argument("--sigma-ex", dest="sigma_ex", type=finite_float, default=10.0,
                    help="exact parameter value per component")
-    p.add_argument("--sigma0", type=float, default=12.0,
+    p.add_argument("--sigma0", type=finite_float, default=12.0,
                    help="initial guess per component")
     p.add_argument("--max-outer", dest="max_outer", type=int, default=2000)
     p.add_argument("--line-search-first", action="store_true",

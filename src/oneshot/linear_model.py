@@ -235,32 +235,37 @@ def realify(B, M, H, F) -> RealInverseProblem:
 
 @dataclass(frozen=True)
 class TUXTriple:
-    """T_k = sum_{j<k} B^j, U_k = sum_{i+j=k-1} (B*)^i H*H B^j,
-    X_k = sum_{l<k} U_l (zero for k = 1), and the power B^k."""
+    """Operators of k sweeps: T_k = sum_{j<k} B^j, X_k = sum_{l<k} U_l (0 at
+    k = 1), B^k, and L = [H; H B; ...; H B^{k-1}] as blocks L[j] = H B^j of
+    shape (k, n_f, n_u).  U_k = sum_{i+j=k-1} (B*)^i H*H B^j = L* R, with R
+    the blocks of L reversed, is formed on first use."""
 
     T: np.ndarray
-    U: np.ndarray
     X: np.ndarray
     Bk: np.ndarray
+    L: np.ndarray
+
+    @cached_property
+    def U(self) -> np.ndarray:
+        return np.tensordot(self.L, self.L[::-1], ([0, 1], [0, 1]))
 
 
 def tux(B: np.ndarray, H: np.ndarray, k: int) -> TUXTriple:
-    """Build (T_k, U_k, X_k) and B^k by the one-step recursions.
-
-    T_{l+1} = T_l + B^l, U_{l+1} = B* U_l + H*H B^l and
-    X_{l+1} = B* X_l + H*H T_l, started from T_1 = I, U_1 = H*H, X_1 = 0.
-    """
+    """T_k, B^k and L from the powers of B, and X_k = sum_{i+j<=k-2} L[i]* L[j]
+    as one product of stacked blocks, sum_{i<k-1} L[i]* (H T_{k-1-i})."""
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
-    B, H = _require_real(B), _require_real(H)
-    HtH = H.T @ H
-    T, U, X, Bl = np.eye(len(B)), HtH.copy(), np.zeros(B.shape), np.eye(len(B))
-    for _ in range(1, k):
-        X = B.T @ X + HtH @ T
-        Bl = Bl @ B
-        U = B.T @ U + HtH @ Bl
-        T = T + Bl
-    return TUXTriple(T=T, U=U, X=X, Bk=Bl @ B)
+    B, H = _require_real(B).astype(float, copy=False), _require_real(H)
+    L, HT = np.empty((k, *H.shape)), np.empty((k, *H.shape))
+    L[0] = HT[0] = H                # HT[j] = H T_{j+1}
+    T, Bl = np.eye(len(B)), B
+    for l in range(1, k):
+        np.matmul(L[l - 1], B, out=L[l])
+        T, Bl = T + Bl, Bl @ B
+        if l < k - 1:
+            np.matmul(H, T, out=HT[l])
+    X = np.tensordot(L[:k - 1], HT[:k - 1][::-1], ([0, 1], [0, 1]))
+    return TUXTriple(T=T, X=X, Bk=Bl, L=L)
 
 
 def random_contraction(n_u: int, n_sigma: int, n_f: int, target_norm: float,

@@ -10,7 +10,6 @@ and carries these two choices as its flags ``one_shot`` and ``shifted``.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -125,16 +124,16 @@ def _relative(value: float, ref: float | None) -> float:
 def _sweep_map(problem, f, k: int):
     """The k coupled sweeps as one affine map (u, p, sigma) -> (u, p):
     u <- B^k u + T_k (M sigma + F) and p <- (B*)^k p + U_k u
-    + X_k (M sigma + F) - T_k* H* f, both from the old (u, p).  U_k = L* R
-    with L = [H; H B; ...; H B^{k-1}] and R its blocks reversed; when L has
-    at most n_u / 2 rows (a measured crossover) U_k u is applied as L*(R u).
-    Each row panel of B^k (one if B^k fits PANEL_BYTES) serves both products."""
+    + X_k (M sigma + F) - T_k* H* f, both from the old (u, p) (see TUXTriple).
+    When L has at most n_u / 2 rows (a measured crossover) U_k u is L*(R u)
+    and no dense U_k is formed.  Each row panel of B^k (one if B^k fits
+    PANEL_BYTES) serves both products."""
     B, M, H, F, n = problem.B, problem.M, problem.H, problem.F, problem.n_u
     t = tux(B, H, k)
     TXM = np.vstack([t.T @ M, t.X @ M])
     c = np.concatenate([t.T @ F, t.X @ F - t.T.T @ (H.T @ f)])
     if 2 * k * problem.n_f <= n:
-        L = np.vstack(list(itertools.accumulate([H] + [B] * (k - 1), np.matmul)))
+        L = t.L.reshape(-1, n)
 
         def apply_U(u):     # R u is L u with its k blocks in reverse order
             return L.T @ (L @ u).reshape(k, -1)[::-1].ravel()

@@ -38,10 +38,10 @@ def build_iteration_matrix(problem: RealInverseProblem, method: MethodSpec,
 
     All four methods share one block form in (B^k, T_k, U_k, X_k).  An exact
     solve is the limit of infinitely many sweeps, so the GD kinds take the
-    k -> infinity limits B^k = U_k = 0, T_k = (I-B)^{-1} and
-    X_k = (I-B*)^{-1} H*H (I-B)^{-1}.  The shifted kinds refresh (u, p) from
-    the previous sigma, so their first block column lacks the -tau M M*
-    coupling to the fresh one.
+    k -> infinity limits B^k = U_k = 0, T_k = (I-B)^{-1} and X_k = G* G,
+    where G = H (I-B)^{-1} = sum_j H B^j.  The shifted kinds refresh
+    (u, p) from the previous sigma, so their first block column lacks the
+    -tau M M* coupling to the fresh one.
     """
     if not 0.0 < tau < math.inf:
         raise ValueError(f"tau must be positive and finite, got {tau}")
@@ -51,8 +51,8 @@ def build_iteration_matrix(problem: RealInverseProblem, method: MethodSpec,
         t = tux(B, H, method.k)
         Bk, T, U, X = t.Bk, t.T, t.U, t.X
     else:
-        T = problem.state_inverse
-        X = T.T @ (H.T @ H) @ T
+        T, G = problem.state_inverse, H @ problem.state_inverse
+        X = G.T @ G
         Bk = U = np.zeros((n_u, n_u))
     if method.kind.shifted:
         P, Q = Bk.T, np.zeros((n_u, n_u))

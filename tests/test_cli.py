@@ -104,6 +104,15 @@ class TestBadInput:
          "--tau", "0.1"],
         ["sweep", "--scalar", "0.2,1e-200,1e-200", "--method", "gd",
          "--tau", "0.1", "--out", "never_written"],
+        # the exact parameter and the initial guess must be finite
+        ["solve", "--scalar", "0.2,1,1", "--method", "gd", "--tau", "0.1",
+         "--sigma0", "inf"],
+        ["solve", "--scalar", "0.2,1,1", "--method", "gd", "--tau", "0.1",
+         "--sigma-ex", "nan"],
+        ["sweep", "--scalar", "0.2,1,1", "--method", "gd", "--tau", "0.1",
+         "--sigma0", "nan", "--out", "never_written"],
+        ["sweep", "--scalar", "0.2,1,1", "--method", "gd", "--tau", "0.1",
+         "--sigma-ex", "inf", "--out", "never_written"],
     ])
     def test_exit_two_with_one_error_line(self, argv, capsys):
         assert main(argv) == 2
@@ -127,6 +136,20 @@ class TestBadInput:
         assert capsys.readouterr().err == (
             "error: tau must be positive and finite, got nan\n")
         assert calls == []
+
+    @pytest.mark.parametrize("command", ["solve", "sweep"])
+    @pytest.mark.parametrize("flag, value", [("--sigma0", "inf"),
+                                             ("--sigma-ex", "nan")])
+    def test_non_finite_run_value_is_named_before_any_problem(
+            self, command, flag, value, tmp_path, monkeypatch, capsys):
+        built = []
+        monkeypatch.setattr(cli, "_load_problem_arg", built.append)
+        argv = [command, "--scalar", "0.2,1,1", "--method", "gd", "--tau", "0.1",
+                flag, value, "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: argument {flag}: must be finite, got {value}\n")
+        assert built == [] and not (tmp_path / "out").exists()
 
     def test_unknown_sweep_method_runs_no_cell(self, tmp_path, capsys):
         out_dir = tmp_path / "sweep"

@@ -1,4 +1,5 @@
 """Tests for iteration matrices, T/U/X operators, radii and s(T)."""
+import itertools
 import math
 import os
 import subprocess
@@ -8,9 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oneshot import spectral
+from oneshot import solvers, spectral
 from oneshot.bounds import matrix_bound
-from oneshot.linear_model import (RealInverseProblem, ScalarProblem, helmholtz_toy,
+from oneshot.linear_model import (RealInverseProblem, ScalarProblem, TUXTriple,
+                                  exact_state, helmholtz_toy,
                                   random_contraction, realify, spectral_norm)
 from oneshot.solvers import MethodSpec, SolverKind
 from oneshot.spectral import (build_iteration_matrix, converges,
@@ -103,6 +105,79 @@ class TestTUX:
             assert spectral_norm(t.T) <= (1 - b**k) / (1 - b) + 1e-12
             xbound = nh**2 * (1 - k * b**(k - 1) + (k - 1) * b**k) / (1 - b)**2
             assert spectral_norm(t.X) <= xbound + 1e-12
+
+
+def _tux_by_recursion(B, H, k):
+    # the coupled three-matrix recursion tux ran before it built L:
+    # T_{l+1} = T_l + B^l, U_{l+1} = B* U_l + H*H B^l, X_{l+1} = B* X_l + H*H T_l
+    HtH = H.T @ H
+    T, U, X, Bl = np.eye(len(B)), HtH.copy(), np.zeros(B.shape), np.eye(len(B))
+    for _ in range(1, k):
+        X = B.T @ X + HtH @ T
+        Bl = Bl @ B
+        U = B.T @ U + HtH @ Bl
+        T = T + Bl
+    return T, U, X, Bl @ B
+
+
+@pytest.fixture(scope="module")
+def tux_problems():
+    rng = np.random.default_rng(3)
+    nonnormal = 0.5 * np.eye(6) + np.diag(np.full(5, 1.2), 1)
+    return {"H12": helmholtz_toy(12, 2.0 * np.pi, 0.01, seed=3),
+            "random": random_contraction(40, 5, 20, 0.7, seed=1),
+            "nonnormal": RealInverseProblem(B=nonnormal, M=rng.standard_normal((6, 2)),
+                                            H=rng.standard_normal((4, 6)),
+                                            F=np.zeros(6))}
+
+
+class TestStackedConstruction:
+    """tux builds T_k, B^k and L from the powers of B, X_k as one stacked
+    product and U_k = L* R on first use; the recursion it replaced is the
+    reference."""
+
+    @pytest.mark.parametrize("name", ["H12", "random", "nonnormal"])
+    def test_matches_the_recursion(self, tux_problems, name):
+        B, H = tux_problems[name].B, tux_problems[name].H
+        for k in range(1, 9):
+            t = tux(B, H, k)
+            T, U, X, Bk = _tux_by_recursion(B, H, k)
+            L = np.vstack(list(itertools.accumulate([H] + [B] * (k - 1), np.matmul)))
+            assert np.array_equal(t.T, T) and np.array_equal(t.Bk, Bk)
+            assert t.L.shape == (k, *H.shape)
+            assert np.array_equal(t.L.reshape(-1, B.shape[0]), L)
+            for got, want in ((t.U, U), (t.X, X)):
+                assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+            if k == 1:
+                assert not t.X.any()
+
+    def test_first_power_is_b_itself(self, tux_problems):
+        for p in tux_problems.values():
+            assert tux(p.B, p.H, 1).Bk.tobytes() == p.B.tobytes()
+
+    @pytest.mark.parametrize("name, k, reads", [
+        ("H12", 1, 0), ("factored", 1, 0), ("factored", 3, 0), ("factored", 5, 0),
+        ("H12", 2, 1), ("H12", 3, 1)])
+    def test_sweep_map_forms_dense_u_only_past_the_crossover(
+            self, tux_problems, monkeypatch, name, k, reads):
+        p = (random_contraction(400, 3, 40, 0.5, seed=4) if name == "factored"
+             else tux_problems[name])
+        assert (2 * k * p.n_f <= p.n_u) == (reads == 0)
+        calls = []
+        dense_U = TUXTriple.U.func
+
+        def counted(self):
+            calls.append(k)
+            return dense_U(self)
+        monkeypatch.setattr(TUXTriple, "U", property(counted))
+        rng = np.random.default_rng(k)
+        f = p.H @ exact_state(p, np.ones(p.n_sigma))
+        sweep = solvers._sweep_map(p, f, k)
+        for _ in range(3):
+            u, q = sweep(rng.standard_normal(p.n_u), rng.standard_normal(p.n_u),
+                         np.ones(p.n_sigma))
+        assert np.isfinite(u).all() and np.isfinite(q).all()
+        assert len(calls) == reads
 
 
 class TestIterationMatrix:

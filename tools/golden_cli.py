@@ -129,6 +129,10 @@ def commands() -> list[list[str]]:
     cmds.append(["solve", "--helmholtz", "20,6.283185307179586,0.01", "--seed", "3",
                  "--method", "kshot", "--k", "2", "--tau", "0.0004",
                  "--max-outer", "200"])
+    # ... and at k = 3, 2 k n_f = 480 > n_u: the dense U_k serves each step
+    cmds.append(["solve", "--helmholtz", "20,6.283185307179586,0.01", "--seed", "3",
+                 "--method", "kshot", "--k", "3", "--tau", "0.0004",
+                 "--max-outer", "100"])
     # exact start, sigma0 = sigma_ex: data and state come from the same solve,
     # so the misfit is exactly 0 and the run stops at its first row
     for method in ("gd", "sgd"):
@@ -161,6 +165,10 @@ def commands() -> list[list[str]]:
     cmds.append(["solve", *scalar_gd, "--tau", "nan", "--line-search-first"])
     cmds.append(["sweep", *scalar_gd, "--tau", "nan", "--line-search-first",
                  "--out", "{work}/out/sweep_nan"])
+    # a non-finite exact parameter or initial guess is named before any run
+    cmds.append(["solve", *scalar_gd, "--tau", "0.1", "--sigma0", "inf"])
+    cmds.append(["sweep", *scalar_gd, "--tau", "0.1", "--sigma-ex", "nan",
+                 "--out", "{work}/out/sweep_nan_sigma"])
     random8 = ["--random", "8,3,4,0.5", "--method", "skshot", "--k", "2"]
     cmds.append(["bound", *random8, "--delta0", "nan"])
     cmds.append(["bound", *random8, "--delta0", "1e308"])
