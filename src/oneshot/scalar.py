@@ -86,12 +86,13 @@ def jury_marden_general(coeffs) -> tuple[bool | None, MardenTable]:
 # the polynomial f_k and its roots
 
 def _pow(x, n):
-    """``x**n`` by Python's float power, elementwise over an array: numpy's
-    ``power`` may differ from it in the last bit, even for the square, and
-    each b of an array must get the bits it gets alone."""
+    """``x**n`` by Python's float power, also elementwise over an array, so
+    each b of an array gets the bits it gets alone: ``float_power`` calls
+    the libm ``pow`` that Python's ``**`` calls, where the SIMD kernels of
+    numpy's ``power`` may differ in the last bit, even for the square."""
     if not isinstance(x, np.ndarray):
         return float(x)**n
-    return np.array([v**n for v in x.ravel().tolist()]).reshape(x.shape)
+    return np.float_power(x, float(n))
 
 
 def fk(k: int, b):
@@ -236,17 +237,19 @@ def _least(k: int, b, terms, branches, gd_limit=None) -> ScalarThreshold:
     """The least candidate at each b of ``terms.b``, and its branch name.
     Each ``(name, mask, formula)`` is ``formula(k, terms at those b)`` where
     its mask holds and +inf elsewhere; ``argmin`` keeps the first of equal
-    values, as ``min`` over the branches in order does.  A ``gd_limit``
-    wins at b = 0 once k >= 2."""
+    values, as ``min`` over the branches in order does.  A mask that is
+    ``...`` or holds at every b reads ``terms`` itself, any other (an empty
+    one too) a copy at its b.  A ``gd_limit`` wins at b = 0 once k >= 2."""
     grid = terms.b
     cands = np.full((len(branches), grid.size), np.inf)
-    for row, (name, mask, formula) in zip(cands, branches):
-        at = SimpleNamespace(**{n: x[mask] for n, x in vars(terms).items()})
-        try:   # a zero divisor or a nan leaves no value; an overflow is +inf
-            with np.errstate(divide="raise", invalid="raise", over="ignore"):
-                row[mask] = formula(k, at)
-        except FloatingPointError as exc:   # at a lone b or in any grid
-            raise ValueError(f"{name} has no value at some b: {exc}") from None
+    try:   # a zero divisor or a nan leaves no value; an overflow is +inf
+        with np.errstate(divide="raise", invalid="raise", over="ignore"):
+            for row, (name, mask, formula) in zip(cands, branches):
+                whole = mask is ... or mask.all()
+                row[mask] = formula(k, terms if whole else SimpleNamespace(
+                    **{n: x[mask] for n, x in vars(terms).items()}))
+    except FloatingPointError as exc:   # at a lone b or in any grid
+        raise ValueError(f"{name} has no value at some b: {exc}") from None
     pick = np.argmin(cands, axis=0)
     value = cands[pick, np.arange(grid.size)]
     branch = np.array([name for name, _, _ in branches], dtype=object)[pick]

@@ -112,8 +112,9 @@ class ConvergenceTrace:
     def write_csv(self, fh) -> None:
         """Write the trace in the fixed CSV layout, 17 significant digits."""
         fh.write(CSV_HEADER + "\n")
+        status = self.status.value
         for n, acc, c, g, e in self.rows():
-            fh.write(f"{n},{acc},{c:.17g},{g:.17g},{e:.17g},{self.status.value}\n")
+            fh.write(f"{n},{acc},{c:.17g},{g:.17g},{e:.17g},{status}\n")
 
 
 def _relative(value: float, ref: float | None) -> float:

@@ -412,6 +412,42 @@ class TestArrayThresholds:
         kappa(5, self.GRID)
         assert len(calls) == 6
 
+    def test_float_power_is_pythons_float_power(self):
+        # _pow's array branch is np.float_power, which must give the bits of
+        # Python's ** at every exponent the thresholds reach (2k + 1 for k up
+        # to 20); a SIMD float_power kernel in numpy would fail here
+        tiny, near_one = 2.0**-50, 1.0 - 2.0**-53
+        xs = np.concatenate([
+            [0.0, -0.0, near_one, -near_one, tiny, -tiny],
+            np.random.default_rng(17).uniform(-1.0, 1.0, 2000),
+            self.GRID, 1.0 - self.GRID])
+        for n in range(2*20 + 2):
+            python = [x**n for x in xs.tolist()]
+            assert np.array_equal(_bits(np.float_power(xs, float(n))),
+                                  _bits(python)), n
+            assert np.array_equal(_bits(scalar._pow(xs, n)), _bits(python)), n
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_masks_that_hold_everywhere_read_the_terms_uncopied(self, k):
+        # on b of one sign every b^(k-1) has one sign, so the eta21/kappa11
+        # or the eta22/kappa12 mask holds at every b and its branch reads
+        # the shared terms; appending b = 0 breaks those masks (k >= 2) and
+        # sends the same b through the copied terms
+        positive = np.linspace(0.01, 0.95, 1001)
+        for grid in (positive, -positive):
+            bk1 = _terms(k, grid).bk1
+            assert np.all(bk1 > 0.0) or np.all(bk1 < 0.0)
+            for thr in (eta, kappa):
+                whole = thr(k, grid)
+                each = [thr(k, b) for b in grid.tolist()]
+                assert np.array_equal(_bits(whole.value),
+                                      _bits([t.value for t in each]))
+                assert whole.branch.tolist() == [t.branch for t in each]
+                copied = thr(k, np.append(grid, 0.0))
+                assert np.array_equal(_bits(copied.value[:-1]),
+                                      _bits(whole.value))
+                assert copied.branch[:-1].tolist() == whole.branch.tolist()
+
     @pytest.mark.parametrize("kind", list(SolverKind))
     def test_a_float_b_gives_plain_python_values(self, kind):
         for b in (0.2, -0.0, np.float64(-0.7), np.array(0.4)):

@@ -156,6 +156,11 @@ def commands() -> list[list[str]]:
     # the benchmark's own grid: 20001 b values, k = 1..8
     cmds.append(["scalar-region", "--k", "1,2,3,4,5,6,7,8", "--b-count", "20001",
                  "--out", "{work}/out/region_bench.csv"])
+    # near b = 0 at high k, where t_k^2 - y_k cancels worst; b = 0 takes
+    # kappa22's v -> 0 limit and drops out of the b^(k-1) branches
+    cmds.append(["scalar-region", "--k", "6,7,8,16", "--b-min", "-0.001",
+                 "--b-max", "0.001", "--b-count", "2001",
+                 "--out", "{work}/out/region_near_zero.csv"])
 
     # bad input: pins the error line and exit code of each path
     scalar_gd = ["--scalar", "0.2,1,1", "--method", "gd"]
