@@ -14,11 +14,10 @@ from .spectral import (IterationMatrix, TUXTriple, build_iteration_matrix,
                        converges, eigenvalue_one_check, s_functional,
                        spectral_radius, tux)
 from .bounds import (BoundParams, StepBound, closed_form, gd_bound,
-                     matrix_bound, shifted_gd_bound)
+                     matrix_bound)
 from .scalar import (CubicCoeffs, MardenTable, ScalarThreshold, eta, fk,
                      fk_roots, jury_marden_cubic, jury_marden_general, kappa,
-                     scalar_iteration_matrix, shifted_gd_threshold,
-                     usual_gd_threshold)
+                     scalar_iteration_matrix, threshold)
 
 __all__ = [
     "AssumptionReport", "RealInverseProblem", "ScalarProblem",
@@ -29,8 +28,7 @@ __all__ = [
     "IterationMatrix", "TUXTriple", "build_iteration_matrix", "converges",
     "eigenvalue_one_check", "s_functional", "spectral_radius", "tux",
     "BoundParams", "StepBound", "closed_form", "gd_bound", "matrix_bound",
-    "shifted_gd_bound",
     "CubicCoeffs", "MardenTable", "ScalarThreshold", "eta", "fk", "fk_roots",
     "jury_marden_cubic", "jury_marden_general", "kappa",
-    "scalar_iteration_matrix", "shifted_gd_threshold", "usual_gd_threshold",
+    "scalar_iteration_matrix", "threshold",
 ]

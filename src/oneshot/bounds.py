@@ -1,8 +1,8 @@
-"""Sufficient descent-step bounds for all four methods.
+"""Descent-step bounds for all four methods, through :func:`matrix_bound`.
 
 For the gradient-descent references the admissible step is known exactly:
-tau < 2 / ||H (I-B)^{-1} M||^2 (usual) and half that range (shifted).  For
-the one-shot methods the guarantees are sufficient only.  With ||B|| < 1 they
+tau < c / ||H (I-B)^{-1} M||^2, c = ``scalar.threshold`` at b = 0.  For the
+one-shot methods the guarantees are sufficient only.  With ||B|| < 1 they
 take the closed form tau < chi(k, ||B||) / (||H||^2 ||M||^2) for the shifted
 family and psi(k, ||B||) for the non-shifted one, each a minimum over a
 real-eigenvalue bound and the complex-eigenvalue case bounds parameterized by
@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 
 from .linear_model import (RealInverseProblem, _contraction_bound, data_map,
                            spectral_norm, tux)
-from .solvers import MethodSpec
+from .solvers import MethodSpec, SolverKind
 from . import scalar, spectral
 
 SQRT2 = math.sqrt(2.0)
@@ -85,20 +85,6 @@ class StepBound:
         }
 
 
-def gd_bound(problem: RealInverseProblem) -> StepBound:
-    """Exact admissible-step supremum of usual gradient descent."""
-    g = spectral_norm(data_map(problem))
-    return StepBound(value=2.0 / g**2, formula_id="usual-gd",
-                     params=None, norm_inputs={"data_map_norm": g})
-
-
-def shifted_gd_bound(problem: RealInverseProblem) -> StepBound:
-    """Exact admissible-step supremum of shifted GD, half of usual GD's."""
-    gd = gd_bound(problem)
-    return StepBound(value=gd.value / 2.0, formula_id="shifted-gd",
-                     params=None, norm_inputs=gd.norm_inputs)
-
-
 # ---------------------------------------------------------------------------
 # closed forms for ||B|| < 1
 
@@ -126,7 +112,8 @@ def closed_form(k: int, b: float, params: BoundParams | None,
         raise ValueError(f"{name} needs {'0 <' if k == 1 else '0 <='} b < 1 "
                          f"at k = {k}, got {b}")
     if b == 0.0:
-        return scalar._SGD_LIMIT if shifted else scalar._GD_LIMIT
+        kind = SolverKind.SHIFTED_GD if shifted else SolverKind.USUAL_GD
+        return scalar.threshold(kind, k, 0.0).value
     params = _check_params(params, shifted, k)
     th, d0 = params.theta0, params.delta0
     half = 2.5 if shifted else 1.5
@@ -214,16 +201,19 @@ def _general_min_k(nH, nM, nT, nX, nBk, s, params, shifted):
 
 def matrix_bound(problem: RealInverseProblem, method: MethodSpec,
                  params: BoundParams | None = None) -> StepBound:
-    """Sufficient step bound for a matrix problem and a one-shot method.
+    """Step bound of any method kind for a matrix problem.
 
-    Needs only a real problem with rho(B) < 1.  Evaluates the s(B^k)-based
-    bounds from actual operator norms; when additionally ||B|| < 1, also
-    evaluates the sharper closed form and reports the larger of the two
-    sufficient values.  GD method kinds are forwarded to their exact bounds.
+    The GD kinds get their exact supremum, ``scalar.threshold`` at b = 0
+    over ||H (I-B)^{-1} M||^2.  The one-shot kinds need rho(B) < 1 and get
+    the s(B^k)-based sufficient bounds from actual operator norms, or, when
+    ||B|| < 1 and it is larger, the sharper closed form.
     """
     shifted, k = method.kind.shifted, method.k
     if not method.kind.one_shot:
-        return shifted_gd_bound(problem) if shifted else gd_bound(problem)
+        g = spectral_norm(data_map(problem))
+        return StepBound(value=scalar.threshold(method.kind, k, 0.0).value / g**2,
+                         formula_id="shifted-gd" if shifted else "usual-gd",
+                         params=None, norm_inputs={"data_map_norm": g})
     nB = spectral_norm(problem.B)
     rho = _contraction_bound(problem.B, nB)
     if rho >= 1.0:
@@ -243,8 +233,7 @@ def matrix_bound(problem: RealInverseProblem, method: MethodSpec,
             return StepBound(value=value / (nH**2 * nM**2),
                              formula_id=f"{family}:zero-B",
                              params=params, norm_inputs=norms)
-        g = spectral_norm(problem.H @ problem.M)
-        norms["data_map_norm"] = g
+        norms["data_map_norm"] = g = spectral_norm(problem.H @ problem.M)
         return StepBound(value=value / g**2, formula_id=f"{family}:zero-B-gd-limit",
                          params=params, norm_inputs=norms)
 
@@ -268,3 +257,8 @@ def matrix_bound(problem: RealInverseProblem, method: MethodSpec,
             formula = f"{family}:closed-form"
     return StepBound(value=value, formula_id=formula, params=params,
                      norm_inputs=norms)
+
+
+def gd_bound(problem: RealInverseProblem) -> StepBound:
+    """Exact admissible-step supremum of usual gradient descent."""
+    return matrix_bound(problem, MethodSpec(SolverKind.USUAL_GD))

@@ -8,8 +8,8 @@ solve          run one method and emit its trace CSV
 sweep          run a method x k x tau grid, one trace CSV per cell + summary
 scalar-region  tabulate the exact scalar thresholds over a b grid
 
-Problems come from a file (--problem), the scalar triple (--scalar b,h,m),
-or the builtin generators (--random nu,nsigma,nf,norm / --helmholtz n,kt,delta).
+Problems come from exactly one source: a file (--problem), the scalar triple
+(--scalar b,h,m) or a generator (--random nu,nsigma,nf,norm / --helmholtz n,kt,delta).
 Synthetic data uses sigma_ex = 10 and initial guess 12 per component, unless
 overridden; all randomness is seeded, and rerunning a command with the same
 seed reproduces byte-identical output.
@@ -50,11 +50,16 @@ def _method_kind(name: str) -> SolverKind:
                          f"{', '.join(kind.value for kind in SolverKind)}") from None
 
 
+def _fields(flag: str, text: str, names: str, *types) -> list:
+    """The comma fields of a source flag, one per type, or an error naming it."""
+    try:
+        return [cast(x) for cast, x in zip(types, text.split(","), strict=True)]
+    except ValueError:
+        raise ValueError(f"--{flag} expects {names}, got {text!r}") from None
+
+
 def _parse_scalar(text: str) -> ScalarProblem:
-    parts = [float(p) for p in text.split(",")]
-    if len(parts) != 3:
-        raise ValueError("--scalar expects b,h,m")
-    return ScalarProblem(b=parts[0], h=parts[1], m=parts[2])
+    return ScalarProblem(*_fields("scalar", text, "b,h,m", float, float, float))
 
 
 def _read_problem(path):
@@ -66,18 +71,15 @@ def _read_problem(path):
 
 
 def _load_problem_arg(args) -> RealInverseProblem:
-    if getattr(args, "problem", None):
+    if args.problem is not None:
         return _read_problem(args.problem)
-    if getattr(args, "scalar", None):
+    if args.scalar is not None:
         return _parse_scalar(args.scalar).as_problem()
-    if getattr(args, "random", None):
-        nu, ns, nf, norm = args.random.split(",")
-        return random_contraction(int(nu), int(ns), int(nf), float(norm),
-                                  seed=args.seed)
-    if getattr(args, "helmholtz", None):
-        n, kt, delta = args.helmholtz.split(",")
-        return helmholtz_toy(int(n), float(kt), float(delta), seed=args.seed)
-    raise ValueError("no problem source given")
+    if args.random is not None:
+        return random_contraction(*_fields("random", args.random, "nu,nsigma,nf,norm",
+                                           int, int, int, float), seed=args.seed)
+    return helmholtz_toy(*_fields("helmholtz", args.helmholtz, "grid_n,wavenumber,delta",
+                                  int, float, float), seed=args.seed)
 
 
 def _synthetic_data(problem, args):
@@ -112,7 +114,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_bound(args) -> int:
     kind = _method_kind(args.method)
-    if args.scalar:
+    if args.scalar is not None:
         sp = _parse_scalar(args.scalar)
         thr = scalar.threshold(kind, args.k, sp.b)
         value = thr.value / (sp.h**2 * sp.m**2)   # sp keeps h^2 m^2 a float
@@ -242,10 +244,11 @@ def _cmd_scalar_region(args) -> int:
 
 
 def _add_problem_sources(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--problem", help="JSON problem file")
-    p.add_argument("--scalar", help="scalar triple b,h,m")
-    p.add_argument("--random", help="random contraction nu,nsigma,nf,norm")
-    p.add_argument("--helmholtz", help="Helmholtz toy grid_n,wavenumber,delta")
+    source = p.add_mutually_exclusive_group(required=True)   # exactly one
+    source.add_argument("--problem", help="JSON problem file")
+    source.add_argument("--scalar", help="scalar triple b,h,m")
+    source.add_argument("--random", help="random contraction nu,nsigma,nf,norm")
+    source.add_argument("--helmholtz", help="Helmholtz toy grid_n,wavenumber,delta")
     p.add_argument("--seed", type=int, default=0, help="generator seed")
 
 

@@ -46,6 +46,14 @@ def _require_real(a) -> np.ndarray:
     return np.asarray(a)
 
 
+def _vector(name: str, v, n: int) -> np.ndarray:
+    """A flat float copy of ``v``, checked to have length ``n``."""
+    v = np.array(v, dtype=float).reshape(-1)
+    if v.shape != (n,):
+        raise ValueError(f"{name} must have length {n}, got {v.shape}")
+    return v
+
+
 @dataclass(frozen=True)
 class RealInverseProblem:
     """Real problem data ``(B, M, H, F)``.
@@ -71,9 +79,7 @@ class RealInverseProblem:
             raise ValueError(f"M must have shape ({n_u}, n_sigma), got {M.shape}")
         if H.ndim != 2 or H.shape[1] != n_u or H.shape[0] < 1:
             raise ValueError(f"H must have shape (n_f, {n_u}), got {H.shape}")
-        F = F.reshape(-1)
-        if F.shape != (n_u,):
-            raise ValueError(f"F must have length {n_u}, got {F.shape}")
+        F = _vector("F", F, n_u)
         for name, a in zip("BMHF", (B, M, H, F)):
             if not np.isfinite(a).all():
                 raise ValueError(f"{name} has a non-finite entry")

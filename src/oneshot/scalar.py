@@ -284,28 +284,19 @@ def kappa(k: int, b) -> ScalarThreshold:
 
 def threshold(kind: SolverKind, k: int, b) -> ScalarThreshold:
     """Exact normalized threshold of any method kind, for a float or an
-    array of b.  The one-shot kinds go to :func:`eta` and :func:`kappa`;
-    the GD kinds have no inner sweeps, so they ignore k, report k = 0 and
-    name their branch after the kind ("gd" or "sgd")."""
+    array of b: :func:`eta` and :func:`kappa` for the one-shot kinds, the
+    classical 2 (1-b)^2 and (1-b)^2 for usual and shifted GD, which ignore
+    k, report k = 0 and name their branch after the kind ("gd" or "sgd")."""
     if kind.one_shot:
         return (kappa if kind.shifted else eta)(k, b)
-    gd = shifted_gd_threshold if kind.shifted else usual_gd_threshold
+    scale = 1.0 if kind.shifted else 2.0
     return _least(0, b, SimpleNamespace(b=_grid(b)),
-                  [(kind.value, ..., lambda _, t: gd(t.b))])
-
-
-def usual_gd_threshold(b):
-    """Exact normalized threshold of usual gradient descent, 2 (1-b)^2."""
-    return 2.0 * _pow(1.0 - b, 2)
-
-
-def shifted_gd_threshold(b):
-    """Exact normalized threshold of shifted gradient descent, (1-b)^2."""
-    return _pow(1.0 - b, 2)
+                  [(kind.value, ..., lambda _, t: scale * _pow(1.0 - t.b, 2))])
 
 
 # eta and kappa at b = 0 for k >= 2, where the one-shot method is exactly GD
-_GD_LIMIT, _SGD_LIMIT = usual_gd_threshold(0.0), shifted_gd_threshold(0.0)
+_GD_LIMIT, _SGD_LIMIT = (threshold(kind, 0, 0.0).value for kind in
+                         (SolverKind.USUAL_GD, SolverKind.SHIFTED_GD))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linear_model import adjoint_from_state, exact_state, tux
+from .linear_model import _vector, adjoint_from_state, exact_state, tux
 
 
 class SolverKind(enum.Enum):
@@ -166,20 +166,16 @@ def run_method(method: MethodSpec, problem, f, sigma0, config,
     converged once cost and gradient fall below their tolerances relative
     to their first nonzero values; otherwise it ends after max_outer steps.
     """
-    f = np.asarray(f, dtype=float).reshape(-1)
-    sigma0 = np.asarray(sigma0, dtype=float).reshape(-1)
-    if sigma0.shape != (problem.n_sigma,):
-        raise ValueError(
-            f"sigma0 must have length {problem.n_sigma}, got {sigma0.shape}")
+    f = _vector("f", f, problem.n_f)
+    sigma = sigma0 = _vector("sigma0", sigma0, problem.n_sigma)
+    u, p = (np.zeros(problem.n_u) if v is None else _vector(name, v, problem.n_u)
+            for name, v in (("u0", u0), ("p0", p0)))
     if sigma_exact is not None:
-        sigma_exact = np.asarray(sigma_exact, dtype=float).reshape(-1)
+        sigma_exact = _vector("sigma_exact", sigma_exact, problem.n_sigma)
     trace = ConvergenceTrace(method=method, tau=config.tau)
     cost_ref = grad_ref = None
-    sigma = sigma0.copy()
     one_shot, shifted = method.kind.one_shot, method.kind.shifted
     if one_shot:
-        u, p = (np.zeros(problem.n_u) if v is None
-                else np.asarray(v, dtype=float).reshape(-1).copy() for v in (u0, p0))
         sweep = _sweep_map(problem, f, method.k)
     else:
         u = exact_state(problem, sigma)

@@ -5,7 +5,7 @@ lines.  Two criteria check instances that the exact scalar theory fixes:
 
 * criterion 2 shows the counterintuitive instance (b = 0.2) at tau = 2.0,
   which lies properly between the exact thresholds
-  usual_gd_threshold(0.2) = 1.28 and eta(2, 0.2) = 2.0836173913...: usual GD
+  threshold(gd, k, 0.2) = 1.28 and eta(2, 0.2) = 2.0836173913...: usual GD
   diverges (radius 2.125) and 2-step one-shot converges (radius 0.981392),
   each at least 1e-3 away from 1.  At tau = 2.08, 0.17 % below eta(2, 0.2),
   no method can give that margin (2-step radius 0.999202..., margin
@@ -19,14 +19,13 @@ import time
 
 import numpy as np
 
-from oneshot.bounds import gd_bound, matrix_bound, shifted_gd_bound
+from oneshot.bounds import gd_bound, matrix_bound
 from oneshot.linear_model import (RealInverseProblem, ScalarProblem, exact_adjoint, exact_state,
                                   helmholtz_toy, random_contraction, realify,
                                   spectral_norm, validate)
 from oneshot.scalar import (CubicCoeffs, _terms, eta, fk_roots,
                             jury_marden_cubic, jury_marden_general, kappa,
-                            kappa3, scalar_iteration_matrix,
-                            usual_gd_threshold)
+                            kappa3, scalar_iteration_matrix, threshold)
 from oneshot.solvers import (MethodSpec, SolverConfig, SolverKind, Status,
                              run_method)
 from oneshot.spectral import (build_iteration_matrix, converges,
@@ -68,7 +67,7 @@ def test_criterion_02_counterintuitive_instance():
     p = sp.as_problem()
     sigma_ex = np.array([10.0])
     f = p.H @ exact_state(p, sigma_ex)
-    gd_sup = usual_gd_threshold(0.2)
+    gd_sup = threshold(SolverKind.USUAL_GD, 1, 0.2).value
     eta_sup = eta(2, 0.2).value
 
     def radii_and_verdicts(tau):
@@ -197,16 +196,15 @@ def test_criterion_05_gd_bounds():
     failures = []
     for seed in range(15):
         problem = random_contraction(5, 2, 3, 0.05 + 0.06 * seed, seed=seed)
-        for fn, kind in ((gd_bound, SolverKind.USUAL_GD),
-                         (shifted_gd_bound, SolverKind.SHIFTED_GD)):
-            _, rho = converges(problem, MethodSpec(kind), 0.999 * fn(problem).value)
+        for kind in (SolverKind.USUAL_GD, SolverKind.SHIFTED_GD):
+            bound = matrix_bound(problem, MethodSpec(kind)).value
+            _, rho = converges(problem, MethodSpec(kind), 0.999 * bound)
             if rho >= 1.0:
                 failures.append(("matrix", seed, kind.value, rho))
     for b in (-0.7, -0.2, 0.0, 0.4, 0.8):
         problem = ScalarProblem(b=b, h=1.0, m=1.0).as_problem()
-        for fn, kind in ((gd_bound, SolverKind.USUAL_GD),
-                         (shifted_gd_bound, SolverKind.SHIFTED_GD)):
-            bound = fn(problem).value
+        for kind in (SolverKind.USUAL_GD, SolverKind.SHIFTED_GD):
+            bound = matrix_bound(problem, MethodSpec(kind)).value
             _, rho_lo = converges(problem, MethodSpec(kind), 0.999 * bound)
             _, rho_hi = converges(problem, MethodSpec(kind), 1.01 * bound)
             if not (rho_lo < 1.0 and rho_hi >= 1.0):

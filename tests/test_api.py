@@ -6,13 +6,14 @@ import inspect
 import pytest
 
 import oneshot
+import oneshot.cli
 
 # one solver function for all four kinds and one closed-form function for
 # both chi/psi families: no named per-kind or per-family wrappers beside them
 PUBLIC_FUNCTIONS = {
     "oneshot.solvers": {"run_method"},
     "oneshot.bounds": {"closed_form", "default_params", "gd_bound",
-                       "matrix_bound", "shifted_gd_bound"},
+                       "matrix_bound"},
 }
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from oneshot.bounds import (BoundParams, closed_form, default_params,
-                            gd_bound, matrix_bound, shifted_gd_bound)
+                            gd_bound, matrix_bound)
 from oneshot import scalar
 from oneshot.linear_model import (RealInverseProblem, ScalarProblem,
                                   random_contraction, spectral_norm,
@@ -24,27 +24,27 @@ class TestGDBounds:
     def test_scalar_unit_values(self):
         p = ScalarProblem(b=0.0, h=1.0, m=1.0).as_problem()
         assert abs(gd_bound(p).value - 2.0) < 1e-14
-        assert abs(shifted_gd_bound(p).value - 1.0) < 1e-14
+        assert abs(matrix_bound(p, MethodSpec(SolverKind.SHIFTED_GD)).value - 1.0) < 1e-14
 
     def test_scalar_closed_form(self):
         for b, h, m in ((0.3, 2.0, 0.5), (-0.6, 1.0, 3.0)):
             p = ScalarProblem(b=b, h=h, m=m).as_problem()
             assert abs(gd_bound(p).value - 2.0 * (1 - b)**2 / (h * m)**2) < 1e-12
-            assert abs(shifted_gd_bound(p).value - (1 - b)**2 / (h * m)**2) < 1e-12
+            assert abs(matrix_bound(p, MethodSpec(SolverKind.SHIFTED_GD)).value - (1 - b)**2 / (h * m)**2) < 1e-12
 
     def test_sufficiency_and_scalar_exactness(self):
         for seed in range(20):
             p = random_contraction(5, 2, 3, 0.1 + 0.04 * seed, seed=seed)
-            for fn, kind in ((gd_bound, SolverKind.USUAL_GD),
-                             (shifted_gd_bound, SolverKind.SHIFTED_GD)):
-                ok, rho = converges(p, MethodSpec(kind), 0.999 * fn(p).value)
+            for kind in (SolverKind.USUAL_GD, SolverKind.SHIFTED_GD):
+                bound = matrix_bound(p, MethodSpec(kind)).value
+                ok, rho = converges(p, MethodSpec(kind), 0.999 * bound)
                 assert ok, f"seed {seed}: rho={rho}"
         # on scalar problems the GD bounds are exact thresholds
         for b in (-0.7, 0.0, 0.5):
             p = ScalarProblem(b=b, h=1.0, m=1.0).as_problem()
-            for fn, kind in ((gd_bound, SolverKind.USUAL_GD),
-                             (shifted_gd_bound, SolverKind.SHIFTED_GD)):
-                _, rho_hi = converges(p, MethodSpec(kind), 1.01 * fn(p).value)
+            for kind in (SolverKind.USUAL_GD, SolverKind.SHIFTED_GD):
+                bound = matrix_bound(p, MethodSpec(kind)).value
+                _, rho_hi = converges(p, MethodSpec(kind), 1.01 * bound)
                 assert rho_hi >= 1.0
 
 

@@ -113,6 +113,11 @@ class TestBadInput:
          "--sigma0", "nan", "--out", "never_written"],
         ["sweep", "--scalar", "0.2,1,1", "--method", "gd", "--tau", "0.1",
          "--sigma-ex", "inf", "--out", "never_written"],
+        # exactly one problem source: a second one is an error, not ignored
+        ["solve", "--scalar", "0.2,1,1", "--random", "4,1,2,0.5", "--method",
+         "gd", "--tau", "0.1"],
+        ["bound", "--scalar", "0.2,1,1", "--helmholtz", "6,1,0.01", "--method",
+         "gd"],
     ])
     def test_exit_two_with_one_error_line(self, argv, capsys):
         assert main(argv) == 2
@@ -150,6 +155,40 @@ class TestBadInput:
         assert capsys.readouterr().err == (
             f"error: argument {flag}: must be finite, got {value}\n")
         assert built == [] and not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("source, message", [
+        (["--random", "4,2"], "--random expects nu,nsigma,nf,norm, got '4,2'"),
+        (["--random", "4.5,1,2,0.5"],
+         "--random expects nu,nsigma,nf,norm, got '4.5,1,2,0.5'"),
+        (["--helmholtz", "6,1"],
+         "--helmholtz expects grid_n,wavenumber,delta, got '6,1'"),
+        (["--helmholtz", "6,x,0.01"],
+         "--helmholtz expects grid_n,wavenumber,delta, got '6,x,0.01'"),
+        (["--scalar", "0.2,1"], "--scalar expects b,h,m, got '0.2,1'"),
+        (["--scalar", "0.2,x,1"], "--scalar expects b,h,m, got '0.2,x,1'"),
+    ])
+    def test_malformed_source_names_its_flag(self, source, message, capsys):
+        for cmd in (["bound"], ["solve", "--tau", "0.1"]):
+            assert main([*cmd, *source, "--method", "gd"]) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv, flags", [
+        (["--scalar", "0.2,1,1", "--random", "4,1,2,0.5"], ("--random", "--scalar")),
+        (["--problem", "p.json", "--helmholtz", "6,1,0.01"],
+         ("--helmholtz", "--problem")),
+        ([], ("--problem", "--scalar", "--random", "--helmholtz")),
+    ])
+    def test_problem_source_count_names_the_flags(self, argv, flags,
+                                                  monkeypatch, capsys):
+        built = []   # argparse rejects the command before any problem is built
+        monkeypatch.setattr(cli, "_load_problem_arg", built.append)
+        for cmd in (["bound"], ["solve", "--tau", "0.1"],
+                    ["sweep", "--tau", "0.1", "--out", "never_written"]):
+            assert main([*cmd, *argv, "--method", "gd"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert all(flag in err for flag in flags)
+        assert built == []
 
     def test_unknown_sweep_method_runs_no_cell(self, tmp_path, capsys):
         out_dir = tmp_path / "sweep"

@@ -11,8 +11,7 @@ from oneshot.scalar import (CubicCoeffs, _terms, eta, eta3, eta21,
                             eta22, fk, fk_roots, jury_marden_cubic,
                             jury_marden_general, kappa, kappa3, kappa11,
                             kappa21, kappa22, scalar_iteration_matrix,
-                            shifted_gd_threshold, threshold,
-                            usual_gd_threshold)
+                            threshold)
 from oneshot.solvers import MethodSpec, SolverKind
 from oneshot.spectral import build_iteration_matrix, spectral_radius
 
@@ -267,8 +266,8 @@ class TestThresholdExactness:
     def test_gd_limits_at_large_k(self):
         for b in np.linspace(-0.8, 0.8, 9):
             b = float(b)
-            gd = usual_gd_threshold(b)
-            sgd = shifted_gd_threshold(b)
+            gd = threshold(SolverKind.USUAL_GD, 0, b).value
+            sgd = threshold(SolverKind.SHIFTED_GD, 0, b).value
             assert abs(eta(60, b).value - gd) < 1e-3 * gd
             assert abs(kappa(60, b).value - sgd) < 1e-3 * sgd
 
@@ -489,9 +488,9 @@ class TestThresholdDispatch:
         assert threshold(SolverKind.K_STEP, k, b) == eta(k, b)
         assert threshold(SolverKind.SHIFTED_K_STEP, k, b) == kappa(k, b)
         gd = threshold(SolverKind.USUAL_GD, k, b)
-        assert (gd.k, gd.value, gd.branch) == (0, usual_gd_threshold(b), "gd")
+        assert (gd.k, gd.value, gd.branch) == (0, 2.0 * (1.0 - b)**2, "gd")
         sgd = threshold(SolverKind.SHIFTED_GD, k, b)
-        assert (sgd.k, sgd.value, sgd.branch) == (0, shifted_gd_threshold(b), "sgd")
+        assert (sgd.k, sgd.value, sgd.branch) == (0, (1.0 - b)**2, "sgd")
 
     def test_one_shot_kinds_validate_k(self):
         with pytest.raises(ValueError):

@@ -338,6 +338,19 @@ class TestTraceFormat:
         assert np.isnan(tr.err_sigma[0])
 
 
+@pytest.mark.parametrize("kind", list(SolverKind))
+@pytest.mark.parametrize("name, n", [("f", 3), ("sigma0", 2), ("sigma_exact", 2),
+                                     ("u0", 6), ("p0", 6)])
+def test_vector_of_wrong_length_is_named(kind, name, n):
+    # a length-1 vector would otherwise broadcast, or fail inside a product
+    p = random_contraction(6, 2, 3, 0.5, seed=1)
+    vectors = {"f": np.zeros(3), "sigma0": np.ones(2), name: [1.0]}
+    with pytest.raises(ValueError,
+                       match=rf"^{name} must have length {n}, got \(1,\)$"):
+        run_method(MethodSpec(kind, k=2), p, config=SolverConfig(tau=0.01),
+                   **vectors)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(tau=0.0)

@@ -198,6 +198,13 @@ def commands() -> list[list[str]]:
     # an end of the b grid outside (-1, 1) is named as the first bad b
     cmds.append(["scalar-region", "--b-min", "-1", "--b-max", "0.5",
                  "--b-count", "3"])
+    # exactly one problem source; a malformed generator list names its flag
+    cmds.append(["solve", "--scalar", "0.2,1,1", "--random", "4,1,2,0.5",
+                 "--method", "gd", "--tau", "0.1"])
+    cmds.append(["bound", "--scalar", "0.2,1,1", "--helmholtz", "6,1,0.01",
+                 "--method", "gd"])
+    cmds.append(["bound", "--random", "4,2", "--method", "gd"])
+    cmds.append(["bound", "--helmholtz", "6,x,0.01", "--method", "gd"])
     return cmds
 
 
