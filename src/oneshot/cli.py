@@ -114,6 +114,12 @@ def _cmd_check(args) -> int:
 
 def _cmd_bound(args) -> int:
     kind = _method_kind(args.method)
+    given = {k: v for k in ("theta0", "delta0") if (v := getattr(args, k)) is not None}
+    if given and (args.scalar is not None or not kind.one_shot):
+        bound = ("exact scalar threshold" if args.scalar is not None
+                 else f"{args.method} bound")
+        raise ValueError(f"argument --{next(iter(given))}: the {bound} "
+                         "takes no bound parameters")
     if args.scalar is not None:
         sp = _parse_scalar(args.scalar)
         thr = scalar.threshold(kind, args.k, sp.b)
@@ -124,12 +130,13 @@ def _cmd_bound(args) -> int:
                           "method": args.method, "value": value,
                           "branch": thr.branch}))
         return 0
-    problem = _load_problem_arg(args)
-    defaults = bounds.default_params(kind.shifted, args.k)
-    params = bounds.BoundParams(
-        theta0=defaults.theta0 if args.theta0 is None else args.theta0,
-        delta0=defaults.delta0 if args.delta0 is None else args.delta0)
     method = MethodSpec(kind, k=args.k)
+    params = replace(bounds.default_params(kind.shifted, args.k), **given)
+    try:    # an out-of-range theta0 is bad input, not an unusable problem
+        bounds._check_params(params, kind.shifted, args.k)
+    except ValueError as exc:
+        raise ValueError(f"argument --theta0: {exc}") from None
+    problem = _load_problem_arg(args)
     try:   # exit 1: the input was read, but has no matrix bound
         sb = bounds.matrix_bound(problem, method, params)
     except ValueError as exc:

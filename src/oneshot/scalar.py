@@ -15,7 +15,7 @@ b^{k-1} + 2k b^k - b^{2k}``, taken from the terms all branches share;
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -222,6 +222,11 @@ class ScalarThreshold:
     b: float | np.ndarray
     value: float | np.ndarray
     branch: str | np.ndarray
+
+    def __eq__(self, other):    # an array field compares as a whole
+        return other.__class__ is self.__class__ and all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name))
+            for f in fields(self))
 
 
 def _grid(b) -> np.ndarray:

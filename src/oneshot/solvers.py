@@ -5,11 +5,14 @@ and shifted gradient descent); the one-shot methods replace those solves by k
 warm-started coupled fixed-point sweeps, using either the fresh parameter
 iterate (k-step one-shot) or the previous one (shifted k-step one-shot, whose
 three updates can run simultaneously).  ``SolverKind`` names the four methods
-and carries these two choices as its flags ``one_shot`` and ``shifted``.
+and carries these two choices as its flags ``one_shot`` and ``shifted``.  A
+one-shot run steps (u, p), or, where ||B^k|| < 1 is certified and it costs
+less, sums the impulse response of the rows' outputs over its last inputs.
 """
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -128,7 +131,7 @@ def _sweep_map(problem, f, k: int):
     + X_k (M sigma + F) - T_k* H* f, both from the old (u, p) (see TUXTriple).
     When L has at most n_u / 2 rows (a measured crossover) U_k u is L*(R u)
     and no dense U_k is formed.  Each row panel of B^k (one if B^k fits
-    PANEL_BYTES) serves both products."""
+    PANEL_BYTES) serves both products.  sigma None: unforced, on blocks too."""
     B, M, H, F, n = problem.B, problem.M, problem.H, problem.F, problem.n_u
     t = tux(B, H, k)
     TXM = np.vstack([t.T @ M, t.X @ M])
@@ -137,20 +140,77 @@ def _sweep_map(problem, f, k: int):
         L = t.L.reshape(-1, n)
 
         def apply_U(u):     # R u is L u with its k blocks in reverse order
-            return L.T @ (L @ u).reshape(k, -1)[::-1].ravel()
+            Lu = (L @ u).reshape(k, -1, *u.shape[1:])[::-1]
+            return L.T @ Lu.reshape(-1, *u.shape[1:])
     else:
         apply_U = t.U.__matmul__
     rows = max(1, PANEL_BYTES // (8 * n))
     panels = [(slice(i, i + rows), t.Bk[i:i + rows]) for i in range(0, n, rows)]
 
-    def sweep(u, p, sigma):
-        w = TXM @ sigma + c     # [T_k M; X_k M] sigma + the constant parts
-        u_new, p_new = np.empty(n), apply_U(u)
+    def sweep(u, p, sigma=None):
+        u_new, p_new = np.empty(u.shape), apply_U(u)
         for r, A in panels:
             np.matmul(A, u, out=u_new[r])
             p_new += A.T @ p[r]     # while the panel is still in cache
+        if sigma is None:
+            return u_new, p_new
+        w = TXM @ sigma + c     # [T_k M; X_k M] sigma + the constant parts
         return u_new + w[:n], p_new + w[n:]
-    return sweep
+    return sweep, (TXM, t)
+
+
+def _impulse_rows(problem, f, u, p, sweep, TXM, t):
+    """The state path's rows from the outputs' impulse response, or None
+    where that is not certified or would cost more than a state step.
+
+    y_n = (H u_n - f, M* p_n) is z_n + sum_{d<D} G_d (s_{n-1-d} - r): z runs
+    from (u, p) with every input r, which zeroes the steady gradient, and
+    G_d = C A^d [T_k M; X_k M], C = diag(H, M*), A = ``sweep`` unforced.  Both
+    stop where a bound on all they drop, from bounds of ||B^k|| < 1, ||U_k||,
+    ||H|| and ||M||, is at most 2^-53 of their first term (see README)."""
+    n, n_f, n_s, H, M = problem.n_u, problem.n_f, problem.n_sigma, problem.H, problem.M
+    ds = np.arange(1, n * n // ((n_f + n_s) * n_s) + 1)     # a row's cost <= B^k's
+    norm = lambda a: math.sqrt(np.linalg.norm(a, 1) * np.linalg.norm(a, np.inf))
+    if not len(ds) or (beta := norm(t.Bk)) >= 1.0:
+        return None
+    ell = [norm(b) for b in t.L]        # ||H B^j||: U_k = sum L[i]* L[k-1-i]
+    nH, nM = norm(H), norm(M)
+    q = nM * sum(x * y for x, y in zip(ell, ell[::-1])) / (1.0 - beta)
+    out = lambda u, p: np.concatenate([H @ u, M.T @ p])     # C, on blocks too
+
+    def count(u, p, first):
+        a, b = np.linalg.norm(u), np.linalg.norm(p)
+        ok = (beta ** ds * (nH * a + nM * b + q * a) / (1.0 - beta)
+              + ds * beta ** (ds - 1) * q * a) <= 2.0 ** -53 * first
+        return ds[ok.argmax()] if ok.any() else len(ds) + 1
+    W = (TXM[:n], TXM[n:])
+    if (D := count(*W, math.sqrt(np.max(np.sum(out(*W) ** 2, axis=0))))) > len(ds):
+        return None
+    c = sweep(np.zeros(n), np.zeros(n), np.zeros(n_s))     # the constant forcing
+    block = tuple(np.column_stack(x) for x in zip(W, c))
+    taps = [out(*block)]        # the taps of W and of c
+    while len(taps) < D:
+        block = sweep(*block)
+        taps.append(out(*block))
+    steady = np.sum(taps, axis=0)[n_f:]
+    r = np.linalg.lstsq(steady[:, :n_s], -steady[:, n_s], rcond=None)[0]
+    x = [(u, p), sweep(u, p, r)]
+    d = (x[1][0] - u, x[1][1] - p)
+    if (last := count(*d, np.linalg.norm(out(*d)))) > len(ds):
+        return None
+    while len(x) <= last:
+        x.append(sweep(*x[-1], r))
+    z = [out(*v) - np.concatenate([f, np.zeros(n_s)]) for v in x]
+    K = np.hstack([g[:, :n_s] for g in taps[::-1]])     # oldest input first
+
+    def rows(y=z[0]):
+        ring = np.tile(r, (2 * D, 1))   # each input twice: D rows in a row
+        for n in itertools.count():
+            s = yield y[:n_f], y[n_f:]
+            i = n % D
+            ring[i] = ring[i + D] = s
+            y = z[min(n + 1, last)] + K @ (ring[i + 1:i + 1 + D] - r).ravel()
+    return rows()
 
 
 def run_method(method: MethodSpec, problem, f, sigma0, config,
@@ -162,9 +222,10 @@ def run_method(method: MethodSpec, problem, f, sigma0, config,
     kinds refresh by exact solves (shifted GD's first is the one at sigma0
     made before the loop); the one-shot kinds apply k coupled sweeps as one
     affine map, built once per run, to (u, p) from (u0, p0), zero by
-    default.  After each recorded row the run stops as diverged, or as
-    converged once cost and gradient fall below their tolerances relative
-    to their first nonzero values; otherwise it ends after max_outer steps.
+    default, or sum the outputs' impulse response (``_impulse_rows``).  After
+    each recorded row the run stops as diverged, or as converged once cost
+    and gradient fall below their tolerances relative to their first nonzero
+    values; otherwise it ends after max_outer steps.
     """
     f = _vector("f", f, problem.n_f)
     sigma = sigma0 = _vector("sigma0", sigma0, problem.n_sigma)
@@ -175,16 +236,26 @@ def run_method(method: MethodSpec, problem, f, sigma0, config,
     trace = ConvergenceTrace(method=method, tau=config.tau)
     cost_ref = grad_ref = None
     one_shot, shifted = method.kind.one_shot, method.kind.shifted
+
+    def state_rows(u, p, refresh):     # yield a row, take the next input
+        while True:
+            s = yield problem.H @ u - f, problem.M.T @ p
+            u, p = refresh(u, p, s)
     if one_shot:
-        sweep = _sweep_map(problem, f, method.k)
+        sweep, parts = _sweep_map(problem, f, method.k)
+        rows = parts and _impulse_rows(problem, f, u, p, sweep, *parts)
+        rows = rows or state_rows(u, p, sweep)
     else:
+        def exact(u, p, s):     # shifted GD's first s is sigma0: (u, p) are there
+            if s is not sigma0:
+                u = exact_state(problem, s)
+                p = adjoint_from_state(problem, u, f)
+            return u, p
         u = exact_state(problem, sigma)
-        p = adjoint_from_state(problem, u, f)
-    M, H, tau = problem.M, problem.H, config.tau
+        rows = state_rows(u, adjoint_from_state(problem, u, f), exact)
+    r, grad = next(rows)
     for n in range(config.max_outer + 1):
-        r = H @ u - f
         c = 0.5 * float(r @ r)
-        grad = M.T @ p
         g = math.sqrt(grad @ grad)      # np.linalg.norm's formula, less overhead
         trace.sigma.append(sigma)       # a new array each step, never changed
         trace.cost.append(c)
@@ -207,12 +278,7 @@ def run_method(method: MethodSpec, problem, f, sigma0, config,
             break
         if n == config.max_outer:
             break           # the status stays MAX_ITER
-        sigma_new = sigma - tau * grad
-        sigma_state = sigma if shifted else sigma_new
-        if one_shot:
-            u, p = sweep(u, p, sigma_state)
-        elif n > 0 or not shifted:
-            u = exact_state(problem, sigma_state)
-            p = adjoint_from_state(problem, u, f)
+        sigma_new = sigma - config.tau * grad
+        r, grad = rows.send(sigma if shifted else sigma_new)
         sigma = sigma_new
     return trace

@@ -118,6 +118,10 @@ class TestBadInput:
          "gd", "--tau", "0.1"],
         ["bound", "--scalar", "0.2,1,1", "--helmholtz", "6,1,0.01", "--method",
          "gd"],
+        # bound parameters where no bound takes them, or out of their range
+        ["bound", "--scalar", "0.2,1,1", "--method", "kshot", "--theta0", "5"],
+        ["bound", "--random", "4,1,2,0.5", "--method", "gd", "--theta0", "5"],
+        ["bound", "--random", "4,1,2,0.5", "--method", "kshot", "--theta0", "5"],
     ])
     def test_exit_two_with_one_error_line(self, argv, capsys):
         assert main(argv) == 2
@@ -125,6 +129,31 @@ class TestBadInput:
         assert err.startswith("error: ")
         assert err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--scalar", "0.2,1,1", "--method", "kshot", "--theta0", "5"],
+         "argument --theta0: the exact scalar threshold takes no bound parameters"),
+        (["--scalar", "0.2,1,1", "--method", "skshot", "--delta0", "2"],
+         "argument --delta0: the exact scalar threshold takes no bound parameters"),
+        (["--random", "4,1,2,0.5", "--method", "gd", "--theta0", "5"],
+         "argument --theta0: the gd bound takes no bound parameters"),
+        (["--random", "4,1,2,0.5", "--method", "sgd", "--delta0", "2"],
+         "argument --delta0: the sgd bound takes no bound parameters"),
+        (["--random", "4,1,2,0.5", "--method", "kshot", "--theta0", "5"],
+         "argument --theta0: theta0 must not exceed 0.785398, got 5"),
+        (["--random", "4,1,2,0.5", "--method", "skshot", "--k", "2",
+          "--theta0", "0.5236"],
+         "argument --theta0: theta0 must be strictly below 0.523599 for k >= 2, "
+         "got 0.5236"),
+    ])
+    def test_bound_parameters_are_named_before_any_problem(
+            self, argv, message, monkeypatch, capsys):
+        # they exited 0 and were ignored, or exited 1 as if the problem failed
+        built = []
+        monkeypatch.setattr(cli, "_load_problem_arg", built.append)
+        assert main(["bound", *argv]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert built == []
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -492,6 +492,16 @@ class TestThresholdDispatch:
         sgd = threshold(SolverKind.SHIFTED_GD, k, b)
         assert (sgd.k, sgd.value, sgd.branch) == (0, (1.0 - b)**2, "sgd")
 
+    @pytest.mark.parametrize("thr", [eta, kappa])
+    def test_array_results_compare_as_wholes(self, thr):
+        # == compares each array field whole; it raised ValueError before
+        b = np.array([-0.3, 0.2, 0.7])
+        assert thr(5, b) == thr(5, b)
+        assert thr(5, b) != thr(5, b[::-1])
+        assert thr(5, b) != thr(4, b)
+        assert (thr(5, b) == thr(5, 0.2)) is False
+        assert thr(5, b) != "not a threshold"
+
     def test_one_shot_kinds_validate_k(self):
         with pytest.raises(ValueError):
             threshold(SolverKind.K_STEP, 0, 0.2)

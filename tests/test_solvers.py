@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oneshot import solvers
 from oneshot.bounds import gd_bound
@@ -163,16 +164,49 @@ class TestOneShot:
 
 
 def _sweep_loop(problem, f, k):
-    """Reference for the fused step: the k coupled sweeps run one by one."""
-    B, M, H, F = problem.B, problem.M, problem.H, problem.F
+    """Reference for the fused step: the k coupled sweeps run one by one in
+    np.longdouble, each outer step's (u, p) rounded once to float.  It gives
+    no impulse-map parts, so its run takes the state path."""
+    B, M, H, F, f = (np.asarray(a, dtype=np.longdouble)
+                     for a in (problem.B, problem.M, problem.H, problem.F, f))
 
     def sweep(u, p, sigma):
+        u, p = np.asarray(u, dtype=np.longdouble), np.asarray(p, dtype=np.longdouble)
         rhs_u = M @ sigma + F
         for _ in range(k):
             # both updates read the previous (u, p) pair
             u, p = B @ u + rhs_u, B.T @ p + H.T @ (H @ u - f)
-        return u, p
-    return sweep
+        return u.astype(float), p.astype(float)
+    return sweep, None
+
+
+def _norm_bound(a):
+    # the router's bound of ||a||_2
+    return math.sqrt(np.linalg.norm(a, 1) * np.linalg.norm(a, np.inf))
+
+
+def _routes(monkeypatch):
+    """The path each later one-shot run takes, "impulse" or "state"."""
+    taken, impulse_rows = [], solvers._impulse_rows
+
+    def spy(*args):
+        rows = impulse_rows(*args)
+        taken.append("state" if rows is None else "impulse")
+        return rows
+    monkeypatch.setattr(solvers, "_impulse_rows", spy)
+    return taken
+
+
+def _nonnormal(n, norm, rho, seed):
+    # orthogonal similarity of an upper-triangular T scaled to ||B|| = norm:
+    # the eigenvalues are T's diagonal, within +-rho, times norm / ||T||
+    rng = np.random.default_rng(seed)
+    T = np.diag(rng.uniform(-rho, rho, n)) + np.triu(rng.standard_normal((n, n)), 1)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    B = q @ (norm / np.linalg.norm(T, 2) * T) @ q.T
+    return RealInverseProblem(B=B, M=rng.standard_normal((n, 2)),
+                              H=rng.standard_normal((10, n)),
+                              F=rng.standard_normal(n))
 
 
 @pytest.fixture(scope="module")
@@ -217,21 +251,27 @@ class TestFusedStep:
                      (fused.grad_norm, loop.grad_norm)):
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("path", ["state", "impulse"])
     @pytest.mark.parametrize("kind", list(SolverKind))
-    def test_sweep_map_is_built_once_per_run(self, kind, monkeypatch):
+    def test_sweep_map_is_built_once_per_run(self, kind, path, fused_problems,
+                                             monkeypatch):
         calls = []
         for name in ("_sweep_map", "tux"):
             def counting(*args, _fn=getattr(solvers, name), _name=name):
                 calls.append(_name)
                 return _fn(*args)
             monkeypatch.setattr(solvers, name, counting)
-        p = random_contraction(6, 2, 3, 0.5, seed=11)
-        f = p.H @ exact_state(p, np.ones(2))
-        cfg = SolverConfig(tau=0.05, max_outer=30, tol_cost=1e-300, tol_grad=1e-300)
-        trace = run_method(MethodSpec(kind, 3), p, f, np.zeros(2), cfg)
+        taken = _routes(monkeypatch)
+        p = (random_contraction(6, 2, 3, 0.5, seed=11) if path == "state"
+             else fused_problems["H12"])
+        f = p.H @ exact_state(p, np.ones(p.n_sigma))
+        cfg = SolverConfig(tau=0.1 * gd_bound(p).value, max_outer=30,
+                           tol_cost=1e-300, tol_grad=1e-300)
+        trace = run_method(MethodSpec(kind, 3), p, f, np.zeros(p.n_sigma), cfg)
         assert len(trace) == 31
         one_shot = kind.one_shot
         assert calls == (["_sweep_map", "tux"] if one_shot else [])
+        assert taken == ([path] if one_shot else [])
 
     @pytest.mark.parametrize("kind", list(SolverKind))
     def test_complex_problem_must_be_realified(self, kind):
@@ -243,6 +283,66 @@ class TestFusedStep:
         trace = run_method(MethodSpec(kind, 2), realify(**data), np.ones(6),
                            np.zeros(1), SolverConfig(tau=0.1, max_outer=3))
         assert len(trace) == 4
+
+
+class TestImpulseRouting:
+    """A one-shot run computes its rows from the outputs' impulse response
+    where ||B^k|| is certified below 1 and a row costs no more than a step."""
+
+    @pytest.mark.parametrize("name, k, path", [
+        ("H12", 2, "impulse"), ("H12", 3, "impulse"), ("H12", 5, "impulse"),
+        ("H12", 8, "impulse"),
+        ("scalar", 1, "state"), ("scalar", 3, "state"),   # 1 < (n_f + 1) 1
+        ("nonnormal", 1, "state"), ("nonnormal", 2, "state"),   # bound >= 1
+        ("slow", 3, "state")])      # bound < 1, but too many taps to pay
+    @pytest.mark.parametrize("kind", [SolverKind.K_STEP, SolverKind.SHIFTED_K_STEP])
+    def test_path_of_each_problem(self, fused_problems, name, k, path, kind,
+                                  monkeypatch):
+        p = {"nonnormal": lambda: _nonnormal(40, 1.5, 0.6, seed=1),
+             "slow": lambda: random_contraction(40, 2, 10, 0.9, seed=1)
+             }.get(name, lambda: fused_problems[name])()
+        beta = _norm_bound(solvers.tux(p.B, p.H, k).Bk)
+        if name == "nonnormal":
+            assert np.linalg.norm(p.B, 2) == pytest.approx(1.5) and beta >= 1.0
+            assert max(abs(np.linalg.eigvals(p.B))) < 0.6
+        if name == "slow":
+            assert beta < 1.0
+        taken = _routes(monkeypatch)
+        f = p.H @ exact_state(p, np.ones(p.n_sigma))
+        run_method(MethodSpec(kind, k), p, f, np.zeros(p.n_sigma),
+                   SolverConfig(tau=0.1 * gd_bound(p).value, max_outer=3))
+        assert taken == [path]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), n_sigma=st.integers(1, 4), n_f_extra=st.integers(0, 12),
+       n_u_extra=st.integers(0, 30), norm=st.floats(0.0, 0.6),
+       k=st.integers(1, 8), shifted=st.booleans(), seed=st.integers(0, 2**16))
+def test_impulse_rows_agree_with_the_state(data, n_sigma, n_f_extra, n_u_extra,
+                                           norm, k, shifted, seed):
+    p = random_contraction(n_sigma + n_u_extra, n_sigma, n_sigma + n_f_extra,
+                           norm, seed=seed)
+    rng = np.random.default_rng(seed)
+    s_ex = rng.standard_normal(n_sigma)
+    f = p.H @ exact_state(p, s_ex)
+    start = data.draw(st.sampled_from(["zero", "random"]))
+    u0, p0 = ((None, None) if start == "zero"
+              else (rng.standard_normal(p.n_u), rng.standard_normal(p.n_u)))
+    frac = data.draw(st.sampled_from([0.05, 0.3, 1.0]))
+    kind = SolverKind.SHIFTED_K_STEP if shifted else SolverKind.K_STEP
+    args = (MethodSpec(kind, k), p, f, np.zeros(n_sigma),
+            SolverConfig(tau=frac * gd_bound(p).value, max_outer=300), u0, p0, s_ex)
+    with pytest.MonkeyPatch.context() as mp:
+        taken = _routes(mp)
+        routed = run_method(*args)
+        mp.setattr(solvers, "_impulse_rows", lambda *a: None)
+        state = run_method(*args)
+    beta = _norm_bound(solvers.tux(p.B, p.H, k).Bk)
+    assert beta < 1.0 or taken == ["state"]
+    assert routed.status is state.status and len(routed) == len(state)
+    # a value that has fallen to 1e-12 of the run's largest is rounding-bound
+    for a, b in ((routed.cost, state.cost), (routed.grad_norm, state.grad_norm)):
+        np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-12 * max(b))
 
 
 class TestErrorRecurrenceEquivalence:

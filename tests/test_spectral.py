@@ -172,7 +172,7 @@ class TestStackedConstruction:
         monkeypatch.setattr(TUXTriple, "U", property(counted))
         rng = np.random.default_rng(k)
         f = p.H @ exact_state(p, np.ones(p.n_sigma))
-        sweep = solvers._sweep_map(p, f, k)
+        sweep, _ = solvers._sweep_map(p, f, k)
         for _ in range(3):
             u, q = sweep(rng.standard_normal(p.n_u), rng.standard_normal(p.n_u),
                          np.ones(p.n_sigma))

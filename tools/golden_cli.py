@@ -133,6 +133,15 @@ def commands() -> list[list[str]]:
     cmds.append(["solve", "--helmholtz", "20,6.283185307179586,0.01", "--seed", "3",
                  "--method", "kshot", "--k", "3", "--tau", "0.0004",
                  "--max-outer", "100"])
+    # the benchmark's H24 kshot k = 3 solve, cut short: ||B^3|| is certified
+    # below 1, so its rows come from the outputs' impulse response
+    cmds.append(["solve", "--helmholtz", "24,6.283185307179586,0.01", "--seed", "1",
+                 "--method", "kshot", "--k", "3", "--tau", "2.8720878938107805e-05",
+                 "--max-outer", "300"])
+    # ||B^3|| is certified below 1 here too, but the taps would cost more
+    # than a step, so the run stays on the state
+    cmds.append(["solve", "--random", "40,2,10,0.9", "--seed", "1", "--method",
+                 "kshot", "--k", "3", "--tau", "0.001", "--max-outer", "300"])
     # exact start, sigma0 = sigma_ex: data and state come from the same solve,
     # so the misfit is exactly 0 and the run stops at its first row
     for method in ("gd", "sgd"):
@@ -205,6 +214,10 @@ def commands() -> list[list[str]]:
                  "--method", "gd"])
     cmds.append(["bound", "--random", "4,2", "--method", "gd"])
     cmds.append(["bound", "--helmholtz", "6,x,0.01", "--method", "gd"])
+    # a bound parameter that no bound takes, or out of its range, is named
+    cmds.append(["bound", "--scalar", "0.2,1,1", "--method", "kshot", "--theta0", "5"])
+    cmds.append(["bound", "--random", "4,1,2,0.5", "--method", "gd", "--theta0", "5"])
+    cmds.append(["bound", "--random", "4,1,2,0.5", "--method", "kshot", "--theta0", "5"])
     return cmds
 
 
