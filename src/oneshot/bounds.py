@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from types import SimpleNamespace
 
 from .linear_model import (RealInverseProblem, _contraction_bound, data_map,
                            spectral_norm, tux)
@@ -88,11 +89,22 @@ class StepBound:
 # ---------------------------------------------------------------------------
 # closed forms for ||B|| < 1
 
-def _delta_terms(th: float, d0: float, half: float) -> tuple[float, float, float]:
-    """c / d0, sqrt(c) and sqrt(c) / d0 for c = (1 + 2 d0 sin(half th) + d0^2)
-    / cos(half th)^2, formed without c, which overflows for large d0."""
-    cd = (1.0 / d0 + 2.0 * math.sin(half * th) + d0) / math.cos(half * th)**2
-    return cd, math.sqrt(cd) * math.sqrt(d0), math.sqrt(cd) / math.sqrt(d0)
+def _case_terms(params: BoundParams, shifted: bool) -> SimpleNamespace:
+    """The constants of the complex-eigenvalue cases at th = theta0, d0 =
+    delta0 and h = 2.5 (shifted) or 1.5: sin_half = sin(th/2), angle =
+    sin(pi/2 - 3th) + cos(2th), cos_cap = cos(3th) (shifted) or cos(2th), the
+    k = 1 slack cos(h th)^2 / (2 lin) for lin = 1/d0 + 2 sin(h th) + d0, and
+    cd = c / d0, sc = sqrt(c), sq = sqrt(c) / d0 for c = d0 lin / cos(h th)^2,
+    made without c, which overflows for large d0."""
+    th, d0 = params.theta0, params.delta0
+    half = 2.5 if shifted else 1.5
+    lin, cos2 = 1.0 / d0 + 2.0 * math.sin(half * th) + d0, math.cos(half * th)**2
+    cd = lin / cos2
+    return SimpleNamespace(
+        sin_half=math.sin(th / 2.0), cos_cap=math.cos((3.0 if shifted else 2.0) * th),
+        angle=math.sin(math.pi / 2.0 - 3.0 * th) + math.cos(2.0 * th),
+        slack=cos2 / (2.0 * lin),
+        cd=cd, sc=math.sqrt(cd) * math.sqrt(d0), sq=math.sqrt(cd) / math.sqrt(d0))
 
 
 def closed_form(k: int, b: float, params: BoundParams | None,
@@ -114,35 +126,28 @@ def closed_form(k: int, b: float, params: BoundParams | None,
     if b == 0.0:
         kind = SolverKind.SHIFTED_GD if shifted else SolverKind.USUAL_GD
         return scalar.threshold(kind, k, 0.0).value
-    params = _check_params(params, shifted, k)
-    th, d0 = params.theta0, params.delta0
-    half = 2.5 if shifted else 1.5
-    angle = math.sin(math.pi / 2.0 - 3.0 * th) + math.cos(2.0 * th)
+    c = _case_terms(_check_params(params, shifted, k), shifted)
     if k == 1:
         # real eigenvalues impose no condition on the non-shifted family
         cases = [(1.0 - b)**4 / (4.0 * b**2),
-                 2.0 * math.sin(th / 2.0) * (1.0 - b)**2 / (1.0 + b)**2,
-                 math.cos(half * th)**2
-                 / (2.0 * (1.0 / d0 + 2.0 * math.sin(half * th) + d0))
-                 * (1.0 - b)**4 / b**2]
+                 2.0 * c.sin_half * (1.0 - b)**2 / (1.0 + b)**2,
+                 c.slack * (1.0 - b)**4 / b**2]
         if shifted:
-            cases += [2.0 * (1.0 - b)**2, angle * (1.0 - b)**2]
+            cases += [2.0 * (1.0 - b)**2, c.angle * (1.0 - b)**2]
         return min(cases)
 
     bk = b**k
     geom = 1.0 - k * b**(k - 1) + (k - 1) * b**k   # >= (1-b)^2 ||X_k|| / ||H||^2
     front = (1.0 - b)**2 * (1.0 - bk)**2
-    cd, sc, sq = _delta_terms(th, d0, half)
-    cos_cap = math.cos((3.0 if shifted else 2.0) * th)
     cases = [front / (4.0 * b**(2 * k) + SQRT2 * geom * (1.0 + bk)**2),
-             front / (((1.0 - bk)**2 / (2.0 * math.sin(th / 2.0))
+             front / (((1.0 - bk)**2 / (2.0 * c.sin_half)
                        + SQRT2 * geom) * (1.0 + bk)**2),
-             front / (2.0 * cd * math.sin(th / 2.0) * b**(2 * k)
-                      + geom * (sq * (1.0 + b**(2 * k))
-                                + 2.0 * max(sq, sc / cos_cap) * bk))]
+             front / (2.0 * c.cd * c.sin_half * b**(2 * k)
+                      + geom * (c.sq * (1.0 + b**(2 * k))
+                                + 2.0 * max(c.sq, c.sc / c.cos_cap) * bk))]
     if shifted:
         cases += [2.0 * front / ((1.0 - bk)**2 + 2.0 * geom),
-                  angle * front / ((1.0 - bk)**2 + 2.0 * geom * (1.0 + bk)**2)]
+                  c.angle * front / ((1.0 - bk)**2 + 2.0 * geom * (1.0 + bk)**2)]
     else:
         cases.append(front / geom)
     return min(cases)
@@ -152,24 +157,20 @@ def closed_form(k: int, b: float, params: BoundParams | None,
 # general bounds through the resolvent constant s(B^k)
 
 def _general_min_k1(nH, nM, nB, s, params, shifted):
-    th, d0 = params.theta0, params.delta0
+    c = _case_terms(params, shifted)
     hm2 = nH**2 * nM**2
     cases = []
     if shifted:
         cases.append(2.0 / (hm2 * s**2))                              # real
-        cases.append((math.sin(math.pi / 2.0 - 3.0 * th)
-                      + math.cos(2.0 * th)) / (hm2 * (1.0 + nB)**2 * s**2))
+        cases.append(c.angle / (hm2 * (1.0 + nB)**2 * s**2))
     cases.append(1.0 / (4.0 * hm2 * nB**2 * s**4))
-    cases.append(2.0 * math.sin(th / 2.0) / (hm2 * (1.0 + 2.0 * nB)**2 * s**4))
-    half = 2.5 if shifted else 1.5
-    cases.append(math.cos(half * th)**2
-                 / (2.0 * (1.0 / d0 + 2.0 * math.sin(half * th) + d0))
-                 / (hm2 * nB**2 * s**4))
+    cases.append(2.0 * c.sin_half / (hm2 * (1.0 + 2.0 * nB)**2 * s**4))
+    cases.append(c.slack / (hm2 * nB**2 * s**4))
     return min(cases)
 
 
 def _general_min_k(nH, nM, nT, nX, nBk, s, params, shifted):
-    th, d0 = params.theta0, params.delta0
+    c = _case_terms(params, shifted)
     ht2 = nH**2 * nM**2 * nT**2
     xk = nM**2 * nX
 
@@ -179,22 +180,18 @@ def _general_min_k(nH, nM, nT, nX, nBk, s, params, shifted):
     cases = []
     if shifted:
         cases.append(inv((ht2 / 2.0 + xk) * s**2))                    # real
-        angle = math.sin(math.pi / 2.0 - 3.0 * th) + math.cos(2.0 * th)
-        cases.append(angle * inv((ht2 * (1.0 + nBk)**2
-                                  + 2.0 * xk * (1.0 + 2.0 * nBk)**2) * s**4))
-        half, cos_cap = 2.5, math.cos(3.0 * th)
+        cases.append(c.angle * inv((ht2 * (1.0 + nBk)**2
+                                    + 2.0 * xk * (1.0 + 2.0 * nBk)**2) * s**4))
     else:
         cases.append(inv(xk * s**2))                                   # real
-        half, cos_cap = 1.5, math.cos(2.0 * th)
 
     cases.append(inv((4.0 * ht2 * nBk**2
                       + SQRT2 * xk * (1.0 + 2.0 * nBk)**2) * s**4))
-    cases.append(inv((ht2 / (2.0 * math.sin(th / 2.0)) + SQRT2 * xk)
+    cases.append(inv((ht2 / (2.0 * c.sin_half) + SQRT2 * xk)
                      * (1.0 + 2.0 * nBk)**2 * s**4))
-    cd, sc, sq = _delta_terms(th, d0, half)
-    cases.append(inv((2.0 * cd * math.sin(th / 2.0) * ht2 * nBk**2
-                      + sq * xk * (1.0 + 2.0 * nBk + 2.0 * nBk**2)
-                      + 2.0 * max(sq, sc / cos_cap)
+    cases.append(inv((2.0 * c.cd * c.sin_half * ht2 * nBk**2
+                      + c.sq * xk * (1.0 + 2.0 * nBk + 2.0 * nBk**2)
+                      + 2.0 * max(c.sq, c.sc / c.cos_cap)
                       * xk * (nBk + nBk**2)) * s**4))
     return min(cases)
 

@@ -29,9 +29,9 @@ from pathlib import Path
 import numpy as np
 
 from . import bounds, scalar, spectral
-from .linear_model import (RealInverseProblem, ScalarProblem, exact_state,
-                           cost, gradient, helmholtz_toy, load_problem,
-                           random_contraction, validate)
+from .linear_model import (DEFAULT_EPS_INJ, DEFAULT_EPS_RHO, RealInverseProblem,
+                           ScalarProblem, exact_state, cost, gradient, helmholtz_toy,
+                           load_problem, random_contraction, validate)
 from .solvers import MethodSpec, SolverConfig, SolverKind, run_method
 
 EXIT_INVALID = 1
@@ -113,7 +113,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    kind = _method_kind(args.method)
+    method = MethodSpec(_method_kind(args.method), k=args.k)
+    kind = method.kind
     given = {k: v for k in ("theta0", "delta0") if (v := getattr(args, k)) is not None}
     if given and (args.scalar is not None or not kind.one_shot):
         bound = ("exact scalar threshold" if args.scalar is not None
@@ -130,7 +131,6 @@ def _cmd_bound(args) -> int:
                           "method": args.method, "value": value,
                           "branch": thr.branch}))
         return 0
-    method = MethodSpec(kind, k=args.k)
     params = replace(bounds.default_params(kind.shifted, args.k), **given)
     try:    # an out-of-range theta0 is bad input, not an unusable problem
         bounds._check_params(params, kind.shifted, args.k)
@@ -174,10 +174,10 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _run_cell(problem, f, sigma0, sigma_ex, method_name, k, tau, args):
+def _run_cell(problem, f, sigma0, sigma_ex, kind, k, tau, args):
     method, trace, rho = None, None, math.nan
     try:
-        method = MethodSpec(_method_kind(method_name), k=k)
+        method = MethodSpec(kind, k=k)
         trace = _run(problem, f, sigma0, sigma_ex, method, tau, args)
         status, outer, final_cost = trace.status.value, len(trace), trace.final_cost
     except Exception as exc:  # a failed cell must not kill the sweep
@@ -188,21 +188,21 @@ def _run_cell(problem, f, sigma0, sigma_ex, method_name, k, tau, args):
                 problem, method, tau if trace is None else trace.tau)[1]
         except Exception:  # no oracle radius: the row reports nan
             pass
-    return method_name, k, tau, trace, status, outer, final_cost, rho
+    return kind.value, k, tau, trace, status, outer, final_cost, rho
 
 
 def _cmd_sweep(args) -> int:
-    methods = args.method.split(",")
-    for name in methods:   # a mistyped name fails the command, not its cells
-        _method_kind(name)
+    # a mistyped name or list item fails the command, not its cells
+    kinds = [_method_kind(name) for name in args.method.split(",")]
+    ks = _fields("k", args.k, "a comma list of inner counts",
+                 *[int] * (args.k.count(",") + 1))
+    taus = _fields("tau", args.tau, "a comma list of steps",
+                   *[float] * (args.tau.count(",") + 1))
+    cells = [(kind, k, tau) for kind in kinds for k in ks for tau in taus]
     problem = _load_problem_arg(args)
     sigma_ex, sigma0, f = _synthetic_data(problem, args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    ks = [int(x) for x in args.k.split(",")]
-    taus = [float(x) for x in args.tau.split(",")]
-    cells = [(m, k, tau) for m in methods for k in ks for tau in taus]
 
     with ThreadPoolExecutor() as pool:
         results = list(pool.map(
@@ -225,7 +225,10 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_scalar_region(args) -> int:
-    ks = [int(x) for x in args.k.split(",")]
+    ks = _fields("k", args.k, "a comma list of inner counts",
+                 *[int] * (args.k.count(",") + 1))
+    if args.b_count < 0:
+        raise ValueError(f"argument --b-count: must be at least 0, got {args.b_count}")
     bs = np.linspace(args.b_min, args.b_max, args.b_count)
     kinds = ([_method_kind(name) for name in args.method.split(",")]
              if args.method else list(SolverKind))
@@ -268,7 +271,8 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
                    help="exact parameter value per component")
     p.add_argument("--sigma0", type=finite_float, default=12.0,
                    help="initial guess per component")
-    p.add_argument("--max-outer", dest="max_outer", type=int, default=2000)
+    p.add_argument("--max-outer", dest="max_outer", type=int,
+                   default=SolverConfig.max_outer)
     p.add_argument("--line-search-first", action="store_true",
                    help="backtracking line search on the first step")
 
@@ -286,8 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="validate a problem file")
     p.add_argument("--problem", required=True)
-    p.add_argument("--eps-rho", dest="eps_rho", type=float, default=1e-8)
-    p.add_argument("--eps-inj", dest="eps_inj", type=float, default=1e-10)
+    p.add_argument("--eps-rho", dest="eps_rho", type=float, default=DEFAULT_EPS_RHO)
+    p.add_argument("--eps-inj", dest="eps_inj", type=float, default=DEFAULT_EPS_INJ)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("bound", help="descent-step bound / scalar threshold")

@@ -86,12 +86,10 @@ def jury_marden_general(coeffs) -> tuple[bool | None, MardenTable]:
 # the polynomial f_k and its roots
 
 def _pow(x, n):
-    """``x**n`` by Python's float power, also elementwise over an array, so
-    each b of an array gets the bits it gets alone: ``float_power`` calls
-    the libm ``pow`` that Python's ``**`` calls, where the SIMD kernels of
+    """``x**n`` with the bits of Python's float power, for a float or each
+    entry of an array, which so gets the bits it gets alone: ``float_power``
+    calls the libm ``pow`` that ``**`` calls, where the SIMD kernels of
     numpy's ``power`` may differ in the last bit, even for the square."""
-    if not isinstance(x, np.ndarray):
-        return float(x)**n
     return np.float_power(x, float(n))
 
 

@@ -107,16 +107,12 @@ class ConvergenceTrace:
     def final_cost(self) -> float:
         return self.cost[-1]
 
-    def rows(self):
-        for i in range(len(self.cost)):
-            yield (i + 1, self.accumulated_inner[i], self.cost[i],
-                   self.grad_norm[i], self.err_sigma[i])
-
     def write_csv(self, fh) -> None:
         """Write the trace in the fixed CSV layout, 17 significant digits."""
         fh.write(CSV_HEADER + "\n")
         status = self.status.value
-        for n, acc, c, g, e in self.rows():
+        for n, acc, c, g, e in zip(itertools.count(1), self.accumulated_inner,
+                                   self.cost, self.grad_norm, self.err_sigma):
             fh.write(f"{n},{acc},{c:.17g},{g:.17g},{e:.17g},{status}\n")
 
 
@@ -131,7 +127,8 @@ def _sweep_map(problem, f, k: int):
     + X_k (M sigma + F) - T_k* H* f, both from the old (u, p) (see TUXTriple).
     When L has at most n_u / 2 rows (a measured crossover) U_k u is L*(R u)
     and no dense U_k is formed.  Each row panel of B^k (one if B^k fits
-    PANEL_BYTES) serves both products.  sigma None: unforced, on blocks too."""
+    PANEL_BYTES) serves both products.  sigma None: unforced, on blocks too.
+    Also returns [T_k M; X_k M], the constant forcing c and the ``tux`` triple."""
     B, M, H, F, n = problem.B, problem.M, problem.H, problem.F, problem.n_u
     t = tux(B, H, k)
     TXM = np.vstack([t.T @ M, t.X @ M])
@@ -156,16 +153,17 @@ def _sweep_map(problem, f, k: int):
             return u_new, p_new
         w = TXM @ sigma + c     # [T_k M; X_k M] sigma + the constant parts
         return u_new + w[:n], p_new + w[n:]
-    return sweep, (TXM, t)
+    return sweep, (TXM, c, t)
 
 
-def _impulse_rows(problem, f, u, p, sweep, TXM, t):
+def _impulse_rows(problem, f, u, p, sweep, TXM, c, t):
     """The state path's rows from the outputs' impulse response, or None
     where that is not certified or would cost more than a state step.
 
     y_n = (H u_n - f, M* p_n) is z_n + sum_{d<D} G_d (s_{n-1-d} - r): z runs
     from (u, p) with every input r, which zeroes the steady gradient, and
-    G_d = C A^d [T_k M; X_k M], C = diag(H, M*), A = ``sweep`` unforced.  Both
+    G_d = C A^d [T_k M; X_k M], C = diag(H, M*), A = ``sweep`` unforced; the
+    forcing c of ``_sweep_map`` gives the taps of the constant part.  Both
     stop where a bound on all they drop, from bounds of ||B^k|| < 1, ||U_k||,
     ||H|| and ||M||, is at most 2^-53 of their first term (see README)."""
     n, n_f, n_s, H, M = problem.n_u, problem.n_f, problem.n_sigma, problem.H, problem.M
@@ -186,8 +184,7 @@ def _impulse_rows(problem, f, u, p, sweep, TXM, t):
     W = (TXM[:n], TXM[n:])
     if (D := count(*W, math.sqrt(np.max(np.sum(out(*W) ** 2, axis=0))))) > len(ds):
         return None
-    c = sweep(np.zeros(n), np.zeros(n), np.zeros(n_s))     # the constant forcing
-    block = tuple(np.column_stack(x) for x in zip(W, c))
+    block = np.vsplit(np.column_stack([TXM, c]), 2)
     taps = [out(*block)]        # the taps of W and of c
     while len(taps) < D:
         block = sweep(*block)
@@ -204,12 +201,12 @@ def _impulse_rows(problem, f, u, p, sweep, TXM, t):
     K = np.hstack([g[:, :n_s] for g in taps[::-1]])     # oldest input first
 
     def rows(y=z[0]):
-        ring = np.tile(r, (2 * D, 1))   # each input twice: D rows in a row
+        ring = np.zeros((2 * D, n_s))   # each s - r twice: D rows in a row
         for n in itertools.count():
             s = yield y[:n_f], y[n_f:]
             i = n % D
-            ring[i] = ring[i + D] = s
-            y = z[min(n + 1, last)] + K @ (ring[i + 1:i + 1 + D] - r).ravel()
+            ring[i] = ring[i + D] = s - r
+            y = z[min(n + 1, last)] + K @ ring[i + 1:i + 1 + D].ravel()
     return rows()
 
 
@@ -241,44 +238,45 @@ def run_method(method: MethodSpec, problem, f, sigma0, config,
         while True:
             s = yield problem.H @ u - f, problem.M.T @ p
             u, p = refresh(u, p, s)
-    if one_shot:
-        sweep, parts = _sweep_map(problem, f, method.k)
-        rows = parts and _impulse_rows(problem, f, u, p, sweep, *parts)
-        rows = rows or state_rows(u, p, sweep)
-    else:
-        def exact(u, p, s):     # shifted GD's first s is sigma0: (u, p) are there
-            if s is not sigma0:
-                u = exact_state(problem, s)
-                p = adjoint_from_state(problem, u, f)
-            return u, p
-        u = exact_state(problem, sigma)
-        rows = state_rows(u, adjoint_from_state(problem, u, f), exact)
-    r, grad = next(rows)
-    for n in range(config.max_outer + 1):
-        c = 0.5 * float(r @ r)
-        g = math.sqrt(grad @ grad)      # np.linalg.norm's formula, less overhead
-        trace.sigma.append(sigma)       # a new array each step, never changed
-        trace.cost.append(c)
-        trace.grad_norm.append(g)
-        d = None if sigma_exact is None else sigma - sigma_exact
-        trace.err_sigma.append(math.nan if d is None else math.sqrt(d @ d))
-        trace.accumulated_inner.append(1 + n * (method.k if one_shot else 1))
-        d = sigma - sigma0      # a nan or inf fails the comparison below too
-        if not (math.isfinite(c) and math.isfinite(g)
-                and math.sqrt(d @ d) <= DIVERGENCE_THRESHOLD):
-            trace.status = Status.DIVERGED
-            break
-        if cost_ref is None and c > 0.0:
-            cost_ref = c
-        if grad_ref is None and g > 0.0:
-            grad_ref = g
-        if (_relative(c, cost_ref) < config.tol_cost
-                and _relative(g, grad_ref) < config.tol_grad):
-            trace.status = Status.CONVERGED
-            break
-        if n == config.max_outer:
-            break           # the status stays MAX_ITER
-        sigma_new = sigma - config.tau * grad
-        r, grad = rows.send(sigma if shifted else sigma_new)
-        sigma = sigma_new
+    with np.errstate(over="ignore", invalid="ignore"):   # inf, nan: diverged
+        if one_shot:
+            sweep, parts = _sweep_map(problem, f, method.k)
+            rows = (_impulse_rows(problem, f, u, p, sweep, *parts)
+                    or state_rows(u, p, sweep))
+        else:
+            def exact(u, p, s):     # shifted GD's first s is sigma0: (u, p) are there
+                if s is not sigma0:
+                    u = exact_state(problem, s)
+                    p = adjoint_from_state(problem, u, f)
+                return u, p
+            u = exact_state(problem, sigma)
+            rows = state_rows(u, adjoint_from_state(problem, u, f), exact)
+        r, grad = next(rows)
+        for n in range(config.max_outer + 1):
+            c = 0.5 * float(r @ r)
+            g = math.sqrt(grad @ grad)      # np.linalg.norm's formula, less overhead
+            trace.sigma.append(sigma)       # a new array each step, never changed
+            trace.cost.append(c)
+            trace.grad_norm.append(g)
+            d = None if sigma_exact is None else sigma - sigma_exact
+            trace.err_sigma.append(math.nan if d is None else math.sqrt(d @ d))
+            trace.accumulated_inner.append(1 + n * (method.k if one_shot else 1))
+            d = sigma - sigma0      # a nan or inf fails the comparison below too
+            if not (math.isfinite(c) and math.isfinite(g)
+                    and math.sqrt(d @ d) <= DIVERGENCE_THRESHOLD):
+                trace.status = Status.DIVERGED
+                break
+            if cost_ref is None and c > 0.0:
+                cost_ref = c
+            if grad_ref is None and g > 0.0:
+                grad_ref = g
+            if (_relative(c, cost_ref) < config.tol_cost
+                    and _relative(g, grad_ref) < config.tol_grad):
+                trace.status = Status.CONVERGED
+                break
+            if n == config.max_outer:
+                break           # the status stays MAX_ITER
+            sigma_new = sigma - config.tau * grad
+            r, grad = rows.send(sigma if shifted else sigma_new)
+            sigma = sigma_new
     return trace

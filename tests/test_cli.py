@@ -228,6 +228,30 @@ class TestBadInput:
                        "gd, sgd, kshot, skshot\n")
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("source", [["--scalar", "0.2,1,1"],
+                                        ["--random", "4,1,2,0.5"]])
+    @pytest.mark.parametrize("method, k", [("gd", "-5"), ("sgd", "0")])
+    def test_bound_checks_k_on_every_source(self, source, method, k, capsys):
+        # the scalar threshold ignored the GD kinds' k: it exited 0 with it
+        assert main(["bound", *source, "--method", method, "--k", k]) == 2
+        assert capsys.readouterr() == ("", f"error: k must be at least 1, got {k}\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["sweep", "--scalar", "0.2,1,1", "--method", "gd", "--k", "1,x",
+          "--tau", "0.1"], "--k expects a comma list of inner counts, got '1,x'"),
+        (["sweep", "--scalar", "0.2,1,1", "--method", "gd", "--tau", "0.1,x"],
+         "--tau expects a comma list of steps, got '0.1,x'"),
+        (["scalar-region", "--k", "1,x"],
+         "--k expects a comma list of inner counts, got '1,x'"),
+        (["scalar-region", "--b-count", "-3"],
+         "argument --b-count: must be at least 0, got -3"),
+    ])
+    def test_list_flag_names_itself(self, argv, message, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+
     def test_unreadable_problem_file_is_named(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -375,6 +399,25 @@ class TestSolve:
         lines = capsys.readouterr().out.strip().split("\n")
         assert lines[-1].split(",")[-1] == "converged"
 
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv, rows", [
+        (["--random", "4,1,2,0.5", "--tau", "1e300", "--max-outer", "5"],
+         ["1,1,147.52198872231872,0,2", "2,2,16.029138585589557,30.025260024487608,2",
+          "3,3,inf,7.3753285763690579,inf"]),
+        (["--scalar", "0.2,1,1", "--tau", "0.1", "--sigma0", "1e308"],
+         ["1,1,78.125,0,inf", "2,2,inf,12.5,inf"]),
+    ])
+    def test_overflow_ends_the_run_quietly(self, argv, rows, tmp_path, capsys):
+        # an overflow to inf warned from numpy before the diverged trace
+        trace = solvers.CSV_HEADER + "\n" + "".join(f"{r},diverged\n" for r in rows)
+        assert main(["solve", *argv, "--method", "kshot"]) == 0
+        assert capsys.readouterr() == (trace, "")
+        assert main(["sweep", *argv, "--method", "kshot",
+                     "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+        [path] = tmp_path.glob("trace_*.csv")
+        assert path.read_text() == trace
 
     def test_shifted_gd_solves_once_per_step(self, monkeypatch, capsys):
         # the state at sigma0 serves both the first row and the first

@@ -412,9 +412,9 @@ class TestArrayThresholds:
         assert len(calls) == 6
 
     def test_float_power_is_pythons_float_power(self):
-        # _pow's array branch is np.float_power, which must give the bits of
-        # Python's ** at every exponent the thresholds reach (2k + 1 for k up
-        # to 20); a SIMD float_power kernel in numpy would fail here
+        # _pow is np.float_power, which must give the bits of Python's ** at
+        # every exponent the thresholds reach (2k + 1 for k up to 20), over an
+        # array and for a lone float; a SIMD float_power kernel would fail
         tiny, near_one = 2.0**-50, 1.0 - 2.0**-53
         xs = np.concatenate([
             [0.0, -0.0, near_one, -near_one, tiny, -tiny],
@@ -425,6 +425,8 @@ class TestArrayThresholds:
             assert np.array_equal(_bits(np.float_power(xs, float(n))),
                                   _bits(python)), n
             assert np.array_equal(_bits(scalar._pow(xs, n)), _bits(python)), n
+            lone = [scalar._pow(x, n) for x in xs.tolist()]
+            assert np.array_equal(_bits(lone), _bits(python)), n
 
     @pytest.mark.parametrize("k", range(1, 9))
     def test_masks_that_hold_everywhere_read_the_terms_uncopied(self, k):

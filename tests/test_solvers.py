@@ -166,7 +166,8 @@ class TestOneShot:
 def _sweep_loop(problem, f, k):
     """Reference for the fused step: the k coupled sweeps run one by one in
     np.longdouble, each outer step's (u, p) rounded once to float.  It gives
-    no impulse-map parts, so its run takes the state path."""
+    no impulse-map parts; its run takes the state path with ``_impulse_rows``
+    patched to None."""
     B, M, H, F, f = (np.asarray(a, dtype=np.longdouble)
                      for a in (problem.B, problem.M, problem.H, problem.F, f))
 
@@ -177,7 +178,7 @@ def _sweep_loop(problem, f, k):
             # both updates read the previous (u, p) pair
             u, p = B @ u + rhs_u, B.T @ p + H.T @ (H @ u - f)
         return u.astype(float), p.astype(float)
-    return sweep, None
+    return sweep, ()
 
 
 def _norm_bound(a):
@@ -243,6 +244,7 @@ class TestFusedStep:
         args = (MethodSpec(kind, k), p, f, np.zeros(p.n_sigma), cfg, u0, p0, s_ex)
         fused = run_method(*args)
         monkeypatch.setattr(solvers, "_sweep_map", _sweep_loop)
+        monkeypatch.setattr(solvers, "_impulse_rows", lambda *a: None)
         loop = run_method(*args)
         assert len(fused) == len(loop) == 50
         assert fused.status is loop.status

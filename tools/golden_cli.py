@@ -218,6 +218,23 @@ def commands() -> list[list[str]]:
     cmds.append(["bound", "--scalar", "0.2,1,1", "--method", "kshot", "--theta0", "5"])
     cmds.append(["bound", "--random", "4,1,2,0.5", "--method", "gd", "--theta0", "5"])
     cmds.append(["bound", "--random", "4,1,2,0.5", "--method", "kshot", "--theta0", "5"])
+    # an overflow to inf ends the run as diverged, and numpy warns nothing
+    overflow = ["--random", "4,1,2,0.5", "--method", "kshot", "--tau", "1e300",
+                "--max-outer", "5"]
+    cmds.append(["solve", *overflow])
+    cmds.append(["sweep", *overflow, "--out", "{work}/out/sweep_overflow"])
+    cmds.append(["solve", "--scalar", "0.2,1,1", "--method", "kshot", "--tau", "0.1",
+                 "--sigma0", "1e308"])
+    # the scalar threshold checks k as the matrix bounds do
+    cmds.append(["bound", "--scalar", "0.2,1,1", "--method", "gd", "--k", "-5"])
+    cmds.append(["bound", "--scalar", "0.2,1,1", "--method", "sgd", "--k", "0"])
+    # a malformed list item or a negative grid size names its flag
+    cmds.append(["sweep", *scalar_gd, "--k", "1,x", "--tau", "0.1",
+                 "--out", "{work}/out/sweep_bad_k"])
+    cmds.append(["sweep", *scalar_gd, "--tau", "0.1,x",
+                 "--out", "{work}/out/sweep_bad_tau"])
+    cmds.append(["scalar-region", "--k", "1,x"])
+    cmds.append(["scalar-region", "--b-count", "-3"])
     return cmds
 
 
