@@ -21,6 +21,7 @@ import csv
 import itertools
 import json
 import math
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -86,7 +87,10 @@ def _synthetic_data(problem, args):
     """Exact parameter, measurement and initial guess for a solver run."""
     sigma_ex = np.full(problem.n_sigma, args.sigma_ex)
     sigma0 = np.full(problem.n_sigma, args.sigma0)
-    f = problem.H @ exact_state(problem, sigma_ex)
+    with np.errstate(over="ignore", invalid="ignore"):     # checked below
+        f = problem.H @ exact_state(problem, sigma_ex)
+    if not np.isfinite(f).all():
+        raise ValueError(f"argument --sigma-ex: {args.sigma_ex:g} overflows the measurement")
     return sigma_ex, sigma0, f
 
 
@@ -331,6 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list from gd,sgd,kshot,skshot (default all)")
     p.add_argument("--out", help="output CSV file (default: stdout)")
     p.set_defaults(func=_cmd_scalar_region)
+    for p in (parser, *sub.choices.values()):  # -1e-3, -0.5,2,0.5: values, as -0.5 is
+        p._negative_number_matcher = re.compile(r"^-\.?\d")
     return parser
 
 

@@ -8,6 +8,7 @@ three updates can run simultaneously).  ``SolverKind`` names the four methods
 and carries these two choices as its flags ``one_shot`` and ``shifted``.  A
 one-shot run steps (u, p), or, where ||B^k|| < 1 is certified and it costs
 less, sums the impulse response of the rows' outputs over its last inputs.
+Impulse rows are made ROW_BLOCK at a time, by one matrix product each.
 """
 from __future__ import annotations
 
@@ -40,6 +41,7 @@ class SolverKind(enum.Enum):
 
 DIVERGENCE_THRESHOLD = 1e12     # ||sigma - sigma0|| beyond this: diverged
 PANEL_BYTES = 1 << 20           # a B^k row panel, about half an L2 cache
+ROW_BLOCK = 48                  # 32/48/64: H24 solve 85/76/77 ms, H12 k=1 cell 6.7/7.1/8.9
 
 
 @dataclass(frozen=True)
@@ -156,16 +158,43 @@ def _sweep_map(problem, f, k: int):
     return sweep, (TXM, c, t)
 
 
-def _impulse_rows(problem, f, u, p, sweep, TXM, c, t):
-    """The state path's rows from the outputs' impulse response, or None
-    where that is not certified or would cost more than a state step.
+def _block_map(Kg, zg, q, tau, shifted):
+    """A block's ROW_BLOCK gradients as one matrix of its first state x =
+    (sigma_n - r, 1, e_{n-D}, ..., e_{n-1}, w), e = s - r, w the first q rows
+    of z less its end zg: the loop run on (sigma_n - r, 1, a unit gradient
+    step at row 0), the old inputs and w acting through the step's response h."""
+    n_s, E, m = len(zg), Kg.shape[1], ROW_BLOCK
+    e = np.zeros((E + m * n_s, 2 * n_s + 1))
+    s, c = np.eye(n_s, 2 * n_s + 1), np.eye(m * n_s, 2 * n_s + 1, n_s + 1).reshape(m, n_s, -1)
+    c[:, :, n_s] = zg
+    G = np.empty_like(c)
+    for j in range(m):
+        G[j] = g = Kg @ e[j * n_s:j * n_s + E] + c[j]
+        s_new = s - tau * g
+        e[E + j * n_s:E + (j + 1) * n_s] = s if shifted else s_new
+        s = s_new
+    h, w = G[:, :, n_s + 1:], np.zeros((m, n_s, q * n_s))
+    for i in range(q):          # a step at row i
+        w[i:, :, i * n_s:(i + 1) * n_s] = h[:m - i]
+    old = h @ Kg                # an old input acts at once, and a row later a tap on
+    for j in range(1, m):
+        old[j, :, n_s:] += old[j - 1, :, :-n_s]
+    return np.concatenate([G[:, :, :n_s + 1], old, w], axis=2).reshape(m * n_s, -1)
+
+
+def _impulse_rows(problem, f, u, p, ends, tau, shifted, sweep, TXM, c, t):
+    """The state path's rows from the outputs' impulse response, in blocks,
+    or None where that is not certified or would cost more than a state step.
 
     y_n = (H u_n - f, M* p_n) is z_n + sum_{d<D} G_d (s_{n-1-d} - r): z runs
     from (u, p) with every input r, which zeroes the steady gradient, and
     G_d = C A^d [T_k M; X_k M], C = diag(H, M*), A = ``sweep`` unforced; the
     forcing c of ``_sweep_map`` gives the taps of the constant part.  Both
     stop where a bound on all they drop, from bounds of ||B^k|| < 1, ||U_k||,
-    ||H|| and ||M||, is at most 2^-53 of their first term (see README)."""
+    ||H|| and ||M||, is at most 2^-53 of their first term (see README).
+    Its generator makes the rows ROW_BLOCK at a time: gradients by one product
+    of ``_block_map``, sigma their cumulative sum (s_n = sigma_{n+1}, or
+    sigma_n shifted), norms at once (np.vecdot rounds as r @ r)."""
     n, n_f, n_s, H, M = problem.n_u, problem.n_f, problem.n_sigma, problem.H, problem.M
     ds = np.arange(1, n * n // ((n_f + n_s) * n_s) + 1)     # a row's cost <= B^k's
     norm = lambda a: math.sqrt(np.linalg.norm(a, 1) * np.linalg.norm(a, np.inf))
@@ -197,17 +226,26 @@ def _impulse_rows(problem, f, u, p, sweep, TXM, c, t):
         return None
     while len(x) <= last:
         x.append(sweep(*x[-1], r))
-    z = [out(*v) - np.concatenate([f, np.zeros(n_s)]) for v in x]
+    z = np.array([out(*v) for v in x]) - np.concatenate([f, np.zeros(n_s)])
     K = np.hstack([g[:, :n_s] for g in taps[::-1]])     # oldest input first
+    Kr, Kg, m = K[:n_f], K[n_f:], ROW_BLOCK
+    nw = min(last, m)           # rows of a block that z's transient reaches
+    P = _block_map(Kg, z[last, n_f:], nw, tau, shifted)
 
-    def rows(y=z[0]):
-        ring = np.zeros((2 * D, n_s))   # each s - r twice: D rows in a row
-        for n in itertools.count():
-            s = yield y[:n_f], y[n_f:]
-            i = n % D
-            ring[i] = ring[i + D] = s - r
-            y = z[min(n + 1, last)] + K @ ring[i + 1:i + 1 + D].ravel()
-    return rows()
+    def rows(s):
+        e = np.zeros((D + m) * n_s)     # inputs less r: the D before the block, its own
+        windows = np.lib.stride_tricks.sliding_window_view(e, D * n_s)[:m * n_s:n_s]
+        for n in itertools.count(0, m):
+            zn = z[np.minimum(np.arange(n, n + m), last)]
+            x = np.concatenate([s - r, [1.0], e[:D * n_s], (zn[:nw, n_f:] - z[last, n_f:]).ravel()])
+            G = (P @ x).reshape(m, n_s)
+            S = np.cumsum(np.vstack([s, -tau * G]), axis=0)
+            e[D * n_s:] = ((S[:-1] if shifted else S[1:]) - r).ravel()
+            R, d = zn[:, :n_f] + windows @ Kr.T, S[:-1, None] - ends
+            yield from zip(S[:-1], (0.5 * np.vecdot(R, R)).tolist(),
+                           np.sqrt(np.vecdot(G, G)).tolist(), *np.sqrt(np.vecdot(d, d)).T.tolist())
+            e[:D * n_s], s = e[m * n_s:], S[-1]
+    return rows(ends[0])
 
 
 def run_method(method: MethodSpec, problem, f, sigma0, config,
@@ -225,45 +263,45 @@ def run_method(method: MethodSpec, problem, f, sigma0, config,
     values; otherwise it ends after max_outer steps.
     """
     f = _vector("f", f, problem.n_f)
-    sigma = sigma0 = _vector("sigma0", sigma0, problem.n_sigma)
+    sigma0 = _vector("sigma0", sigma0, problem.n_sigma)
     u, p = (np.zeros(problem.n_u) if v is None else _vector(name, v, problem.n_u)
             for name, v in (("u0", u0), ("p0", p0)))
-    if sigma_exact is not None:
-        sigma_exact = _vector("sigma_exact", sigma_exact, problem.n_sigma)
+    sigma_exact = (np.full(problem.n_sigma, math.nan) if sigma_exact is None
+                   else _vector("sigma_exact", sigma_exact, problem.n_sigma))
     trace = ConvergenceTrace(method=method, tau=config.tau)
     cost_ref = grad_ref = None
     one_shot, shifted = method.kind.one_shot, method.kind.shifted
 
-    def state_rows(u, p, refresh):     # yield a row, take the next input
+    def stepped(u, p, refresh):     # yield a row, then step to the next
+        sigma = sigma0
         while True:
-            s = yield problem.H @ u - f, problem.M.T @ p
-            u, p = refresh(u, p, s)
+            r, grad, d, e = problem.H @ u - f, problem.M.T @ p, sigma - sigma0, sigma - sigma_exact
+            yield sigma, 0.5 * float(r @ r), math.sqrt(grad @ grad), math.sqrt(d @ d), math.sqrt(e @ e)
+            sigma_new = sigma - config.tau * grad
+            u, p = refresh(u, p, sigma if shifted else sigma_new)
+            sigma = sigma_new
     with np.errstate(over="ignore", invalid="ignore"):   # inf, nan: diverged
         if one_shot:
             sweep, parts = _sweep_map(problem, f, method.k)
-            rows = (_impulse_rows(problem, f, u, p, sweep, *parts)
-                    or state_rows(u, p, sweep))
+            rows = (_impulse_rows(problem, f, u, p, np.array([sigma0, sigma_exact]),
+                                  config.tau, shifted, sweep, *parts)
+                    or stepped(u, p, sweep))
         else:
             def exact(u, p, s):     # shifted GD's first s is sigma0: (u, p) are there
                 if s is not sigma0:
                     u = exact_state(problem, s)
                     p = adjoint_from_state(problem, u, f)
                 return u, p
-            u = exact_state(problem, sigma)
-            rows = state_rows(u, adjoint_from_state(problem, u, f), exact)
-        r, grad = next(rows)
-        for n in range(config.max_outer + 1):
-            c = 0.5 * float(r @ r)
-            g = math.sqrt(grad @ grad)      # np.linalg.norm's formula, less overhead
-            trace.sigma.append(sigma)       # a new array each step, never changed
+            u = exact_state(problem, sigma0)
+            rows = stepped(u, adjoint_from_state(problem, u, f), exact)
+        for n, (sigma, c, g, dist, err) in zip(range(config.max_outer + 1), rows):
+            trace.sigma.append(sigma)       # never changed after
             trace.cost.append(c)
             trace.grad_norm.append(g)
-            d = None if sigma_exact is None else sigma - sigma_exact
-            trace.err_sigma.append(math.nan if d is None else math.sqrt(d @ d))
+            trace.err_sigma.append(err)
             trace.accumulated_inner.append(1 + n * (method.k if one_shot else 1))
-            d = sigma - sigma0      # a nan or inf fails the comparison below too
             if not (math.isfinite(c) and math.isfinite(g)
-                    and math.sqrt(d @ d) <= DIVERGENCE_THRESHOLD):
+                    and dist <= DIVERGENCE_THRESHOLD):  # ||sigma - sigma0||; nan fails
                 trace.status = Status.DIVERGED
                 break
             if cost_ref is None and c > 0.0:
@@ -273,10 +311,5 @@ def run_method(method: MethodSpec, problem, f, sigma0, config,
             if (_relative(c, cost_ref) < config.tol_cost
                     and _relative(g, grad_ref) < config.tol_grad):
                 trace.status = Status.CONVERGED
-                break
-            if n == config.max_outer:
-                break           # the status stays MAX_ITER
-            sigma_new = sigma - config.tau * grad
-            r, grad = rows.send(sigma if shifted else sigma_new)
-            sigma = sigma_new
+                break           # otherwise the status stays MAX_ITER
     return trace

@@ -185,6 +185,18 @@ class TestBadInput:
             f"error: argument {flag}: must be finite, got {value}\n")
         assert built == [] and not (tmp_path / "out").exists()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["solve", "sweep"])
+    def test_overflowing_measurement_names_sigma_ex(self, command, tmp_path, capsys):
+        # numpy warned, and the overflowed data ran as a diverged trace
+        argv = [command, "--helmholtz", "12,6.283185307179586,0.01", "--method",
+                "kshot", "--k", "3", "--tau", "1e-3", "--sigma-ex", "1e308",
+                "--max-outer", "5", "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: argument --sigma-ex: 1e+308 overflows the measurement\n")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("source, message", [
         (["--random", "4,2"], "--random expects nu,nsigma,nf,norm, got '4,2'"),
         (["--random", "4.5,1,2,0.5"],
@@ -310,6 +322,27 @@ def complex_problem_file(tmp_path):
                            "im": a.imag.ravel().tolist()}
                     for name, a in parts.items()}}))
     return str(path)
+
+
+class TestNegativeValues:
+    """A value that starts as a negative number is one, in exponent form or
+    as a list too: argparse took -1e-3 for an option ("expected one argument")."""
+
+    @pytest.mark.parametrize("argv, flag, value", [
+        (["scalar-region", "--k", "1", "--b-count", "3"], "--b-min", "-1e-3"),
+        (["scalar-region", "--k", "1", "--b-count", "3", "--b-min", "-0.01"],
+         "--b-max", "-1e-3"),
+        (["solve", "--scalar", "0.2,1,1", "--method", "gd", "--tau", "0.1",
+          "--max-outer", "3"], "--sigma0", "-1.5e1"),
+        (["solve", "--scalar", "0.2,1,1", "--method", "gd", "--tau", "0.1",
+          "--max-outer", "3"], "--sigma-ex", "-2E+0"),
+        (["bound", "--method", "kshot"], "--scalar", "-5e-1,2,0.5"),
+    ])
+    def test_spaced_value_reads_as_with_equals(self, argv, flag, value, capsys):
+        assert main([*argv, flag, value]) == 0
+        spaced = capsys.readouterr()
+        assert main([*argv, f"{flag}={value}"]) == 0
+        assert capsys.readouterr() == spaced and spaced.err == ""
 
 
 class TestComplexFile:

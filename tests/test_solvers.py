@@ -275,6 +275,22 @@ class TestFusedStep:
         assert calls == (["_sweep_map", "tux"] if one_shot else [])
         assert taken == ([path] if one_shot else [])
 
+    @pytest.mark.parametrize("max_outer", [0, 40, 300])
+    @pytest.mark.parametrize("kind", [SolverKind.K_STEP, SolverKind.SHIFTED_K_STEP])
+    def test_block_map_is_built_once_per_run(self, kind, max_outer, fused_problems,
+                                             monkeypatch):
+        calls, block_map = [], solvers._block_map
+        monkeypatch.setattr(solvers, "_block_map",
+                            lambda *a: calls.append(a) or block_map(*a))
+        taken = _routes(monkeypatch)
+        p = fused_problems["H12"]
+        f = p.H @ exact_state(p, np.ones(p.n_sigma))
+        cfg = SolverConfig(tau=0.1 * gd_bound(p).value, max_outer=max_outer,
+                           tol_cost=1e-300, tol_grad=1e-300)
+        trace = run_method(MethodSpec(kind, 3), p, f, np.zeros(p.n_sigma), cfg)
+        assert len(trace) == max_outer + 1
+        assert taken == ["impulse"] and len(calls) == 1
+
     @pytest.mark.parametrize("kind", list(SolverKind))
     def test_complex_problem_must_be_realified(self, kind):
         # run_method takes the container, which holds real data only
@@ -345,6 +361,84 @@ def test_impulse_rows_agree_with_the_state(data, n_sigma, n_f_extra, n_u_extra,
     # a value that has fallen to 1e-12 of the run's largest is rounding-bound
     for a, b in ((routed.cost, state.cost), (routed.grad_norm, state.grad_norm)):
         np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-12 * max(b))
+
+
+def _both_paths(args):
+    """A run on the path its problem takes, and the same run on the state."""
+    with pytest.MonkeyPatch.context() as mp:
+        taken = _routes(mp)
+        routed = run_method(*args)
+        mp.setattr(solvers, "_impulse_rows", lambda *a: None)
+        state = run_method(*args)
+    assert taken == ["impulse"]
+    assert routed.status is state.status and len(routed) == len(state)
+    for a, b in ((routed.cost, state.cost), (routed.grad_norm, state.grad_norm)):
+        np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-12 * max(b))
+    return routed
+
+
+class TestRowBlocks:
+    """Impulse rows come ROW_BLOCK at a time; wherever in a block a run stops,
+    it keeps the state path's status and row count."""
+
+    M = solvers.ROW_BLOCK
+
+    def _args(self, p, kind, max_outer, tol=1e-300, start=False, frac=0.3):
+        rng = np.random.default_rng(5)
+        f = p.H @ exact_state(p, rng.standard_normal(p.n_sigma))
+        u0, p0 = ((rng.standard_normal(p.n_u), rng.standard_normal(p.n_u)) if start
+                  else (None, None))
+        cfg = SolverConfig(tau=frac * gd_bound(p).value, max_outer=max_outer,
+                           tol_cost=tol, tol_grad=tol)
+        return MethodSpec(kind, 2), p, f, np.zeros(p.n_sigma), cfg, u0, p0
+
+    @pytest.mark.parametrize("max_outer", [0, 1, M - 1, M, M + 1])
+    @pytest.mark.parametrize("kind", [SolverKind.K_STEP, SolverKind.SHIFTED_K_STEP])
+    def test_max_outer_at_a_block_edge(self, fused_problems, kind, max_outer):
+        trace = _both_paths(self._args(fused_problems["H12"], kind, max_outer))
+        assert trace.status is Status.MAX_ITER and len(trace) == max_outer + 1
+
+    @pytest.mark.parametrize("start", [False, True])
+    @pytest.mark.parametrize("place", [0, M // 2, M - 1])
+    @pytest.mark.parametrize("kind", [SolverKind.K_STEP, SolverKind.SHIFTED_K_STEP])
+    def test_convergence_at_each_place_in_a_block(self, fused_problems, kind, place,
+                                                  start):
+        p = fused_problems["H12"]
+        ref = run_method(*self._args(p, kind, 8 * self.M, start=start))
+        # a tolerance between row n's larger relative value and all earlier
+        # ones stops the run at row n, a record low past the first block
+        rel = np.maximum(*(np.divide(v, next(x for x in v if x > 0.0))
+                           for v in (ref.cost, ref.grad_norm)))
+        n = next(n for n in range(self.M, len(rel))
+                 if n % self.M == place and rel[n] < rel[:n].min())
+        tol = math.sqrt(rel[n] * rel[:n].min())
+        trace = _both_paths(self._args(p, kind, 2000, tol=tol, start=start))
+        assert trace.status is Status.CONVERGED and len(trace) == n + 1
+
+    def test_diverging_run(self):
+        # the benchmark sweep's kshot k = 1 cell on H12, seed 1
+        p = helmholtz_toy(12, 2.0 * math.pi, 0.01, seed=1)
+        args = (MethodSpec(SolverKind.K_STEP, 1), p,
+                p.H @ exact_state(p, np.full(p.n_sigma, 10.0)),
+                np.full(p.n_sigma, 12.0),
+                SolverConfig(tau=0.7 * gd_bound(p).value, max_outer=3000))
+        trace = _both_paths(args)
+        assert trace.status is Status.DIVERGED and len(trace) == 127
+
+    @pytest.mark.parametrize("kind", [SolverKind.K_STEP, SolverKind.SHIFTED_K_STEP])
+    def test_transient_longer_than_a_block(self, fused_problems, kind, monkeypatch):
+        reached, block_map = [], solvers._block_map
+        monkeypatch.setattr(solvers, "_block_map",
+                            lambda *a: reached.append(a[2]) or block_map(*a))
+        args = self._args(fused_problems["H12"], kind, 60, start=True)
+        trace = run_method(*args)
+        monkeypatch.setattr(solvers, "ROW_BLOCK", 4)
+        short = _both_paths(args)
+        # z's transient lasts 11 rows: part of one block, or three blocks of 4
+        assert reached == [11, 4]
+        assert short.status is trace.status and len(short) == len(trace) == 61
+        np.testing.assert_allclose(short.sigma, trace.sigma, rtol=1e-12,
+                                   atol=1e-12 * np.abs(trace.sigma).max())
 
 
 class TestErrorRecurrenceEquivalence:

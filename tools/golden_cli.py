@@ -138,6 +138,14 @@ def commands() -> list[list[str]]:
     cmds.append(["solve", "--helmholtz", "24,6.283185307179586,0.01", "--seed", "1",
                  "--method", "kshot", "--k", "3", "--tau", "2.8720878938107805e-05",
                  "--max-outer", "300"])
+    # impulse rows come in blocks of 48: runs that end at a block's edges,
+    # and the benchmark sweep's kshot k = 1 cell, which diverges at row 127
+    for method in ("kshot", "skshot"):
+        for max_outer in ("47", "48", "49"):
+            cmds.append(["solve", *H12, "--method", method, "--k", "2",
+                         "--tau", H12_TAU, "--max-outer", max_outer])
+    cmds.append(["solve", "--helmholtz", "12,6.283185307179586,0.01", "--seed", "1",
+                 "--method", "kshot", "--k", "1", "--tau", "0.0007648244503808194"])
     # ||B^3|| is certified below 1 here too, but the taps would cost more
     # than a step, so the run stays on the state
     cmds.append(["solve", "--random", "40,2,10,0.9", "--seed", "1", "--method",
@@ -235,6 +243,12 @@ def commands() -> list[list[str]]:
                  "--out", "{work}/out/sweep_bad_tau"])
     cmds.append(["scalar-region", "--k", "1,x"])
     cmds.append(["scalar-region", "--b-count", "-3"])
+    # a measurement that overflows names --sigma-ex; -1e-3 is a value
+    cmds.append(["solve", "--helmholtz", "12,6.283185307179586,0.01", "--method",
+                 "kshot", "--k", "3", "--tau", "1e-3", "--sigma-ex", "1e308",
+                 "--max-outer", "5"])
+    cmds.append(["scalar-region", "--k", "1", "--b-min", "-1e-3", "--b-max", "1e-3",
+                 "--b-count", "3"])
     return cmds
 
 
