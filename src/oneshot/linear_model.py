@@ -348,6 +348,24 @@ def _boundary_rhs(coeff: np.ndarray, g: np.ndarray, n: int, h: float) -> np.ndar
     return _to_rows(rhs)
 
 
+def _sine_solver(n: int, h: float, wavenumber: float):
+    """``rhs -> A11^{-1} rhs``, rhs (n*n, m) x-fastest, for ``A11 = -Delta_h - k^2 I =
+    (S kron S) diag(lam_i + lam_j - k^2) (S kron S)`` with S the orthogonal grid sine
+    modes (Hockney, 1965).  Raises unless each divisor is finite and > eps * max."""
+    i = np.arange(1, n + 1)
+    S = np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.outer(i, i) / (n + 1))
+    lam = (2.0 - 2.0 * np.cos(np.pi * i / (n + 1))) / (h * h)
+    d = (lam[:, None] + lam - wavenumber * wavenumber)[..., None]
+    if not np.abs(d).min() > np.finfo(float).eps * np.abs(d).max():  # nan fails too
+        raise ValueError(f"wavenumber {wavenumber!r}: its square must be finite and "
+                         "off the grid Laplacian's eigenvalues, where A11 is singular")
+
+    def solve(rhs: np.ndarray) -> np.ndarray:   # S on the x axis, then on the y axis
+        a = np.tensordot(S, S @ rhs.reshape(n, n, -1), 1) / d
+        return np.tensordot(S, S @ a, 1).reshape(rhs.shape)
+    return solve
+
+
 def helmholtz_toy(grid_n: int, wavenumber: float, delta: float,
                   seed: int) -> RealInverseProblem:
     """Structured-grid Helmholtz scattering toy on the unit square.
@@ -366,26 +384,25 @@ def helmholtz_toy(grid_n: int, wavenumber: float, delta: float,
     * ``H`` extracting the one-sided boundary flux at every non-corner
       boundary node, and ``F = 0``.
 
-    Raises when the splitting does not contract (``rho(B) >= 1``), which
-    needs an eigensolve only where ``||B||_inf < 1`` does not rule it out.
+    A11 is solved by sine transforms (:func:`_sine_solver`), never formed.
+    Raises when A11 is singular, and when the splitting does not contract
+    (``rho(B) >= 1``), which needs an eigensolve only where ``||B||_inf < 1``
+    does not rule it out.
     """
     if grid_n < 4:
         raise ValueError(f"grid_n must be at least 4, got {grid_n}")
-    if delta < 0.0:
-        raise ValueError(f"delta must be nonnegative, got {delta}")
+    if not 0.0 <= delta < np.inf:
+        raise ValueError(f"delta must be nonnegative and finite, got {delta}")
     n = grid_n
     h = 1.0 / (n + 1)
+    solve_a11 = _sine_solver(n, h, wavenumber)
     rng = np.random.default_rng(seed)
     sigma_r = rng.uniform(1.0, 2.0, size=(n + 2, n + 2))
-
-    ones = np.ones((n + 2, n + 2))
-    A11 = _five_point_operator(ones, n, h) - wavenumber**2 * np.eye(n * n)
-    A12 = _five_point_operator(sigma_r, n, h)
 
     if delta == 0.0:
         B = np.zeros((n * n, n * n))
     else:
-        B = -delta * np.linalg.solve(A11, A12)
+        B = -delta * solve_a11(_five_point_operator(sigma_r, n, h))
         rho = _contraction_bound(B)
         if rho >= 1.0:
             raise ValueError(
@@ -397,26 +414,22 @@ def helmholtz_toy(grid_n: int, wavenumber: float, delta: float,
     xs = np.arange(n + 2) * h
     gx, gy = np.meshgrid(xs, xs, indexing="ij")
     g = np.cos(wavenumber * gx) + np.sin(wavenumber * gy)
-    coeff_full = ones + delta * sigma_r
+    coeff_full = 1.0 + delta * sigma_r
     A1_full = _five_point_operator(coeff_full, n, h) - wavenumber**2 * np.eye(n * n)
     u0_int = np.linalg.solve(A1_full, _boundary_rhs(coeff_full, g, n, h))
 
     # parameter basis: indicators of a 3x3 partition of the square,
     # supported on interior nodes only (the parameter vanishes on the boundary)
-    cell = np.minimum((xs * 3).astype(int), 2)
-    patches = []
-    for py in range(3):
-        for px in range(3):
-            chi = np.zeros((n + 2, n + 2))
-            chi[1:-1, 1:-1] = np.outer(cell[1:-1] == px, cell[1:-1] == py)
-            patches.append(chi)
+    cell = np.minimum((xs * 3).astype(int), 2)[1:-1]
+    patches = [np.pad(np.outer(cell == px, cell == py), 1).astype(float)
+               for py in range(3) for px in range(3)]
     # action of -div(chi grad .) on the full incident field: interior part
     # minus the stencil terms carrying the boundary values g of u0
     A2 = np.column_stack([
         _five_point_operator(chi, n, h) @ u0_int - _boundary_rhs(chi, g, n, h)
         for chi in patches
     ])
-    M = np.linalg.solve(A11, A2)
+    M = solve_a11(A2)
 
     # boundary flux rows: sigma0_tilde * du/dnu ~ -sigma0_tilde(x_b) u_adj / h
     # one row per non-corner boundary node: bottom/top pairs for each i, then

@@ -111,11 +111,10 @@ class ConvergenceTrace:
 
     def write_csv(self, fh) -> None:
         """Write the trace in the fixed CSV layout, 17 significant digits."""
-        fh.write(CSV_HEADER + "\n")
-        status = self.status.value
-        for n, acc, c, g, e in zip(itertools.count(1), self.accumulated_inner,
-                                   self.cost, self.grad_norm, self.err_sigma):
-            fh.write(f"{n},{acc},{c:.17g},{g:.17g},{e:.17g},{status}\n")
+        row = f"%d,%d,%.17g,%.17g,%.17g,{self.status.value}\n"
+        fh.write(CSV_HEADER + "\n" + "".join(row % r for r in zip(
+            itertools.count(1), self.accumulated_inner, self.cost,
+            self.grad_norm, self.err_sigma)))
 
 
 def _relative(value: float, ref: float | None) -> float:

@@ -3,8 +3,9 @@
 Every method in :mod:`oneshot.solvers` is, on the error triple (p, u, sigma),
 multiplication by a fixed block matrix; an iteration converges for all
 initial data iff that matrix has spectral radius below one.  This module
-assembles those matrices exactly from T_k, U_k, X_k (``linear_model.tux``)
-and computes a certified resolvent-type constant
+assembles those matrices exactly from T_k, U_k, X_k (``linear_model.tux``),
+takes the GD kinds' radius in closed form from the n_sigma eigenvalues of
+D* D (D the data map), and computes a certified resolvent-type constant
 
     s(T) = sup_{|z| >= 1} || (I - T/z)^{-1} ||_2
 
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linear_model import (RealInverseProblem, TUXTriple, _contraction_bound,
-                           _require_real, spectral_radius, tux)
+                           _require_real, data_map, spectral_radius, tux)
 from .solvers import MethodSpec
 
 CONVERGENCE_MARGIN = 1e-10
@@ -69,8 +70,20 @@ def build_iteration_matrix(problem: RealInverseProblem, method: MethodSpec,
 def converges(problem: RealInverseProblem, method: MethodSpec,
               tau: float) -> tuple[bool, float]:
     """Ground-truth convergence verdict: radius of the iteration matrix
-    strictly below one (with a small margin against threshold flapping)."""
-    rho = spectral_radius(build_iteration_matrix(problem, method, tau))
+    strictly below one (with a small margin against threshold flapping), by a
+    dense eigensolve for the one-shot kinds.  gd's matrix is W V, W = [X M; T M;
+    I], V = [-tau M*, 0, I], with the nonzero spectrum of V W = I - tau D* D
+    (D = data_map); sgd's sigma obeys z^2 - z + tau D* D.  So each eigenvalue
+    lam of tau D* D gives roots 1 - lam (gd) or (1 +- sqrt(1 - 4 lam)) / 2 (sgd)."""
+    if method.kind.one_shot:
+        rho = spectral_radius(build_iteration_matrix(problem, method, tau))
+    elif not 0.0 < tau < math.inf:
+        raise ValueError(f"tau must be positive and finite, got {tau}")
+    else:
+        D = data_map(problem)
+        lam = tau * np.linalg.eigvalsh(D.T @ D)
+        rho = float(np.max(np.abs(1.0 + np.sqrt(1.0 - 4.0 * lam + 0j))) / 2.0
+                    if method.kind.shifted else np.max(np.abs(1.0 - lam)))
     return rho < 1.0 - CONVERGENCE_MARGIN, rho
 
 

@@ -197,6 +197,16 @@ class TestBadInput:
             "error: argument --sigma-ex: 1e+308 overflows the measurement\n")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.filterwarnings("error")
+    def test_singular_wavenumber_is_named(self, capsys):
+        # 4.405689717981266^2 is the least eigenvalue of the n = 6 grid
+        # Laplacian, so a divisor of the sine solve is exactly 0
+        argv = ["bound", "--helmholtz", "6,4.405689717981266,0.01", "--method", "gd"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: wavenumber 4.405689717981266: its square must be finite and off "
+            "the grid Laplacian's eigenvalues, where A11 is singular\n")
+
     @pytest.mark.parametrize("source, message", [
         (["--random", "4,2"], "--random expects nu,nsigma,nf,norm, got '4,2'"),
         (["--random", "4.5,1,2,0.5"],

@@ -1,6 +1,7 @@
 """Tests for problem containers, validation, exact solves and generators."""
 import dataclasses
 import json
+import re
 import warnings
 
 import numpy as np
@@ -15,7 +16,7 @@ from oneshot.linear_model import (RealInverseProblem, ScalarProblem, cost,
 from oneshot import linear_model, spectral
 from oneshot.bounds import matrix_bound
 from oneshot.linear_model import (_boundary_rhs, _five_point_operator,
-                                  adjoint_from_state)
+                                  _sine_solver, adjoint_from_state)
 from oneshot.solvers import MethodSpec, SolverConfig, SolverKind, run_method
 from oneshot.spectral import build_iteration_matrix
 
@@ -241,6 +242,12 @@ class TestGenerators:
         assert np.array_equal(a.B, b.B) and np.array_equal(a.M, b.M)
         assert np.array_equal(a.H, b.H)
 
+    @pytest.mark.parametrize("delta", [-0.01, np.nan, np.inf])
+    def test_helmholtz_rejects_bad_delta(self, delta):
+        # nan and inf ran into an eigensolve that named neither
+        with pytest.raises(ValueError, match="delta must be nonnegative and finite"):
+            helmholtz_toy(6, 1.0, delta, seed=1)
+
     def test_helmholtz_rejects_non_contracting(self):
         with pytest.raises(ValueError, match="delta"):
             helmholtz_toy(8, 2 * np.pi, 50.0, seed=3)
@@ -327,7 +334,6 @@ class TestHelmholtzAgainstLoops:
         gx, gy = np.meshgrid(xs, xs, indexing="ij")
         g = np.cos(kt * gx) + np.sin(kt * gy)
         shift = kt**2 * np.eye(n * n)
-        A11 = _five_point_loop(np.ones((n + 2, n + 2)), n, h) - shift
         u0 = np.linalg.solve(_five_point_loop(coeff, n, h) - shift,
                              _boundary_rhs_loop(coeff, g, n, h))
         columns = []
@@ -341,7 +347,37 @@ class TestHelmholtzAgainstLoops:
                             chi[i, j] = 1.0
                 columns.append(_five_point_loop(chi, n, h) @ u0
                                - _boundary_rhs_loop(chi, g, n, h))
-        assert np.array_equal(p.M, np.linalg.solve(A11, np.column_stack(columns)))
+        # the loop-assembled columns through the same sine solve: this checks
+        # the assembly; TestSineSolve checks the solve against LU
+        assert np.array_equal(p.M, _sine_solver(n, h, kt)(np.column_stack(columns)))
+
+
+class TestSineSolve:
+    """A11 = -Delta_h - k^2 I is solved in the grid sine basis, never
+    factored; the solve must agree with LU of the loop-assembled A11."""
+
+    @pytest.mark.parametrize("n", [4, 7, 12, 24])
+    def test_matches_dense_lu(self, n):
+        kt, h = 2 * np.pi, 1.0 / (n + 1)
+        rng = np.random.default_rng(n)
+        A11 = _five_point_loop(np.ones((n + 2, n + 2)), n, h) - kt**2 * np.eye(n * n)
+        # the stiffness that B solves for, and a block of 9 columns as for M
+        for rhs in (_five_point_loop(rng.uniform(1.0, 2.0, (n + 2, n + 2)), n, h),
+                    rng.standard_normal((n * n, 9))):
+            want = np.linalg.solve(A11, rhs)
+            got = _sine_solver(n, h, kt)(rhs)
+            assert got.shape == rhs.shape
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("delta", [0.0, 0.01])
+    @pytest.mark.parametrize("wavenumber", [4.405689717981266, np.nan, np.inf, 1e200])
+    def test_singular_or_non_finite_wavenumber_is_named(self, wavenumber, delta):
+        # at n = 6, 4.405689717981266^2 is the grid Laplacian's least eigenvalue
+        # 2 lam_1 to the last bit: a divisor of the sine solve is exactly 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(f"wavenumber {wavenumber!r}: ")):
+                helmholtz_toy(6, wavenumber, delta, seed=1)
 
 
 class TestJsonRoundTrip:

@@ -268,6 +268,8 @@ class TestOneBlockForm:
         for kind in SolverKind:
             with pytest.raises(ValueError):
                 build_iteration_matrix(p, MethodSpec(kind, 2), tau)
+            with pytest.raises(ValueError, match="tau"):     # the GD closed form too
+                converges(p, MethodSpec(kind, 2), tau)
 
 
 class TestSpectralRadius:
@@ -305,6 +307,48 @@ class TestConverges:
         ok_2, rho_2 = converges(p, MethodSpec(SolverKind.K_STEP, 2), 2.08)
         assert not ok_gd and rho_gd > 1.0
         assert ok_2 and rho_2 < 1.0
+
+
+def _nonnormal_gd_problem():
+    # ||B|| > 1 but rho(B) = 0.5: the GD matrix is far from normal
+    rng = np.random.default_rng(5)
+    return RealInverseProblem(B=0.5 * np.eye(6) + np.diag(np.full(5, 1.2), 1),
+                              M=rng.standard_normal((6, 2)),
+                              H=rng.standard_normal((4, 6)), F=np.zeros(6))
+
+
+class TestGDClosedForm:
+    """The GD kinds' oracle radius comes from the n_sigma eigenvalues of
+    D* D; the dense iteration matrix is the independent check."""
+
+    PROBLEMS = {
+        "H12": lambda: helmholtz_toy(12, 2.0 * np.pi, 0.01, seed=3),
+        "random": lambda: random_contraction(40, 5, 20, 0.7, seed=1),
+        "nonnormal": _nonnormal_gd_problem,
+    }
+
+    @pytest.mark.parametrize("kind", [SolverKind.USUAL_GD, SolverKind.SHIFTED_GD])
+    @pytest.mark.parametrize("name", list(PROBLEMS))
+    def test_matches_the_dense_radius(self, name, kind):
+        p, method = self.PROBLEMS[name](), MethodSpec(kind)
+        sup = matrix_bound(p, method).value
+        for factor in (0.5, 0.99, 1.01, 1.5):
+            ok, rho = converges(p, method, factor * sup)
+            dense = spectral_radius(build_iteration_matrix(p, method, factor * sup))
+            assert ok == (factor < 1.0) == (dense < 1.0 - spectral.CONVERGENCE_MARGIN)
+            assert abs(rho - dense) <= 1e-12 * dense, (factor, rho, dense)
+
+    @pytest.mark.parametrize("kind", [SolverKind.USUAL_GD, SolverKind.SHIFTED_GD])
+    def test_no_eigensolve_of_size_n_u(self, kind, monkeypatch):
+        p = helmholtz_toy(12, 2.0 * np.pi, 0.01, seed=3)
+        sizes = []
+        for name in ("eig", "eigvals", "eigh", "eigvalsh"):
+            def counting(a, *args, _fn=getattr(np.linalg, name)):
+                sizes.append(len(a))
+                return _fn(a, *args)
+            monkeypatch.setattr(np.linalg, name, counting)
+        assert converges(p, MethodSpec(kind), 1e-4)[0]
+        assert sizes == [p.n_sigma]
 
 
 class TestSFunctional:
@@ -505,6 +549,21 @@ def test_importing_the_package_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+def test_helmholtz_solve_leaves_scipy_unloaded():
+    # the Helmholtz set-up and every solve step need numpy alone
+    src = str(Path(spectral.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, contextlib, io; from oneshot.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = main(['solve', '--helmholtz', '6,6.283185307179586,0.01',"
+            " '--method', 'kshot', '--k', '2', '--tau', '1e-3', '--max-outer', '5'])\n"
+            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "0 []"
 
 
 class TestEigenvalueOneCheck:

@@ -249,6 +249,20 @@ def commands() -> list[list[str]]:
                  "--max-outer", "5"])
     cmds.append(["scalar-region", "--k", "1", "--b-min", "-1e-3", "--b-max", "1e-3",
                  "--b-count", "3"])
+    # A11 is solved in the grid sine basis: H24's GD bounds; a wavenumber
+    # whose square is an eigenvalue of the n = 6 grid Laplacian, and a
+    # non-finite delta, exit 2
+    for method in ("gd", "sgd"):
+        cmds.append(["bound", "--helmholtz", "24,6.283185307179586,0.01", "--seed", "1",
+                     "--method", method])
+    cmds.append(["bound", "--helmholtz", "6,4.405689717981266,0.01", "--method", "gd"])
+    cmds.append(["bound", "--helmholtz", "6,1,nan", "--method", "gd"])
+    # the GD oracle's closed form at 0.25, 0.5, 0.99 and 1.01 of H12's GD
+    # supremum: both verdicts, and sgd's real and complex root branches
+    cmds.append(["sweep", *H12, "--method", "gd,sgd", "--tau",
+                 "0.0002714251576757575,0.000542850315351515,"
+                 "0.0010748436243959996,0.0010965576370100603",
+                 "--max-outer", "300", "--out", "{work}/out/sweep_gd_oracle"])
     return cmds
 
 
