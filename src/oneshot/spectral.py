@@ -9,7 +9,9 @@ D* D (D the data map), and computes a certified resolvent-type constant
 
     s(T) = sup_{|z| >= 1} || (I - T/z)^{-1} ||_2
 
-used by the descent-step bounds when ||B|| >= 1.
+used by the descent-step bounds when ||B|| >= 1.  Its level sets are
+eigenvalues of a pencil, found by a real shift-invert in numpy; scipy's QZ
+is imported only for a level where that shift is ill conditioned.
 """
 from __future__ import annotations
 
@@ -104,20 +106,40 @@ def _boundary_norms(T: np.ndarray, phis: np.ndarray) -> np.ndarray:
     return 1.0 / np.linalg.svd(A, compute_uv=False)[:, -1]
 
 
+def _level_eigvals(T: np.ndarray, gamma: float, shift: float | None) -> np.ndarray:
+    """Eigenvalues z of the level-gamma pencil a - z b (see ``s_functional``):
+    by QZ if ``shift`` is None, else as shift + 1/mu for the eigenvalues mu
+    of (a - shift b)^{-1} b, less the infinite ones (mu = 0)."""
+    eye, zero = np.eye(T.shape[0]), np.zeros(T.shape)
+    a = np.block([[T, eye / gamma], [zero, eye]])
+    b = np.block([[eye, zero], [eye / gamma, T.T]])
+    if shift is None:
+        import scipy.linalg     # deferred: the import costs about 0.2 s
+        return scipy.linalg.eigvals(a, b)
+    mu = np.linalg.eigvals(np.linalg.solve(a - shift * b, b))
+    return shift + 1.0 / mu[mu != 0.0]
+
+
 def s_functional(T: np.ndarray, n_samples: int = 16) -> float:
     """Certified upper value of s(T) = 1 / min_phi sigma_min(e^{i phi} I - T).
 
     n_samples + 1 starting angles lie on [0, pi], since -phi gives the
     conjugate of a real T.  The level-set iteration of Boyd and Balakrishnan
     (1990) follows: 1 / gamma is a singular value of e^{i phi} I - T iff
-    e^{i phi} is an eigenvalue of z [[I, 0], [I/gamma, T^T]] -
-    [[T, I/gamma], [0, I]].  At gamma = (1 + 2e-12) * best, the midpoints of
-    the crossing angles raise best, until no eigenvalue lies on the unit
-    circle; that gamma bounds s(T) from above.  Needs real T, rho(T) < 1
-    (certified by ||T||_inf < 1 where it holds, else by an eigensolve).
-    """
-    import scipy.linalg     # deferred: the import costs about 0.25 s
+    e^{i phi} is an eigenvalue of z b - a, a = [[T, I/gamma], [0, I]],
+    b = [[I, 0], [I/gamma, T^T]].  At gamma = (1 + 2e-12) * best, the
+    midpoints of the crossing angles raise best, until no eigenvalue lies on
+    the unit circle; that gamma bounds s(T) from above.  Needs real T,
+    rho(T) < 1 (certified by ||T||_inf < 1 where it holds, else by an
+    eigensolve).
 
+    A level's eigenvalues come from a real shift-invert at z0 = +-1, the
+    sampled end angle of smaller resolvent norm r0.  Scaled by rows,
+    a - z0 b is [[-A, I/gamma], [I/gamma, -A*]] with A = z0 I - T, whose
+    singular values are |sigma_j(A) +- 1/gamma|; so its condition number is
+    at most (1 + ||T|| + 1/gamma) / (1/r0 - 1/gamma).  Where eps times that
+    exceeds UNIT_CIRCLE_TOL / 1000, the level takes QZ (scipy) instead.
+    """
     T = _require_real(T)
     if n_samples < 8:
         raise ValueError(f"n_samples too small: {n_samples}")
@@ -126,14 +148,16 @@ def s_functional(T: np.ndarray, n_samples: int = 16) -> float:
     rho = _contraction_bound(T)
     if rho >= 1.0:
         raise ValueError(f"s(T) requires rho(T) < 1, got rho = {rho:.6g}")
-    eye, zero = np.eye(T.shape[0]), np.zeros(T.shape)
-    phis = np.linspace(0.0, np.pi, n_samples + 1)
-    best = float(np.max(_boundary_norms(T, phis)))
+    norms = _boundary_norms(T, np.linspace(0.0, np.pi, n_samples + 1))
+    best = float(np.max(norms))
+    shift, r0 = (1.0, norms[0]) if norms[0] <= norms[-1] else (-1.0, norms[-1])
+    norm_a = 1.0 + math.sqrt(np.linalg.norm(T, 1) * np.linalg.norm(T, np.inf))
     margin = LEVEL_MARGIN
     for _ in range(MAX_LEVELS):
         gamma = (1.0 + margin) * best
-        z = scipy.linalg.eigvals(np.block([[T, eye / gamma], [zero, eye]]),
-                                 np.block([[eye, zero], [eye / gamma, T.T]]))
+        safe = (np.finfo(float).eps * (norm_a + 1.0 / gamma)
+                <= UNIT_CIRCLE_TOL / 1000.0 * (1.0 / r0 - 1.0 / gamma))
+        z = _level_eigvals(T, gamma, shift if safe else None)
         crossings = z[np.abs(np.abs(z) - 1.0) < UNIT_CIRCLE_TOL]
         phis = np.unique(np.abs(np.angle(crossings)))
         if phis.size == 0:

@@ -434,6 +434,23 @@ def _nonnormal(n, norm, rho, seed):
     return q @ (diag + upper) @ q.T
 
 
+def _s_inputs(name):
+    if name == "random":
+        rng = np.random.default_rng(21)
+        mats = []
+        for n in (5, 12, 20):
+            A = rng.standard_normal((n, n))
+            mats.append(0.9 * A / spectral_radius(A))
+        return mats
+    if name == "nonnormal":
+        mats = [_nonnormal(40, 1.5, 0.6, seed) for seed in (1, 2)]
+        return mats + [mats[0] @ mats[0]]
+    if name == "H12 B":
+        return [helmholtz_toy(12, 2.0 * np.pi, 0.01, seed=1).B]
+    p = helmholtz_toy(12, 2.0 * np.pi, 0.01, seed=3)
+    return [tux(p.B, p.H, 3).Bk]
+
+
 class TestSCertificate:
     """s(T) is a certified upper value: at least the true supremum, and
     only the 2e-12 level margin above it."""
@@ -477,25 +494,65 @@ class TestSCertificate:
 
     @pytest.mark.parametrize("name", ["random", "nonnormal", "H12 B^3"])
     def test_agrees_with_the_sampled_value(self, name):
-        if name == "random":
-            rng = np.random.default_rng(21)
-            mats = []
-            for n in (5, 12, 20):
-                A = rng.standard_normal((n, n))
-                mats.append(0.9 * A / spectral_radius(A))
-        elif name == "nonnormal":
-            mats = [_nonnormal(40, 1.5, 0.6, seed) for seed in (1, 2)]
-            mats.append(mats[0] @ mats[0])
-        else:
-            p = helmholtz_toy(12, 2.0 * np.pi, 0.01, seed=3)
-            mats = [tux(p.B, p.H, 3).Bk]
-        for T in mats:
+        for T in _s_inputs(name):
             old, new = _s_by_sampling(T), s_functional(T)
             assert (1.0 - 1e-12) * old <= new <= (1.0 + 1e-11) * old
 
     def test_rejects_too_few_samples(self):
         with pytest.raises(ValueError):
             s_functional(0.5 * np.eye(2), n_samples=7)
+
+
+def _flat_plus_spike(rel, theta):
+    # a nilpotent block with a flat resolvent norm L on the circle, beside a
+    # rotation whose peak 1 / (1 - r) = (1 + rel) L lies between two samples
+    level = (999.0 + math.sqrt(999.0**2 + 4.0)) / 2.0
+    T = np.zeros((4, 4))
+    T[0, 1] = 999.0
+    T[2:, 2:] = _rotation(1.0 - 1.0 / ((1.0 + rel) * level), theta)
+    return T
+
+
+class TestShiftInvert:
+    """Each level's pencil eigenvalues come from a real shift-invert at
+    z0 = +-1 where the shifted pencil is provably well conditioned, and from
+    QZ elsewhere; both must give the same certified value."""
+
+    @staticmethod
+    def _s(T, monkeypatch, force_qz=False):
+        shifts = []
+        bare = spectral._level_eigvals
+
+        def recorded(T, gamma, shift):
+            shifts.append(None if force_qz else shift)
+            return bare(T, gamma, shifts[-1])
+
+        with monkeypatch.context() as m:
+            m.setattr(spectral, "_level_eigvals", recorded)
+            return s_functional(T), shifts
+
+    @pytest.mark.parametrize("name", ["H12 B", "H12 B^3", "nonnormal", "random"])
+    def test_shift_agrees_with_qz(self, name, monkeypatch):
+        for T in _s_inputs(name):
+            s, shifts = self._s(T, monkeypatch)
+            qz, _ = self._s(T, monkeypatch, force_qz=True)
+            assert None not in shifts
+            assert abs(s - qz) <= 1e-12 * qz
+
+    @pytest.mark.parametrize("rel, theta", [(1e-6, 0.1), (1e-4, 1.3)])
+    def test_spike_between_samples_stays_an_upper_bound(self, rel, theta):
+        # the shift at the flat level is ill conditioned: without the guard,
+        # it returned 1e-6 below the peak at rel = 1e-6
+        T = _flat_plus_spike(rel, theta)
+        phis = np.linspace(theta - 1e-3, theta + 1e-3, 200_001)
+        dense = max(spectral._boundary_norms(T, chunk).max()
+                    for chunk in np.array_split(phis, 8))
+        assert dense <= s_functional(T) <= (1.0 + 1e-9) * dense
+
+    def test_double_peak_at_both_shifts_takes_qz(self, monkeypatch):
+        s, shifts = self._s(np.diag([0.9, -0.9, 0.3]), monkeypatch)
+        assert shifts == [None]
+        assert s == 10.000000000020002
 
 
 class TestComplexInputRejected:
@@ -540,30 +597,45 @@ class TestComplexInputRejected:
         assert matrix_bound(rp, method).value > 0.0
 
 
-def test_importing_the_package_leaves_scipy_unloaded():
-    # importing scipy costs about 0.25 s, and only s(T) needs it
+def _python_stdout(code):
+    """Standard output of ``code`` run by a fresh interpreter on this ``src``."""
     src = str(Path(spectral.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def test_importing_the_package_leaves_scipy_unloaded():
+    # importing scipy costs about 0.2 s, and only s(T)'s QZ fallback needs it
     code = "import sys, oneshot, oneshot.cli; print('scipy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    assert _python_stdout(code).strip() == "False"
 
 
 def test_helmholtz_solve_leaves_scipy_unloaded():
     # the Helmholtz set-up and every solve step need numpy alone
-    src = str(Path(spectral.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, os.environ.get("PYTHONPATH", "")]))
     code = ("import sys, contextlib, io; from oneshot.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    code = main(['solve', '--helmholtz', '6,6.283185307179586,0.01',"
             " '--method', 'kshot', '--k', '2', '--tau', '1e-3', '--max-outer', '5'])\n"
             "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "0 []"
+    assert _python_stdout(code).strip() == "0 []"
+
+
+def test_bound_through_the_shift_leaves_scipy_unloaded():
+    # s(B^2) of the n = 6 Helmholtz problem passes the shift's guard
+    code = ("import sys; from oneshot.cli import main\n"
+            "code = main(['bound', '--helmholtz', '6,6.283185307179586,0.01',"
+            " '--method', 'kshot', '--k', '2'])\n"
+            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert _python_stdout(code).splitlines() == [
+        '{"formula_id": "one-shot:closed-form", "value": 1.0278532999159356e-05, '
+        '"params": {"theta0": 0.7775441817634738, "delta0": 1.0}, "norm_inputs": '
+        '{"norm_B": 0.10207540070415791, "norm_H": 10.042126367723277, '
+        '"norm_M": 9.029925919994449, "s_Bk": 1.0103832030912967, '
+        '"norm_Tk": 1.0145639182202537, "norm_Xk": 100.84430198532309, '
+        '"norm_Bk": 0.010346712759589238}}',
+        "0 []"]
 
 
 class TestEigenvalueOneCheck:

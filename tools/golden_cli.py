@@ -83,6 +83,18 @@ def write_problem_files(root: Path) -> None:
     files["complex.json"] = _complex_file(rng, 5, 2, 4)
     # 2 complex rows for 3 real parameters: injective only over real sigma
     files["complex6.json"] = _complex_file(np.random.default_rng(0), 6, 3, 2)
+    # s(B) inputs on which the real shift of its level sets is ill
+    # conditioned, so that s(B) takes QZ: a resolvent that peaks at both
+    # shifts z0 = +-1, and a flat resolvent level L = ||I + N|| beside a
+    # rotation whose peak (1 + 1e-6) L lies between two samples
+    level = (999.0 + math.sqrt(999.0**2 + 4.0)) / 2.0
+    r, c, s = 1.0 - 1.0 / ((1.0 + 1e-6) * level), math.cos(0.1), math.sin(0.1)
+    spike = np.zeros((4, 4))
+    spike[0, 1] = 999.0
+    spike[2:, 2:] = [[r * c, -r * s], [r * s, r * c]]
+    fallback = np.random.default_rng(25)
+    files["double_peak.json"] = _real_file(fallback, 3, 2, 3, np.diag([0.9, -0.9, 0.3]))
+    files["flat_spike.json"] = _real_file(fallback, 4, 2, 3, spike)
     real = files["real.json"]
     files["nonfinite.json"] = dict(real, M=[*real["M"][:-1], math.inf])
     # a non-numeric entry, and a dimension that reads as infinity
@@ -263,6 +275,11 @@ def commands() -> list[list[str]]:
                  "0.0002714251576757575,0.000542850315351515,"
                  "0.0010748436243959996,0.0010965576370100603",
                  "--max-outer", "300", "--out", "{work}/out/sweep_gd_oracle"])
+    # s(B) by its QZ fallback
+    for name in ("double_peak", "flat_spike"):
+        cmds.append(["check", "--problem", f"{{work}}/{name}.json"])
+        cmds.append(["bound", "--problem", f"{{work}}/{name}.json", "--method",
+                     "kshot", "--k", "1"])
     return cmds
 
 
