@@ -9,9 +9,10 @@ D* D (D the data map), and computes a certified resolvent-type constant
 
     s(T) = sup_{|z| >= 1} || (I - T/z)^{-1} ||_2
 
-used by the descent-step bounds when ||B|| >= 1.  Its level sets are
-eigenvalues of a pencil, found by a real shift-invert in numpy; scipy's QZ
-is imported only for a level where that shift is ill conditioned.
+used by the descent-step bounds when ||B|| >= 1.  It starts from the end
+angles 0 and pi; its level sets are eigenvalues of a pencil, found by a
+real shift-invert in numpy, and scipy's QZ is imported only for a level
+where that shift is ill conditioned.
 """
 from __future__ import annotations
 
@@ -120,37 +121,34 @@ def _level_eigvals(T: np.ndarray, gamma: float, shift: float | None) -> np.ndarr
     return shift + 1.0 / mu[mu != 0.0]
 
 
-def s_functional(T: np.ndarray, n_samples: int = 16) -> float:
+def s_functional(T: np.ndarray) -> float:
     """Certified upper value of s(T) = 1 / min_phi sigma_min(e^{i phi} I - T).
 
-    n_samples + 1 starting angles lie on [0, pi], since -phi gives the
-    conjugate of a real T.  The level-set iteration of Boyd and Balakrishnan
-    (1990) follows: 1 / gamma is a singular value of e^{i phi} I - T iff
-    e^{i phi} is an eigenvalue of z b - a, a = [[T, I/gamma], [0, I]],
+    best starts as the larger resolvent norm at the end angles 0 and pi
+    (-phi gives the conjugate for a real T).  Then the level sets of Boyd
+    and Balakrishnan (1990): 1 / gamma is a singular value of e^{i phi} I - T
+    iff e^{i phi} is an eigenvalue of z b - a, a = [[T, I/gamma], [0, I]],
     b = [[I, 0], [I/gamma, T^T]].  At gamma = (1 + 2e-12) * best, the
-    midpoints of the crossing angles raise best, until no eigenvalue lies on
-    the unit circle; that gamma bounds s(T) from above.  Needs real T,
-    rho(T) < 1 (certified by ||T||_inf < 1 where it holds, else by an
-    eigensolve).
+    midpoints of the crossing angles raise best until no eigenvalue lies on
+    the unit circle; that gamma bounds s(T) from above, whatever the start.
+    Needs real T, rho(T) < 1 (certified by ||T||_inf < 1, else eigensolved).
 
     A level's eigenvalues come from a real shift-invert at z0 = +-1, the
-    sampled end angle of smaller resolvent norm r0.  Scaled by rows,
+    end angle of smaller resolvent norm r0.  Scaled by rows,
     a - z0 b is [[-A, I/gamma], [I/gamma, -A*]] with A = z0 I - T, whose
     singular values are |sigma_j(A) +- 1/gamma|; so its condition number is
     at most (1 + ||T|| + 1/gamma) / (1/r0 - 1/gamma).  Where eps times that
     exceeds UNIT_CIRCLE_TOL / 1000, the level takes QZ (scipy) instead.
     """
     T = _require_real(T)
-    if n_samples < 8:
-        raise ValueError(f"n_samples too small: {n_samples}")
     if not T.any():
         return 1.0          # the resolvent is I
     rho = _contraction_bound(T)
     if rho >= 1.0:
         raise ValueError(f"s(T) requires rho(T) < 1, got rho = {rho:.6g}")
-    norms = _boundary_norms(T, np.linspace(0.0, np.pi, n_samples + 1))
+    norms = _boundary_norms(T, np.array([0.0, np.pi]))
     best = float(np.max(norms))
-    shift, r0 = (1.0, norms[0]) if norms[0] <= norms[-1] else (-1.0, norms[-1])
+    shift, r0 = (1.0, norms[0]) if norms[0] <= norms[1] else (-1.0, norms[1])
     norm_a = 1.0 + math.sqrt(np.linalg.norm(T, 1) * np.linalg.norm(T, np.inf))
     margin = LEVEL_MARGIN
     for _ in range(MAX_LEVELS):

@@ -1,0 +1,31 @@
+"""Golden CLI outputs: every command of ``tools/golden_cli.py`` still gives
+the exit code, stdout, stderr and files whose SHA-256 digests are kept in
+``tools/golden_digests.json``."""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "golden_cli.py"
+DIGESTS = TOOL.with_name("golden_digests.json")
+
+
+def test_golden_outputs_match_their_digests(tmp_path):
+    kept = json.loads(DIGESTS.read_text())
+    assert kept["blas_env"]["OPENBLAS_NUM_THREADS"] == "1"
+    # BLAS threading can move the last bits of dense products, and OpenBLAS
+    # reads its thread count only at start-up: hence the subprocess
+    fresh = tmp_path / "digests.json"
+    subprocess.run([sys.executable, str(TOOL), "digest", str(fresh)], check=True,
+                   capture_output=True, timeout=600,
+                   env=dict(os.environ, OPENBLAS_NUM_THREADS="1"))
+    old, new = kept["digests"], json.loads(fresh.read_text())["digests"]
+    differ = sorted(key for key in old.keys() | new.keys()
+                    if old.get(key) != new.get(key))
+    assert not differ, (
+        f"{len(differ)} golden commands differ from {DIGESTS.name}. Run "
+        "`tools/golden_cli.py compare` on captures of the parent and of this "
+        "change; if the moves are meant, report them and rewrite the digests "
+        "with `OPENBLAS_NUM_THREADS=1 python tools/golden_cli.py digest`:\n"
+        + "\n".join(differ))

@@ -362,10 +362,11 @@ class TestSFunctional:
         assert s_functional(A) <= 2.0 + 1e-9
 
     def test_nilpotent_refinement_agreement(self):
+        # I - c T has the singular values (sqrt(4.81) +- 0.9) / 2 for every
+        # |c| = 1: a flat resolvent norm, so every angle is a peak
         T = np.array([[0.0, 0.9], [0.0, 0.0]])
-        coarse = s_functional(T, n_samples=720)
-        fine = s_functional(T, n_samples=46080)
-        assert abs(coarse - fine) <= 1e-4 * fine
+        exact = (0.9 + math.sqrt(4.81)) / 2.0
+        assert exact <= s_functional(T) <= (1.0 + 1e-11) * exact
 
     def test_rejects_non_contraction(self):
         with pytest.raises(ValueError):
@@ -455,10 +456,12 @@ class TestSCertificate:
     """s(T) is a certified upper value: at least the true supremum, and
     only the 2e-12 level margin above it."""
 
-    @pytest.mark.parametrize("theta", [0.1234, 1.0, 2.9])
+    @pytest.mark.parametrize("theta", [0.1234, 1.0, 2.9, math.pi / 2.0])
     def test_rotation_peak_between_samples(self, theta, monkeypatch):
         # r R(theta) is normal with eigenvalues r e^{+-i theta}, so
-        # s = 1 / (1 - r), attained at phi = theta, between two samples
+        # s = 1 / (1 - r), attained at phi = theta, between the end angles
+        # 0 and pi; at theta = pi/2 their norms tie, and the first level
+        # takes QZ
         calls = []
 
         def counted(T, phis):
@@ -471,8 +474,8 @@ class TestSCertificate:
         exact = 1.0 / (1.0 - r)
         s = s_functional(_rotation(r, theta))
         assert exact <= s <= (1.0 + 1e-11) * exact
-        assert calls[0] == 17 and len(calls) >= 2   # the level set was refined
-        assert bare(_rotation(r, theta), np.linspace(0.0, np.pi, 17)).max() < (
+        assert calls[0] == 2 and len(calls) >= 2    # the level set was refined
+        assert bare(_rotation(r, theta), np.array([0.0, np.pi])).max() < (
             1.0 - 1e-4) * exact
 
     @pytest.mark.parametrize("theta", [0.1234, 1.0])
@@ -498,14 +501,10 @@ class TestSCertificate:
             old, new = _s_by_sampling(T), s_functional(T)
             assert (1.0 - 1e-12) * old <= new <= (1.0 + 1e-11) * old
 
-    def test_rejects_too_few_samples(self):
-        with pytest.raises(ValueError):
-            s_functional(0.5 * np.eye(2), n_samples=7)
-
 
 def _flat_plus_spike(rel, theta):
     # a nilpotent block with a flat resolvent norm L on the circle, beside a
-    # rotation whose peak 1 / (1 - r) = (1 + rel) L lies between two samples
+    # rotation whose peak 1 / (1 - r) = (1 + rel) L lies off both end angles
     level = (999.0 + math.sqrt(999.0**2 + 4.0)) / 2.0
     T = np.zeros((4, 4))
     T[0, 1] = 999.0

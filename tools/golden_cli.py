@@ -15,6 +15,14 @@ checkout's ``src``).  Run both captures with the same ``OPENBLAS_NUM_THREADS``,
 since BLAS threading can change the last bits of dense products; the
 capture records the BLAS environment and ``compare`` warns when it differs.
 
+A full capture is tens of MB, so the repository keeps one SHA-256 per
+command instead, over the exit code, stdout, stderr and written files as
+the capture records them, in ``tools/golden_digests.json``.  The test suite
+recomputes them with one BLAS thread; a change that moves outputs on
+purpose rewrites them with
+
+    OPENBLAS_NUM_THREADS=1 python tools/golden_cli.py digest
+
 ``compare`` goes through the commands of the first capture only, so a
 change may add commands.  It prints one line per command whose output
 moved: the largest relative change between corresponding numbers, and any
@@ -26,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -38,6 +47,7 @@ from pathlib import Path
 import numpy as np
 
 WORK = "<WORK>"
+DIGESTS = Path(__file__).with_name("golden_digests.json")
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 H12 = ["--helmholtz", "12,6.283185307179586,0.01", "--seed", "3"]
 H12_TAU = "0.0007"            # about 0.64 of usual GD's exact supremum on H12
@@ -86,7 +96,7 @@ def write_problem_files(root: Path) -> None:
     # s(B) inputs on which the real shift of its level sets is ill
     # conditioned, so that s(B) takes QZ: a resolvent that peaks at both
     # shifts z0 = +-1, and a flat resolvent level L = ||I + N|| beside a
-    # rotation whose peak (1 + 1e-6) L lies between two samples
+    # rotation whose peak (1 + 1e-6) L lies off both end angles 0 and pi
     level = (999.0 + math.sqrt(999.0**2 + 4.0)) / 2.0
     r, c, s = 1.0 - 1.0 / ((1.0 + 1e-6) * level), math.cos(0.1), math.sin(0.1)
     spike = np.zeros((4, 4))
@@ -95,6 +105,14 @@ def write_problem_files(root: Path) -> None:
     fallback = np.random.default_rng(25)
     files["double_peak.json"] = _real_file(fallback, 3, 2, 3, np.diag([0.9, -0.9, 0.3]))
     files["flat_spike.json"] = _real_file(fallback, 4, 2, 3, spike)
+    # s(B) starts from the end angles 0 and pi: a rotation whose peak lies
+    # between them, and one whose two end norms tie, so that its first
+    # level takes QZ
+    ends = np.random.default_rng(26)
+    for name, theta in (("interior_peak", 1.0), ("tied_ends", math.pi / 2.0)):
+        c, s = math.cos(theta), math.sin(theta)
+        rotation = 0.7 * np.array([[c, -s], [s, c]])
+        files[f"{name}.json"] = _real_file(ends, 2, 1, 2, rotation)
     real = files["real.json"]
     files["nonfinite.json"] = dict(real, M=[*real["M"][:-1], math.inf])
     # a non-numeric entry, and a dimension that reads as infinity
@@ -275,8 +293,8 @@ def commands() -> list[list[str]]:
                  "0.0002714251576757575,0.000542850315351515,"
                  "0.0010748436243959996,0.0010965576370100603",
                  "--max-outer", "300", "--out", "{work}/out/sweep_gd_oracle"])
-    # s(B) by its QZ fallback
-    for name in ("double_peak", "flat_spike"):
+    # s(B) by its QZ fallback, and from its two end angles
+    for name in ("double_peak", "flat_spike", "interior_peak", "tied_ends"):
         cmds.append(["check", "--problem", f"{{work}}/{name}.json"])
         cmds.append(["bound", "--problem", f"{{work}}/{name}.json", "--method",
                      "kshot", "--k", "1"])
@@ -306,7 +324,7 @@ def run_one(main, argv: list[str], work: Path) -> dict:
             "stderr": err.getvalue().replace(text, WORK), "files": files}
 
 
-def capture(out_path: str, src: str) -> int:
+def _capture(src: str) -> dict:
     sys.path.insert(0, str(Path(src).resolve()))
     from oneshot import cli
     record = {"oneshot": str(Path(cli.__file__).resolve().parent),
@@ -320,8 +338,27 @@ def capture(out_path: str, src: str) -> int:
             result = run_one(cli.main, argv, work)
             result["argv"] = [a.replace(str(work), WORK) for a in argv]
             record["commands"].append(result)
+    return record
+
+
+def capture(out_path: str, src: str) -> int:
+    record = _capture(src)
     Path(out_path).write_text(json.dumps(record, indent=1) + "\n")
     print(f"{len(record['commands'])} commands captured to {out_path}")
+    return 0
+
+
+def digest(out_path: str, src: str) -> int:
+    record = _capture(src)
+    digests = {}
+    for c in record["commands"]:
+        output = {key: c[key] for key in ("exit", "stdout", "stderr", "files")}
+        text = json.dumps(output, sort_keys=True)
+        digests[" ".join(c["argv"])] = hashlib.sha256(text.encode()).hexdigest()
+    Path(out_path).write_text(json.dumps(
+        {"numpy": record["numpy"], "blas_env": record["blas_env"],
+         "digests": digests}, indent=1) + "\n")
+    print(f"{len(digests)} command digests written to {out_path}")
     return 0
 
 
@@ -401,16 +438,22 @@ def compare(path_a: str, path_b: str) -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="mode", required=True)
-    p = sub.add_parser("capture", help="run the command list, write JSON")
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"),
+                     help="source tree holding the oneshot package")
+    p = sub.add_parser("capture", parents=[run], help="run the command list, write JSON")
     p.add_argument("out")
-    p.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"),
-                   help="source tree holding the oneshot package")
+    p = sub.add_parser("digest", parents=[run],
+                       help="run the command list, write one SHA-256 per command")
+    p.add_argument("out", nargs="?", default=str(DIGESTS))
     p = sub.add_parser("compare", help="compare two captures")
     p.add_argument("a")
     p.add_argument("b")
     args = parser.parse_args(argv)
     if args.mode == "capture":
         return capture(args.out, args.src)
+    if args.mode == "digest":
+        return digest(args.out, args.src)
     return compare(args.a, args.b)
 
 
