@@ -312,6 +312,10 @@ def _to_rows(a: np.ndarray) -> np.ndarray:
     return a.T.ravel()
 
 
+# east, west, north, south neighbours of the interior nodes of a full-grid field
+_NEIGHBOURS = (np.s_[2:, 1:-1], np.s_[:-2, 1:-1], np.s_[1:-1, 2:], np.s_[1:-1, :-2])
+
+
 def _five_point_operator(coeff: np.ndarray, n: int, h: float) -> np.ndarray:
     """Dense matrix of the variable-coefficient operator -div(c grad u).
 
@@ -322,10 +326,7 @@ def _five_point_operator(coeff: np.ndarray, n: int, h: float) -> np.ndarray:
     A = np.zeros((n * n, n * n))
     inv_h2 = 1.0 / (h * h)
     c = coeff[1:-1, 1:-1]
-    ce = _to_rows(0.5 * (c + coeff[2:, 1:-1]))
-    cw = _to_rows(0.5 * (c + coeff[:-2, 1:-1]))
-    cn = _to_rows(0.5 * (c + coeff[1:-1, 2:]))
-    cs = _to_rows(0.5 * (c + coeff[1:-1, :-2]))
+    ce, cw, cn, cs = (_to_rows(0.5 * (c + coeff[nb])) for nb in _NEIGHBOURS)
     rows = np.arange(n * n)
     A[rows, rows] = (ce + cw + cn + cs) * inv_h2
     i = rows % n                          # i - 1 of each row's node
@@ -335,17 +336,14 @@ def _five_point_operator(coeff: np.ndarray, n: int, h: float) -> np.ndarray:
     return A
 
 
-def _boundary_rhs(coeff: np.ndarray, g: np.ndarray, n: int, h: float) -> np.ndarray:
-    """Right-hand side contributions of Dirichlet data g on the grid boundary."""
-    rhs = np.zeros((n, n))
+def _div_grad(coeff: np.ndarray, u: np.ndarray, h: float) -> np.ndarray:
+    """``-div(c grad u)`` at the interior nodes, x-fastest, of u given on the full
+    grid: :func:`_five_point_operator` applied, not assembled, each edge term
+    ``0.5 (c + c_nb) (u - u_nb) / h^2`` scaled before the four are summed."""
     inv_h2 = 1.0 / (h * h)
-    inner = slice(1, n + 1)
-    # east, west, north, south edges, added in this order at the corners
-    rhs[-1, :] += 0.5 * (coeff[n, inner] + coeff[n + 1, inner]) * g[n + 1, inner] * inv_h2
-    rhs[0, :] += 0.5 * (coeff[1, inner] + coeff[0, inner]) * g[0, inner] * inv_h2
-    rhs[:, -1] += 0.5 * (coeff[inner, n] + coeff[inner, n + 1]) * g[inner, n + 1] * inv_h2
-    rhs[:, 0] += 0.5 * (coeff[inner, 1] + coeff[inner, 0]) * g[inner, 0] * inv_h2
-    return _to_rows(rhs)
+    c, uc = coeff[1:-1, 1:-1], u[1:-1, 1:-1]
+    return _to_rows(sum(0.5 * (c + coeff[nb]) * (uc - u[nb]) * inv_h2
+                        for nb in _NEIGHBOURS))
 
 
 def _sine_solver(n: int, h: float, wavenumber: float):
@@ -384,7 +382,9 @@ def helmholtz_toy(grid_n: int, wavenumber: float, delta: float,
     * ``H`` extracting the one-sided boundary flux at every non-corner
       boundary node, and ``F = 0``.
 
-    A11 is solved by sine transforms (:func:`_sine_solver`), never formed.
+    Only A12 and the incident field's operator, the two solved with, are
+    assembled; A2 applies the stencil by :func:`_div_grad`.  A11 is solved by
+    sine transforms (:func:`_sine_solver`), never formed.
     Raises when A11 is singular, and when the splitting does not contract
     (``rho(B) >= 1``), which needs an eigensolve only where ``||B||_inf < 1``
     does not rule it out.
@@ -410,26 +410,23 @@ def helmholtz_toy(grid_n: int, wavenumber: float, delta: float,
                 "reduce delta"
             )
 
-    # incident field: background Helmholtz solve with smooth boundary data
+    # incident field u0: background Helmholtz solve with smooth boundary data
     xs = np.arange(n + 2) * h
     gx, gy = np.meshgrid(xs, xs, indexing="ij")
-    g = np.cos(wavenumber * gx) + np.sin(wavenumber * gy)
+    u0 = np.cos(wavenumber * gx) + np.sin(wavenumber * gy)
+    u0[1:-1, 1:-1] = 0.0             # the boundary data alone make the rhs
     coeff_full = 1.0 + delta * sigma_r
     A1_full = _five_point_operator(coeff_full, n, h) - wavenumber**2 * np.eye(n * n)
-    u0_int = np.linalg.solve(A1_full, _boundary_rhs(coeff_full, g, n, h))
+    u0_int = np.linalg.solve(A1_full, -_div_grad(coeff_full, u0, h))
+    u0[1:-1, 1:-1] = u0_int.reshape(n, n).T
 
     # parameter basis: indicators of a 3x3 partition of the square,
     # supported on interior nodes only (the parameter vanishes on the boundary)
     cell = np.minimum((xs * 3).astype(int), 2)[1:-1]
     patches = [np.pad(np.outer(cell == px, cell == py), 1).astype(float)
                for py in range(3) for px in range(3)]
-    # action of -div(chi grad .) on the full incident field: interior part
-    # minus the stencil terms carrying the boundary values g of u0
-    A2 = np.column_stack([
-        _five_point_operator(chi, n, h) @ u0_int - _boundary_rhs(chi, g, n, h)
-        for chi in patches
-    ])
-    M = solve_a11(A2)
+    # action of -div(chi grad .) on the whole incident field
+    M = solve_a11(np.column_stack([_div_grad(chi, u0, h) for chi in patches]))
 
     # boundary flux rows: sigma0_tilde * du/dnu ~ -sigma0_tilde(x_b) u_adj / h
     # one row per non-corner boundary node: bottom/top pairs for each i, then

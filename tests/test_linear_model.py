@@ -15,7 +15,7 @@ from oneshot.linear_model import (RealInverseProblem, ScalarProblem, cost,
                                   spectral_norm, validate)
 from oneshot import linear_model, spectral
 from oneshot.bounds import matrix_bound
-from oneshot.linear_model import (_boundary_rhs, _five_point_operator,
+from oneshot.linear_model import (_div_grad, _five_point_operator,
                                   _sine_solver, adjoint_from_state)
 from oneshot.solvers import MethodSpec, SolverConfig, SolverKind, run_method
 from oneshot.spectral import build_iteration_matrix
@@ -297,20 +297,61 @@ def _boundary_rhs_loop(coeff, g, n, h):
     return rhs
 
 
-class TestHelmholtzAgainstLoops:
-    """The vectorized grid assembly keeps the arithmetic of the node-by-node
-    loops, so it must agree with them bit for bit."""
+def _div_grad_loop(coeff, u, n, h):
+    # node-by-node reference for the applied stencil: the four scaled edge
+    # terms summed in east, west, north, south order
+    out = np.zeros(n * n)
+    inv_h2 = 1.0 / (h * h)
+    for j in range(1, n + 1):
+        for i in range(1, n + 1):
+            row = _idx(i, j, n)
+            for a, b in ((i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1)):
+                out[row] += 0.5 * (coeff[i, j] + coeff[a, b]) * (u[i, j] - u[a, b]) * inv_h2
+    return out
 
-    @pytest.mark.parametrize("n", [4, 7, 12])
+
+def _grid_problem(n):
+    rng = np.random.default_rng(n)
+    coeff = rng.uniform(0.5, 2.0, size=(n + 2, n + 2))
+    return coeff, rng.standard_normal((n + 2, n + 2)), 1.0 / (n + 1)
+
+
+class TestHelmholtzAgainstLoops:
+    """The vectorized grid assembly and stencil keep the arithmetic of the
+    node-by-node loops, so they must agree with them bit for bit."""
+
+    @pytest.mark.parametrize("n", [4, 7, 12, 24])
     def test_operator_and_boundary_rhs(self, n):
-        rng = np.random.default_rng(n)
-        coeff = rng.uniform(0.5, 2.0, size=(n + 2, n + 2))
-        g = rng.standard_normal((n + 2, n + 2))
-        h = 1.0 / (n + 1)
+        coeff, g, h = _grid_problem(n)
         assert np.array_equal(_five_point_operator(coeff, n, h),
                               _five_point_loop(coeff, n, h))
-        assert np.array_equal(_boundary_rhs(coeff, g, n, h),
+        g_boundary = g.copy()
+        g_boundary[1:-1, 1:-1] = 0.0
+        assert np.array_equal(-_div_grad(coeff, g_boundary, h),
                               _boundary_rhs_loop(coeff, g, n, h))
+
+    @pytest.mark.parametrize("n", [4, 7, 12, 24])
+    def test_applied_stencil(self, n):
+        coeff, u, h = _grid_problem(n)
+        assert np.array_equal(_div_grad(coeff, u, h), _div_grad_loop(coeff, u, n, h))
+
+    @pytest.mark.parametrize("n", [4, 7, 12, 24])
+    def test_applied_and_assembled_stencils_agree(self, n):
+        # the applied stencil on each unit field is a column of the matrix:
+        # off the diagonal one edge term, so equal; on it the matrix sums the
+        # four edge coefficients before it scales, so within 4 eps
+        coeff, _, h = _grid_problem(n)
+        A = _five_point_operator(coeff, n, h)
+        applied = np.empty_like(A)
+        for j in range(1, n + 1):
+            for i in range(1, n + 1):
+                unit = np.zeros((n + 2, n + 2))
+                unit[i, j] = 1.0
+                applied[:, _idx(i, j, n)] = _div_grad(coeff, unit, h)
+        off = ~np.eye(n * n, dtype=bool)
+        assert np.array_equal(applied[off], A[off])
+        np.testing.assert_allclose(np.diag(applied), np.diag(A),
+                                   rtol=4 * np.finfo(float).eps, atol=0)
 
     @pytest.mark.parametrize("n", [4, 7])
     def test_patches_and_flux_rows(self, n):
@@ -336,6 +377,10 @@ class TestHelmholtzAgainstLoops:
         shift = kt**2 * np.eye(n * n)
         u0 = np.linalg.solve(_five_point_loop(coeff, n, h) - shift,
                              _boundary_rhs_loop(coeff, g, n, h))
+        u0_full = g.copy()
+        for j in range(1, n + 1):
+            for i in range(1, n + 1):
+                u0_full[i, j] = u0[_idx(i, j, n)]
         columns = []
         for py in range(3):
             for px in range(3):
@@ -345,8 +390,7 @@ class TestHelmholtzAgainstLoops:
                         if (min(int(xs[i] * 3), 2) == px
                                 and min(int(xs[j] * 3), 2) == py):
                             chi[i, j] = 1.0
-                columns.append(_five_point_loop(chi, n, h) @ u0
-                               - _boundary_rhs_loop(chi, g, n, h))
+                columns.append(_div_grad_loop(chi, u0_full, n, h))
         # the loop-assembled columns through the same sine solve: this checks
         # the assembly; TestSineSolve checks the solve against LU
         assert np.array_equal(p.M, _sine_solver(n, h, kt)(np.column_stack(columns)))
