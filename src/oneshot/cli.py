@@ -30,9 +30,9 @@ from pathlib import Path
 import numpy as np
 
 from . import bounds, scalar, spectral
-from .linear_model import (DEFAULT_EPS_INJ, DEFAULT_EPS_RHO, RealInverseProblem,
-                           ScalarProblem, exact_state, cost, gradient, helmholtz_toy,
-                           load_problem, random_contraction, validate)
+from .linear_model import (RealInverseProblem, ScalarProblem, exact_state, cost,
+                           gradient, helmholtz_toy, load_problem, random_contraction,
+                           validate)
 from .solvers import MethodSpec, SolverConfig, SolverKind, run_method
 
 EXIT_INVALID = 1
@@ -109,9 +109,20 @@ def _line_search_tau(problem, f, sigma0, tau) -> float:
     return t
 
 
+def _write(path, write) -> None:
+    """Hand ``write`` the file at path (parent made) and print path, else stdout."""
+    if not path:   # None or "": an empty --out writes to stdout too
+        write(sys.stdout)
+        return
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w") as fh:
+        write(fh)
+    print(path)
+
+
 def _cmd_check(args) -> int:
     problem = _read_problem(args.problem)
-    report = validate(problem, eps_rho=args.eps_rho, eps_inj=args.eps_inj)
+    report = validate(problem)
     print(json.dumps(report.as_dict()))
     return 0 if report.is_valid else EXIT_INVALID
 
@@ -167,14 +178,8 @@ def _cmd_solve(args) -> int:
     problem = _load_problem_arg(args)
     sigma_ex, sigma0, f = _synthetic_data(problem, args)
     trace = _run(problem, f, sigma0, sigma_ex, method, args.tau, args)
-    if args.out:
-        path = _trace_path(Path(args.out), args.method, args.k, trace.tau)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w") as fh:
-            trace.write_csv(fh)
-        print(path)
-    else:
-        trace.write_csv(sys.stdout)
+    _write(args.out and _trace_path(Path(args.out), args.method, args.k, trace.tau),
+           trace.write_csv)
     return 0
 
 
@@ -247,13 +252,7 @@ def _cmd_scalar_region(args) -> int:
         f"{b}{mid}{values[i]:.17g},{branches[i]}\n"   # made as it is written
         for i, b in enumerate(f"{b:.17g}" for b in bs.tolist())
         for mid, values, branches in columns))
-    if args.out:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        with open(args.out, "w") as fh:
-            fh.writelines(lines)
-        print(args.out)
-    else:
-        sys.stdout.writelines(lines)
+    _write(args.out, lambda fh: fh.writelines(lines))
     return 0
 
 
@@ -294,8 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="validate a problem file")
     p.add_argument("--problem", required=True)
-    p.add_argument("--eps-rho", dest="eps_rho", type=float, default=DEFAULT_EPS_RHO)
-    p.add_argument("--eps-inj", dest="eps_inj", type=float, default=DEFAULT_EPS_INJ)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("bound", help="descent-step bound / scalar threshold")

@@ -17,8 +17,8 @@ from functools import cached_property
 
 import numpy as np
 
-DEFAULT_EPS_RHO = 1e-8
-DEFAULT_EPS_INJ = 1e-10
+EPS_RHO = 1e-8                  # validate: rho(B) must stay below 1 - EPS_RHO,
+EPS_INJ = 1e-10                 # and s_min of H (I - B)^-1 M above EPS_INJ s_max
 RANDOM_TRIES = 50               # random_contraction redraws before giving up
 
 
@@ -149,21 +149,20 @@ def data_map(problem) -> np.ndarray:
     return problem.H @ (problem.state_inverse @ problem.M)
 
 
-def validate(problem: RealInverseProblem, eps_rho: float = DEFAULT_EPS_RHO,
-             eps_inj: float = DEFAULT_EPS_INJ) -> AssumptionReport:
+def validate(problem: RealInverseProblem) -> AssumptionReport:
     """Check contraction of B and injectivity of ``H (I - B)^{-1} M``.
 
-    Valid iff ``rho(B) < 1 - eps_rho`` and the smallest singular value of the
-    explicitly formed ``H (I - B)^{-1} M`` exceeds ``eps_inj`` times the
-    largest one.  A complex-state problem is checked in its realified
-    form, so injectivity is over real sigma.
+    Valid iff ``rho(B) < 1 - EPS_RHO`` (1e-8) and the smallest singular value
+    of the explicitly formed ``H (I - B)^{-1} M`` exceeds ``EPS_INJ`` (1e-10)
+    times the largest one; both margins are fixed.  A complex-state problem
+    is checked in its realified form, so injectivity is over real sigma.
     """
     messages: list[str] = []
     rho = spectral_radius(problem.B)
-    contraction_ok = rho < 1.0 - eps_rho
+    contraction_ok = rho < 1.0 - EPS_RHO
     if not contraction_ok:
         messages.append(
-            f"spectral radius of B is {rho:.6g}, need < 1 - {eps_rho:g}"
+            f"spectral radius of B is {rho:.6g}, need < 1 - {EPS_RHO:g}"
         )
 
     smin = smax = 0.0
@@ -179,11 +178,11 @@ def validate(problem: RealInverseProblem, eps_rho: float = DEFAULT_EPS_RHO,
     except np.linalg.LinAlgError:
         messages.append("state operator I - B is singular")
 
-    injectivity_ok = smin > eps_inj * smax
+    injectivity_ok = smin > EPS_INJ * smax
     if not injectivity_ok and not messages:
         messages.append(
             f"smallest singular value {smin:.6g} of the parameter-to-data map "
-            f"is not above {eps_inj:g} times the largest ({smax:.6g})"
+            f"is not above {EPS_INJ:g} times the largest ({smax:.6g})"
         )
     return AssumptionReport(
         spectral_radius_B=rho,

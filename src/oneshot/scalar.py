@@ -99,13 +99,13 @@ def fk(k: int, b):
     return _terms(k, b).f
 
 
-def _bisect(f, lo: float, hi: float, tol: float = 1e-13) -> float:
+def _bisect(f, lo: float, hi: float) -> float:
     flo = f(lo)
     if flo == 0.0:
         return lo
     if flo * f(hi) > 0.0:
         raise ValueError("root not bracketed")
-    while hi - lo > tol:
+    while hi - lo > 1e-13:
         mid = 0.5 * (lo + hi)
         fmid = f(mid)
         if fmid == 0.0:

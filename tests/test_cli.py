@@ -38,6 +38,18 @@ class TestCheck:
         assert report["is_valid"] is False
         assert report["messages"]
 
+    @pytest.mark.parametrize("margin", [["--eps-rho", "-5"], ["--eps-inj=-1"]])
+    def test_margins_take_no_flag(self, margin, tmp_path, capsys):
+        # a margin set from argv could pass this rho(B) = 1.1 as valid
+        path = tmp_path / "bad.json"
+        save_problem(RealInverseProblem(B=[[1.1]], M=[[1.0]], H=[[1.0]],
+                                        F=[0.0]), path)
+        assert main(["check", "--problem", str(path), *margin]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: unrecognized arguments: ")
+        assert err.count("\n") == 1
+
     def test_malformed_exits_two(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

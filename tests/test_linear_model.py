@@ -73,6 +73,21 @@ class TestValidate:
         assert r.is_valid == (r.spectral_radius_B < 1 - 1e-8
                               and smin > 1e-10 * smax)
 
+    @pytest.mark.parametrize("gap, valid", [(5e-9, False), (2e-8, True)])
+    def test_contraction_margin_is_1e_8(self, gap, valid):
+        p = RealInverseProblem(B=[[1.0 - gap]], M=[[1.0]], H=[[1.0]], F=[0.0])
+        r = validate(p)
+        assert r.is_valid is valid
+        assert bool(r.messages) is not valid
+
+    @pytest.mark.parametrize("m, valid", [(5e-11, False), (2e-10, True)])
+    def test_injectivity_margin_is_1e_10(self, m, valid):
+        p = RealInverseProblem(B=np.zeros((2, 2)), M=np.diag([1.0, m]),
+                               H=np.eye(2), F=np.zeros(2))
+        r = validate(p)
+        assert r.is_valid is valid
+        assert r.min_singular_value == pytest.approx(m, rel=1e-12)
+
     def test_singular_state_operator(self):
         p = RealInverseProblem(B=[[1.0]], M=[[1.0]], H=[[1.0]], F=[0.0])
         r = validate(p)

@@ -298,6 +298,13 @@ def commands() -> list[list[str]]:
         cmds.append(["check", "--problem", f"{{work}}/{name}.json"])
         cmds.append(["bound", "--problem", f"{{work}}/{name}.json", "--method",
                      "kshot", "--k", "1"])
+    # check's margins are fixed: a flag that would move them exits 2
+    cmds.append(["check", "--problem", "{work}/invalid.json", "--eps-rho", "-5"])
+    cmds.append(["check", *real, "--eps-inj=-1"])
+    # a sweep from a problem file and a set initial guess: gd and kshot k = 2
+    # converge, kshot k = 1 diverges
+    cmds.append(["sweep", *real, "--method", "gd,kshot", "--k", "1,2", "--tau", "0.05",
+                 "--sigma0", "11", "--max-outer", "200", "--out", "{work}/out/sweep_real"])
     return cmds
 
 
