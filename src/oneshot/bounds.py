@@ -107,6 +107,11 @@ def _case_terms(params: BoundParams, shifted: bool) -> SimpleNamespace:
         cd=cd, sc=math.sqrt(cd) * math.sqrt(d0), sq=math.sqrt(cd) / math.sqrt(d0))
 
 
+def _ratio(num, denom):
+    # a case whose denominator underflows to 0 sets no bound
+    return math.inf if denom == 0.0 else num / denom
+
+
 def closed_form(k: int, b: float, params: BoundParams | None,
                 shifted: bool) -> float:
     """chi(k, b) for the shifted family, psi(k, b) for the non-shifted one:
@@ -115,7 +120,7 @@ def closed_form(k: int, b: float, params: BoundParams | None,
 
     ``params`` None takes the family's defaults for this k.  k = 1 needs
     b > 0.  For k >= 2 at b = 0 the method is (shifted) gradient descent,
-    whose exact bound is 1 (shifted) or 2.
+    whose exact bound is 1 (shifted) or 2; 0 where b is too near 1 to resolve.
     """
     name = "chi" if shifted else "psi"
     if k < 1:
@@ -129,15 +134,17 @@ def closed_form(k: int, b: float, params: BoundParams | None,
     c = _case_terms(_check_params(params, shifted, k), shifted)
     if k == 1:
         # real eigenvalues impose no condition on the non-shifted family
-        cases = [(1.0 - b)**4 / (4.0 * b**2),
+        cases = [_ratio((1.0 - b)**4, 4.0 * b**2),
                  2.0 * c.sin_half * (1.0 - b)**2 / (1.0 + b)**2,
-                 c.slack * (1.0 - b)**4 / b**2]
+                 _ratio(c.slack * (1.0 - b)**4, b**2)]
         if shifted:
             cases += [2.0 * (1.0 - b)**2, c.angle * (1.0 - b)**2]
         return min(cases)
 
     bk = b**k
     geom = 1.0 - k * b**(k - 1) + (k - 1) * b**k   # >= (1-b)^2 ||X_k|| / ||H||^2
+    if geom <= 0.0:     # b so near 1 that the sum cancels: no guarantee
+        return 0.0
     front = (1.0 - b)**2 * (1.0 - bk)**2
     cases = [front / (4.0 * b**(2 * k) + SQRT2 * geom * (1.0 + bk)**2),
              front / (((1.0 - bk)**2 / (2.0 * c.sin_half)
@@ -163,9 +170,9 @@ def _general_min_k1(nH, nM, nB, s, params, shifted):
     if shifted:
         cases.append(2.0 / (hm2 * s**2))                              # real
         cases.append(c.angle / (hm2 * (1.0 + nB)**2 * s**2))
-    cases.append(1.0 / (4.0 * hm2 * nB**2 * s**4))
+    cases.append(_ratio(1.0, 4.0 * hm2 * nB**2 * s**4))
     cases.append(2.0 * c.sin_half / (hm2 * (1.0 + 2.0 * nB)**2 * s**4))
-    cases.append(c.slack / (hm2 * nB**2 * s**4))
+    cases.append(_ratio(c.slack, hm2 * nB**2 * s**4))
     return min(cases)
 
 
@@ -173,26 +180,22 @@ def _general_min_k(nH, nM, nT, nX, nBk, s, params, shifted):
     c = _case_terms(params, shifted)
     ht2 = nH**2 * nM**2 * nT**2
     xk = nM**2 * nX
-
-    def inv(denom):
-        return math.inf if denom == 0.0 else 1.0 / denom
-
     cases = []
     if shifted:
-        cases.append(inv((ht2 / 2.0 + xk) * s**2))                    # real
-        cases.append(c.angle * inv((ht2 * (1.0 + nBk)**2
-                                    + 2.0 * xk * (1.0 + 2.0 * nBk)**2) * s**4))
+        cases.append(_ratio(1.0, (ht2 / 2.0 + xk) * s**2))            # real
+        cases.append(c.angle * _ratio(1.0, (ht2 * (1.0 + nBk)**2
+                                            + 2.0 * xk * (1.0 + 2.0 * nBk)**2) * s**4))
     else:
-        cases.append(inv(xk * s**2))                                   # real
+        cases.append(_ratio(1.0, xk * s**2))                          # real
 
-    cases.append(inv((4.0 * ht2 * nBk**2
-                      + SQRT2 * xk * (1.0 + 2.0 * nBk)**2) * s**4))
-    cases.append(inv((ht2 / (2.0 * c.sin_half) + SQRT2 * xk)
-                     * (1.0 + 2.0 * nBk)**2 * s**4))
-    cases.append(inv((2.0 * c.cd * c.sin_half * ht2 * nBk**2
-                      + c.sq * xk * (1.0 + 2.0 * nBk + 2.0 * nBk**2)
-                      + 2.0 * max(c.sq, c.sc / c.cos_cap)
-                      * xk * (nBk + nBk**2)) * s**4))
+    cases.append(_ratio(1.0, (4.0 * ht2 * nBk**2
+                              + SQRT2 * xk * (1.0 + 2.0 * nBk)**2) * s**4))
+    cases.append(_ratio(1.0, (ht2 / (2.0 * c.sin_half) + SQRT2 * xk)
+                        * (1.0 + 2.0 * nBk)**2 * s**4))
+    cases.append(_ratio(1.0, (2.0 * c.cd * c.sin_half * ht2 * nBk**2
+                              + c.sq * xk * (1.0 + 2.0 * nBk + 2.0 * nBk**2)
+                              + 2.0 * max(c.sq, c.sc / c.cos_cap)
+                              * xk * (nBk + nBk**2)) * s**4))
     return min(cases)
 
 

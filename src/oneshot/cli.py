@@ -96,16 +96,17 @@ def _synthetic_data(problem, args):
 
 def _line_search_tau(problem, f, sigma0, tau) -> float:
     """Backtracking line search on the first step, with direct solves."""
-    j0 = cost(problem, sigma0, f)
-    g = gradient(problem, sigma0, f)
-    g2 = float(g @ g)
-    if g2 == 0.0:
-        return tau
-    t = tau
-    for _ in range(LINE_SEARCH_TRIES):
-        if cost(problem, sigma0 - t * g, f) <= j0 - LINE_SEARCH_ARMIJO * t * g2:
-            break
-        t *= LINE_SEARCH_SHRINK
+    with np.errstate(over="ignore", invalid="ignore"):   # a try that overflows fails
+        j0 = cost(problem, sigma0, f)
+        g = gradient(problem, sigma0, f)
+        g2 = float(g @ g)
+        if g2 == 0.0 or not math.isfinite(j0 + g2):   # flat, or no finite cost to cut
+            return tau
+        t = tau
+        for _ in range(LINE_SEARCH_TRIES):
+            if cost(problem, sigma0 - t * g, f) <= j0 - LINE_SEARCH_ARMIJO * t * g2:
+                break
+            t *= LINE_SEARCH_SHRINK
     return t
 
 
@@ -238,7 +239,8 @@ def _cmd_scalar_region(args) -> int:
                  *[int] * (args.k.count(",") + 1))
     if args.b_count < 0:
         raise ValueError(f"argument --b-count: must be at least 0, got {args.b_count}")
-    bs = np.linspace(args.b_min, args.b_max, args.b_count)
+    with np.errstate(invalid="ignore", over="ignore"):   # threshold rejects nan and inf
+        bs = np.linspace(args.b_min, args.b_max, args.b_count)
     kinds = ([_method_kind(name) for name in args.method.split(",")]
              if args.method else list(SolverKind))
     columns = []   # per (method, k): the rows' middle, values and branches

@@ -79,7 +79,7 @@ def converges(problem: RealInverseProblem, method: MethodSpec,
     (D = data_map); sgd's sigma obeys z^2 - z + tau D* D.  So each eigenvalue
     lam of tau D* D gives roots 1 - lam (gd) or (1 +- sqrt(1 - 4 lam)) / 2 (sgd)."""
     if method.kind.one_shot:
-        rho = spectral_radius(build_iteration_matrix(problem, method, tau))
+        rho = spectral_radius(build_iteration_matrix(problem, method, tau).matrix)
     elif not 0.0 < tau < math.inf:
         raise ValueError(f"tau must be positive and finite, got {tau}")
     else:
@@ -114,11 +114,12 @@ def _level_eigvals(T: np.ndarray, gamma: float, shift: float | None) -> np.ndarr
     eye, zero = np.eye(T.shape[0]), np.zeros(T.shape)
     a = np.block([[T, eye / gamma], [zero, eye]])
     b = np.block([[eye, zero], [eye / gamma, T.T]])
-    if shift is None:
-        import scipy.linalg     # deferred: the import costs about 0.2 s
-        return scipy.linalg.eigvals(a, b)
-    mu = np.linalg.eigvals(np.linalg.solve(a - shift * b, b))
-    return shift + 1.0 / mu[mu != 0.0]
+    with np.errstate(over="ignore", invalid="ignore"):   # z near inf: no crossing
+        if shift is None:
+            import scipy.linalg     # deferred: the import costs about 0.2 s
+            return scipy.linalg.eigvals(a, b)
+        mu = np.linalg.eigvals(np.linalg.solve(a - shift * b, b))
+        return shift + 1.0 / mu[mu != 0.0]
 
 
 def s_functional(T: np.ndarray) -> float:
@@ -164,4 +165,4 @@ def s_functional(T: np.ndarray) -> float:
         if raised <= best:
             margin *= 10.0      # a near-tangency blurred by rounding: widen
         best = float(raised)
-    raise RuntimeError(f"s(T) not certified after {MAX_LEVELS} levels")
+    raise ValueError(f"s(T) not certified after {MAX_LEVELS} levels")

@@ -143,7 +143,7 @@ def test_criterion_03_closed_form_golden_values():
     for b in (b for b in b_grid if b <= -0.3):
         p = ScalarProblem(b=b, h=1.0, m=1.0).as_problem()
         k3 = 2.0 * (1.0 + b)**2
-        rho_below = spectral_radius(build_iteration_matrix(p, method, 0.99 * k3))
+        rho_below = spectral_radius(build_iteration_matrix(p, method, 0.99 * k3).matrix)
         ev_above = np.linalg.eigvals(
             build_iteration_matrix(p, method, 1.01 * k3).matrix)
         lead = ev_above[np.argmax(np.abs(ev_above))]

@@ -1,10 +1,15 @@
 """End-to-end tests of the command-line harness."""
+import contextlib
 import csv
+import io
 import json
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from oneshot import cli, solvers
 from oneshot.cli import main
@@ -324,6 +329,178 @@ class TestBadInput:
         assert out == ""
         assert err.startswith("error: cannot read problem file: ")
         assert err.count("\n") == 1
+
+
+# The exit contract over a small argv grammar: every subcommand and flag, with
+# values from an edge set, and sizes small enough that no draw runs long.
+_FLOAT = st.sampled_from(["0.1", "0.5", "1", "2"]) | st.sampled_from(
+    ["nan", "inf", "-inf", "1e308", "-1e308", "0", "-1e-3", "1e-320", "x", ""])
+_K = st.sampled_from(["1", "2", "8"]) | st.sampled_from(["-1", "0", str(10**20), "x", ""])
+_METHOD = st.sampled_from(["gd", "sgd", "kshot", "skshot"]) | st.sampled_from(["foo", ""])
+_MAX_OUTER = st.sampled_from(["-1", "0", "5"])
+_SEED = st.sampled_from(["0", "7", "-1"])
+_FILE = st.sampled_from(["valid", "invalid", "broken", "missing"]).map(
+    lambda name: f"{{work}}/{name}.json")
+
+
+def _joined(*fields):
+    return st.tuples(*fields).map(",".join)
+
+
+def _items(values):    # comma lists: empty, one item or more
+    return st.lists(values, max_size=3).map(",".join)
+
+
+def _optional(flag, values):
+    return st.one_of(st.just([]), values.map(lambda v: [flag, v]))
+
+
+_SIZE = st.sampled_from(["-1", "0", "1", "2", "8"])
+_SOURCE = st.one_of(
+    _FILE.map(lambda path: ["--problem", path]),
+    st.lists(_FLOAT, min_size=2, max_size=4).map(
+        lambda fields: ["--scalar", ",".join(fields)]),
+    st.one_of(_joined(_SIZE, _SIZE, _SIZE,
+                      _FLOAT | st.sampled_from(["0.99999999", "0.999999999"])),
+              _items(_SIZE)).map(lambda fields: ["--random", fields]),
+    _joined(st.sampled_from(["-1", "3", "4", "6"]),
+            st.just("6.283185307179586") | _FLOAT, st.just("0.01") | _FLOAT).map(
+        lambda fields: ["--helmholtz", fields]),
+)
+# mostly one source; none or two are errors argparse reports
+_SOURCES = st.one_of(_SOURCE, st.lists(_SOURCE, max_size=2).map(
+    lambda sources: [arg for source in sources for arg in source]))
+
+
+def _command(name, *parts):
+    return st.tuples(*parts).map(
+        lambda lists: [name] + [arg for part in lists for arg in part])
+
+
+_RUN = (_MAX_OUTER.map(lambda v: ["--max-outer", v]),
+        _optional("--sigma-ex", _FLOAT), _optional("--sigma0", _FLOAT),
+        st.sampled_from([[], ["--line-search-first"]]))
+_ARGV = st.one_of(
+    _command("check", _FILE.map(lambda path: ["--problem", path])),
+    _command("bound", _SOURCES, _optional("--seed", _SEED),
+             _METHOD.map(lambda m: ["--method", m]), _optional("--k", _K),
+             _optional("--theta0", _FLOAT), _optional("--delta0", _FLOAT)),
+    _command("solve", _SOURCES, _optional("--seed", _SEED),
+             _METHOD.map(lambda m: ["--method", m]), _optional("--k", _K),
+             _FLOAT.map(lambda t: ["--tau", t]),
+             _optional("--out", st.just("{work}/solve")), *_RUN),
+    _command("sweep", _SOURCES, _optional("--seed", _SEED),
+             _items(_METHOD).map(lambda m: ["--method", m]),
+             _optional("--k", _items(_K)),
+             _items(_FLOAT).map(lambda t: ["--tau", t]),
+             st.just(["--out", "{work}/sweep"]), *_RUN),
+    _command("scalar-region", _optional("--k", _items(_K)),
+             _optional("--b-min", _FLOAT), _optional("--b-max", _FLOAT),
+             _optional("--b-count", st.sampled_from(["-1", "0", "1", "2", "39"])),
+             _optional("--method", _items(_METHOD)),
+             _optional("--out", st.just("{work}/region.csv"))),
+)
+
+
+@pytest.fixture(scope="module")
+def contract_work(tmp_path_factory):
+    work = tmp_path_factory.mktemp("contract")
+    save_problem(random_contraction(4, 2, 3, 0.4, seed=12), work / "valid.json")
+    save_problem(RealInverseProblem(B=[[1.1]], M=[[1.0]], H=[[1.0]], F=[0.0]),
+                 work / "invalid.json")
+    (work / "broken.json").write_text("{not json")
+    return work
+
+
+def _documented_output(argv, out):
+    """Assert that an exit-0 run wrote what its subcommand documents."""
+    command, out_arg = argv[0], dict(zip(argv, argv[1:])).get("--out")
+    if command == "check":
+        assert json.loads(out)["is_valid"]
+        return
+    if command == "bound":   # a sufficient bound may underflow to 0, never below
+        assert 0.0 <= json.loads(out)["value"] < math.inf
+        return
+    if out_arg:    # the written file's path is the one line of stdout
+        path = Path(out.removesuffix("\n"))
+        assert out == f"{path}\n" and path.is_relative_to(out_arg)
+        out = path.read_text()
+    header = {"solve": solvers.CSV_HEADER, "scalar-region": "b,k,method,threshold,branch",
+              "sweep": "method,k,tau,status,outer_iters,final_cost,rho"}[command]
+    rows = list(csv.reader(io.StringIO(out)))
+    assert ",".join(rows[0]) == header
+    assert all(len(row) == len(rows[0]) for row in rows)
+    if command == "sweep":   # a warning raised in a cell would read as its error
+        assert "encountered" not in out
+
+
+def _contract_code(argv, work) -> int:
+    """Run argv with warnings as errors and assert the exit contract: 0, 1 or
+    2, no traceback; 0 writes its documented output, 2 (and 1 but for
+    ``check``'s report) one ``error:`` line and nothing else."""
+    argv = [arg.format(work=work) for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with (warnings.catch_warnings(), contextlib.redirect_stdout(out),
+          contextlib.redirect_stderr(err)):
+        warnings.simplefilter("error")
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert err == ""
+        _documented_output(argv, out)
+    elif code == 1 and argv[0] == "check":    # the report says why
+        assert err == "" and json.loads(out)["is_valid"] is False
+    else:
+        assert out == ""
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+    return code
+
+
+class TestExitContract:
+    @pytest.mark.parametrize("argv, code", [
+        # a random draw that fails validate is bad input
+        (["bound", "--random", "1,1,1,0.999999999", "--method", "gd"], 2),
+        (["solve", "--random", "1,1,1,0.999999999", "--method", "gd",
+          "--tau", "0.1"], 2),
+        (["sweep", "--random", "1,1,1,0.999999999", "--method", "gd",
+          "--tau", "0.1", "--out", "{work}/never_written"], 2),
+        (["bound", "--random", "1,1,1,0.99999999", "--method", "kshot"], 2),
+        # a valid problem whose s(T) no level certifies has no matrix bound
+        (["bound", "--random", "1,1,1,0.99999999", "--seed", "7",
+          "--method", "kshot"], 1),
+        # found by the grammar below: a grid end that is not finite, or ends
+        # whose gap overflows
+        (["scalar-region", "--b-max", "inf"], 2),
+        (["scalar-region", "--b-min", "1e308", "--b-max", "-1e308"], 2),
+        # an empty B, and n_sigma < 1
+        (["bound", "--random", "0,-1,2,0.5", "--method", "gd"], 2),
+        # an initial guess at which the line search's cost overflows keeps
+        # its step, and the run diverges as it does without the search
+        (["solve", "--scalar", "0.5,2,0.5", "--method", "skshot", "--tau", "0.5",
+          "--max-outer", "5", "--sigma0", "-1e308", "--line-search-first"], 0),
+        # ||B||^2 underflows to 0 in the k = 1 case bounds
+        (["bound", "--random", "8,1,2,1e-320", "--method", "skshot"], 0),
+        (["bound", "--random", "8,1,2,1e-320", "--method", "kshot"], 0),
+        # 1 - 2b + b^2 rounds to 0 in the k = 2 closed form
+        (["bound", "--random", "8,1,2,0.999999999", "--method", "kshot", "--k", "2"], 0),
+        # a level pencil with an eigenvalue near infinity, by QZ
+        (["bound", "--random", "1,1,2,1e-320", "--method", "kshot"], 0),
+        # a Helmholtz delta that overflows B
+        (["bound", "--helmholtz", "6,0.1,1e308", "--method", "skshot"], 2),
+    ])
+    def test_edges(self, argv, code, contract_work):
+        assert _contract_code(argv, contract_work) == code
+
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(argv=_ARGV)
+    @example(argv=["bound", "--random", "1,1,1,0.999999999", "--method", "gd"])
+    @example(argv=["bound", "--random", "1,1,1,0.99999999", "--method", "kshot"])
+    @example(argv=["bound", "--random", "1,1,1,0.99999999", "--seed", "7",
+                   "--method", "kshot"])
+    def test_grammar(self, argv, contract_work):
+        _contract_code(argv, contract_work)
 
 
 @pytest.fixture

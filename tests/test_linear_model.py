@@ -223,15 +223,24 @@ class TestGenerators:
         assert np.all(p.B == 0.0)
 
     def test_determinism(self):
-        a = random_contraction(5, 2, 3, 0.5, seed=123)
-        b = random_contraction(5, 2, 3, 0.5, seed=123)
-        assert np.array_equal(a.B, b.B) and np.array_equal(a.M, b.M)
-        assert np.array_equal(a.H, b.H) and np.array_equal(a.F, b.F)
+        # one draw from the seed: B rescaled to the target norm, then M, H, F
+        rng = np.random.default_rng(123)
+        B = rng.standard_normal((5, 5))
+        B *= 0.5 / np.linalg.norm(B, 2)
+        M, H, F = (rng.standard_normal(shape) for shape in ((5, 2), (3, 5), 5))
+        p = random_contraction(5, 2, 3, 0.5, seed=123)
+        for got, want in ((p.B, B), (p.M, M), (p.H, H), (p.F, F)):
+            assert np.array_equal(got, want)
 
     def test_norm_is_pinned_and_valid(self):
         p = random_contraction(6, 2, 4, 0.5, seed=9)
         assert abs(spectral_norm(p.B) - 0.5) < 1e-12
         assert validate(p).is_valid
+
+    def test_invalid_draw_raises(self):
+        # ||B|| = 1 - 1e-9 sits inside validate's 1e-8 margin
+        with pytest.raises(ValueError, match="spectral radius of B"):
+            random_contraction(1, 1, 1, 1 - 1e-9, seed=0)
 
     def test_bad_target_norm(self):
         with pytest.raises(ValueError):

@@ -496,7 +496,7 @@ class TestEmpiricalVsSpectralVerdict:
                             continue
                         method = MethodSpec(kind, k)
                         rho = spectral_radius(
-                            build_iteration_matrix(p, method, tau))
+                            build_iteration_matrix(p, method, tau).matrix)
                         # margins on this grid are >= 7e-3, so 20000 outer
                         # iterations decide every cell
                         cfg = SolverConfig(tau=tau, max_outer=20000)

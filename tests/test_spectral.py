@@ -278,14 +278,14 @@ class TestSpectralRadius:
 
     def test_usual_gd_scalar_nilpotent(self):
         p = ScalarProblem(b=0.0, h=1.0, m=1.0).as_problem()
-        m = build_iteration_matrix(p, MethodSpec(SolverKind.USUAL_GD), 1.0)
+        m = build_iteration_matrix(p, MethodSpec(SolverKind.USUAL_GD), 1.0).matrix
         assert spectral_radius(m) < 1e-7
 
     def test_shifted_one_step_crossing(self):
         p = ScalarProblem(b=0.0, h=1.0, m=1.0).as_problem()
         spec = MethodSpec(SolverKind.SHIFTED_K_STEP, 1)
-        below = spectral_radius(build_iteration_matrix(p, spec, 0.999 * GOLDEN))
-        above = spectral_radius(build_iteration_matrix(p, spec, 1.001 * GOLDEN))
+        below = spectral_radius(build_iteration_matrix(p, spec, 0.999 * GOLDEN).matrix)
+        above = spectral_radius(build_iteration_matrix(p, spec, 1.001 * GOLDEN).matrix)
         assert below < 1.0 <= above
         # the cubic root structure: lambda^3 - lambda^2 + tau = 0
         tau = 0.4
@@ -334,7 +334,7 @@ class TestGDClosedForm:
         sup = matrix_bound(p, method).value
         for factor in (0.5, 0.99, 1.01, 1.5):
             ok, rho = converges(p, method, factor * sup)
-            dense = spectral_radius(build_iteration_matrix(p, method, factor * sup))
+            dense = spectral_radius(build_iteration_matrix(p, method, factor * sup).matrix)
             assert ok == (factor < 1.0) == (dense < 1.0 - spectral.CONVERGENCE_MARGIN)
             assert abs(rho - dense) <= 1e-12 * dense, (factor, rho, dense)
 

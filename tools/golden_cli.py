@@ -305,6 +305,22 @@ def commands() -> list[list[str]]:
     # converge, kshot k = 1 diverges
     cmds.append(["sweep", *real, "--method", "gd,kshot", "--k", "1,2", "--tau", "0.05",
                  "--sigma0", "11", "--max-outer", "200", "--out", "{work}/out/sweep_real"])
+    # a random draw that fails validate exits 2; a valid one whose s(T) no
+    # level certifies (1x1 B = 1 - 1e-8, first valid at seed 7) exits 1
+    cmds.append(["bound", "--random", "1,1,1,0.999999999", "--method", "gd"])
+    cmds.append(["bound", "--random", "1,1,1,0.99999999", "--seed", "7", "--method", "kshot"])
+    # edges found by tests/test_cli.py's argv grammar, each once a traceback
+    # under -W error: a grid end that is not finite, an empty B, a line search
+    # whose cost overflows, ||B||^2 that underflows at k = 1, a k = 2 closed
+    # form that cancels, a QZ level near infinity, a delta that overflows B
+    cmds.append(["scalar-region", "--b-max", "inf"])
+    cmds.append(["bound", "--random", "0,-1,2,0.5", "--method", "gd"])
+    cmds.append(["solve", "--scalar", "0.5,2,0.5", "--method", "skshot", "--tau", "0.5",
+                 "--max-outer", "5", "--sigma0", "-1e308", "--line-search-first"])
+    cmds.append(["bound", "--random", "8,1,2,1e-320", "--method", "skshot"])
+    cmds.append(["bound", "--random", "8,1,2,0.999999999", "--method", "kshot", "--k", "2"])
+    cmds.append(["bound", "--random", "1,1,2,1e-320", "--method", "kshot"])
+    cmds.append(["bound", "--helmholtz", "6,0.1,1e308", "--method", "skshot"])
     return cmds
 
 
