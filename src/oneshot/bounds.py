@@ -77,6 +77,11 @@ class StepBound:
     params: BoundParams | None
     norm_inputs: dict
 
+    def __post_init__(self):
+        # squared norms that underflow or overflow leave no bound in range
+        if not 0.0 < self.value < math.inf:
+            raise ValueError("the squared norms put the step bound out of the float range")
+
     def as_dict(self) -> dict:
         return {
             "formula_id": self.formula_id,
@@ -120,7 +125,7 @@ def closed_form(k: int, b: float, params: BoundParams | None,
 
     ``params`` None takes the family's defaults for this k.  k = 1 needs
     b > 0.  For k >= 2 at b = 0 the method is (shifted) gradient descent,
-    whose exact bound is 1 (shifted) or 2; 0 where b is too near 1 to resolve.
+    whose exact bound is 1 (shifted) or 2.
     """
     name = "chi" if shifted else "psi"
     if k < 1:
@@ -141,20 +146,19 @@ def closed_form(k: int, b: float, params: BoundParams | None,
             cases += [2.0 * (1.0 - b)**2, c.angle * (1.0 - b)**2]
         return min(cases)
 
-    bk = b**k
-    geom = 1.0 - k * b**(k - 1) + (k - 1) * b**k   # >= (1-b)^2 ||X_k|| / ||H||^2
-    if geom <= 0.0:     # b so near 1 that the sum cancels: no guarantee
-        return 0.0
-    front = (1.0 - b)**2 * (1.0 - bk)**2
+    # 1 - b^k = (1-b) S and geom = (1-b)^2 y_k >= (1-b)^2 ||X_k|| / ||H||^2
+    t, bk = scalar._terms(k, b), b**k
+    bkm2, geom = float(t.bkm)**2, (1.0 - b)**2 * float(t.y)
+    front = (1.0 - b)**2 * bkm2
     cases = [front / (4.0 * b**(2 * k) + SQRT2 * geom * (1.0 + bk)**2),
-             front / (((1.0 - bk)**2 / (2.0 * c.sin_half)
+             front / ((bkm2 / (2.0 * c.sin_half)
                        + SQRT2 * geom) * (1.0 + bk)**2),
              front / (2.0 * c.cd * c.sin_half * b**(2 * k)
                       + geom * (c.sq * (1.0 + b**(2 * k))
                                 + 2.0 * max(c.sq, c.sc / c.cos_cap) * bk))]
     if shifted:
-        cases += [2.0 * front / ((1.0 - bk)**2 + 2.0 * geom),
-                  c.angle * front / ((1.0 - bk)**2 + 2.0 * geom * (1.0 + bk)**2)]
+        cases += [2.0 * front / (bkm2 + 2.0 * geom),
+                  c.angle * front / (bkm2 + 2.0 * geom * (1.0 + bk)**2)]
     else:
         cases.append(front / geom)
     return min(cases)
@@ -168,10 +172,10 @@ def _general_min_k1(nH, nM, nB, s, params, shifted):
     hm2 = nH**2 * nM**2
     cases = []
     if shifted:
-        cases.append(2.0 / (hm2 * s**2))                              # real
-        cases.append(c.angle / (hm2 * (1.0 + nB)**2 * s**2))
+        cases.append(_ratio(2.0, hm2 * s**2))                         # real
+        cases.append(_ratio(c.angle, hm2 * (1.0 + nB)**2 * s**2))
     cases.append(_ratio(1.0, 4.0 * hm2 * nB**2 * s**4))
-    cases.append(2.0 * c.sin_half / (hm2 * (1.0 + 2.0 * nB)**2 * s**4))
+    cases.append(_ratio(2.0 * c.sin_half, hm2 * (1.0 + 2.0 * nB)**2 * s**4))
     cases.append(_ratio(c.slack, hm2 * nB**2 * s**4))
     return min(cases)
 
@@ -211,9 +215,9 @@ def matrix_bound(problem: RealInverseProblem, method: MethodSpec,
     shifted, k = method.kind.shifted, method.k
     if not method.kind.one_shot:
         g = spectral_norm(data_map(problem))
-        return StepBound(value=scalar.threshold(method.kind, k, 0.0).value / g**2,
-                         formula_id="shifted-gd" if shifted else "usual-gd",
-                         params=None, norm_inputs={"data_map_norm": g})
+        return StepBound(_ratio(scalar.threshold(method.kind, k, 0.0).value, g**2),
+                         "shifted-gd" if shifted else "usual-gd", None,
+                         {"data_map_norm": g})
     nB = spectral_norm(problem.B)
     rho = _contraction_bound(problem.B, nB)
     if rho >= 1.0:
@@ -230,12 +234,10 @@ def matrix_bound(problem: RealInverseProblem, method: MethodSpec,
         # for k >= 2 the method is (shifted) GD with data map H M
         value = scalar.threshold(method.kind, k, 0.0).value
         if k == 1:
-            return StepBound(value=value / (nH**2 * nM**2),
-                             formula_id=f"{family}:zero-B",
-                             params=params, norm_inputs=norms)
+            return StepBound(_ratio(value, nH**2 * nM**2), f"{family}:zero-B",
+                             params, norms)
         norms["data_map_norm"] = g = spectral_norm(problem.H @ problem.M)
-        return StepBound(value=value / g**2, formula_id=f"{family}:zero-B-gd-limit",
-                         params=params, norm_inputs=norms)
+        return StepBound(_ratio(value, g**2), f"{family}:zero-B-gd-limit", params, norms)
 
     if k == 1:
         s = spectral.s_functional(problem.B)
@@ -248,15 +250,12 @@ def matrix_bound(problem: RealInverseProblem, method: MethodSpec,
         norms.update({"s_Bk": s, "norm_Tk": nT, "norm_Xk": nX, "norm_Bk": nBk})
         general = _general_min_k(nH, nM, nT, nX, nBk, s, params, shifted)
 
-    value = general
-    formula = f"{family}:resolvent"
+    value, formula = general, f"{family}:resolvent"
     if nB < 1.0:
-        closed = closed_form(k, nB, params, shifted) / (nH**2 * nM**2)
+        closed = _ratio(closed_form(k, nB, params, shifted), nH**2 * nM**2)
         if closed > value:
-            value = closed
-            formula = f"{family}:closed-form"
-    return StepBound(value=value, formula_id=formula, params=params,
-                     norm_inputs=norms)
+            value, formula = closed, f"{family}:closed-form"
+    return StepBound(value, formula, params, norms)
 
 
 def gd_bound(problem: RealInverseProblem) -> StepBound:

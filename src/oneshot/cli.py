@@ -343,7 +343,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (OSError, ValueError) as exc:   # bad input: one line, exit 2
+    except (OSError, ValueError, MemoryError) as exc:   # bad input: one line, exit 2
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

@@ -259,7 +259,11 @@ def tux(B: np.ndarray, H: np.ndarray, k: int) -> TUXTriple:
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
     B, H = _require_real(B).astype(float, copy=False), _require_real(H)
-    L, HT = np.empty((k, *H.shape)), np.empty((k, *H.shape))
+    try:   # numpy reports a shape beyond its index range as a ValueError
+        L, HT = np.empty((k, *H.shape)), np.empty((k, *H.shape))
+    except (MemoryError, ValueError):
+        raise MemoryError(f"k = {k} is too large: its blocks H B^l "
+                          "do not fit in memory") from None
     L[0] = HT[0] = H                # HT[j] = H T_{j+1}
     T, Bl = np.eye(len(B)), B
     for l in range(1, k):

@@ -10,8 +10,10 @@ gives *exact* (necessary and sufficient) admissible-step thresholds:
 classical ``2 (1-b)^2`` and ``(1-b)^2`` gradient-descent thresholds.
 
 The branches of eta and kappa switch on the sign of ``f_k(b) = 1 - 2k
-b^{k-1} + 2k b^k - b^{2k}``, taken from the terms all branches share;
-``fk_roots`` only locates its roots in (-1, 1), by sign-guaranteed bisection.
+b^{k-1} + 2k b^k - b^{2k}``; ``fk_roots`` locates its roots in (-1, 1).  All
+their terms come from two sums, ``S = sum_{j<k} b^j`` and ``W = sum_{j<k}
+(k - j) b^j``, which divide out the roots at b = +-1 where the expanded
+polynomials lose digits like eps / (1 -+ b)^2.
 """
 from __future__ import annotations
 
@@ -95,8 +97,8 @@ def _pow(x, n):
 
 def fk(k: int, b):
     """f_k(b) = 1 - 2k b^{k-1} + 2k b^k - b^{2k} (with 0^0 = 1), for a
-    float or an array of b: the ``f`` of :func:`_terms`."""
-    return _terms(k, b).f
+    float or an array of b: (1 - b)^2 times the ``F`` of :func:`_terms`."""
+    return (_pow(1.0 - b, 2) * _terms(k, b).F)[()]
 
 
 def _bisect(f, lo: float, hi: float) -> float:
@@ -117,95 +119,99 @@ def _bisect(f, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _upper_bracket(k: int) -> float:
-    # f_k(1) = 0 with f_k < 0 just inside, so back off from 1 until the sign shows
-    gap = 1e-3
-    while fk(k, 1.0 - gap) >= 0.0:
-        gap *= 0.5
-        if gap < 1e-9:
-            raise RuntimeError(f"could not bracket the root of f_{k} near 1")
-    return 1.0 - gap
-
-
 def fk_roots(k: int) -> list[float]:
-    """Roots of f_k in (-1, 1), by sign-guaranteed bisection.
-
-    k = 1: none (f_1 < 0 throughout).  Even k: a single root in (0, 1).
-    Odd k >= 3: one root in (-1, 0) and one in (0, 1).  k < 1 raises in fk.
-    """
+    """Roots of f_k in (-1, 1), by sign-guaranteed bisection of f_k / (1 - b)^2:
+    none at k = 1 (f_1 < 0), one in (0, 1), where it falls from 1 to -k, and at
+    odd k >= 3 one in (-1, 0), where it rises from -k to 1.  k < 1 raises."""
     if k == 1:
         return []
-    f, hi = (lambda b: fk(k, b)), _upper_bracket(k)
-    upper = [_bisect(f, 0.0, hi)]
-    return upper if k % 2 == 0 else [_bisect(f, -1.0, 0.0), *upper]
+    upper = [_bisect(lambda b: _terms(k, b).F, 0.0, 1.0)]
+    return upper if k % 2 == 0 else [_bisect(lambda b: _terms(k, b).F, -1.0, 0.0), *upper]
 
 
 # ---------------------------------------------------------------------------
 # threshold ingredients
 
+def _sums(k: int, c):
+    """S = sum_{j<k} c^j and W = sum_{j<k} (k - j) c^j for c >= 0, doubled in
+    O(log k) steps over sums of nonnegative terms: S_2n = S_n (1 + c^n),
+    W_2n = W_n (1 + c^n) + n S_n, S_n+1 = S_n + c^n, W_n+1 = W_n + S_n+1."""
+    S, W, n = np.ones_like(c), np.ones_like(c), 1
+    for bit in bin(k)[3:]:
+        grow = 1.0 + _pow(c, n)
+        S, W, n = S * grow, W * grow + float(n) * S, 2 * n
+        if bit == "1":
+            S = S + _pow(c, n)
+            W, n = W + S, n + 1
+    return S, W
+
+
 def _terms(k: int, b) -> SimpleNamespace:
-    """The terms the branch formulas share, for a float or an array of b:
-    bk1, bk, bk2, b2k = b^(k-1), b^k, b^(k+1), b^(2k), a = (1 - b)^2, f =
-    f_k(b), the sums g and w, y = y_k = X_k / h^2 and v = t_k^2 - y_k."""
+    """The terms the branch formulas share, for a float or an array of b, with
+    the roots at b = +-1 divided out: bk1, bk = b^(k-1), b^k, bkm, bkp = 1 -+ b^k,
+    S = sum_{j<k} b^j and W = sum_{j<k} (k - j) b^j, so that 1 - b^k = (1 - b) S,
+    v = t_k^2 - y_k = b^(k-1) W, y = y_k = S^2 - v, F = f_k / (1 - b)^2 =
+    S^2 - 2v and G = g / (1 - b) = (1 - b) W + k b^k, g the eta2 divisor."""
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
-    bk1, bk, bk2, b2k = _pow(b, k-1), _pow(b, k), _pow(b, k+1), _pow(b, 2*k)
-    a, w = _pow(1.0 - b, 2), k - (k + 1)*b + bk2
-    # v factored: t_k^2 - y_k cancels near b = 0 once k >= 6, even to zero
-    # or the wrong sign; a = 0 only at b = 1, which fk accepts
-    with np.errstate(divide="ignore", invalid="ignore"):
-        y, v = np.divide(1.0 - k*bk1 + (k-1)*bk, a), np.divide(bk1 * w, a)
-    return SimpleNamespace(b=b, bk1=bk1, bk=bk, bk2=bk2, b2k=b2k, a=a, w=w,
-                           y=y, v=v, f=1.0 - 2.0*k*bk1 + 2.0*k*bk - b2k,
-                           g=k - (k + 1)*b + k*bk - (k - 1)*bk2)
+    c, bk1, bk = np.abs(b), _pow(b, k - 1), _pow(b, k)
+    S, W = _sums(k, c)
+    neg, flip = b < 0.0, (b < 0.0) & (k % 2 == 1)   # flip: 1 + b^k = 1 - c^k
+    bkm = np.where(flip, 1.0 - bk, (1.0 - c) * S)
+    bkp = np.where(flip, (1.0 - c) * S, 1.0 + bk)
+    # for b < 0 from the sums of c: (1 - b) S = 1 - b^k and (1 - b) W = k - b S
+    S = np.where(neg, bkm / (1.0 + c), S)
+    W = np.where(neg, (k + c * S) / (1.0 + c), W)
+    v = bk1 * W
+    return SimpleNamespace(b=b, bk1=bk1, bk=bk, bkm=bkm, bkp=bkp, S=S, W=W,
+                           v=v, y=S*S - v, F=S*S - 2.0*v,
+                           G=np.where(neg, k*bkp + c*S, (1.0 - b)*W + k*bk))
 
 
 def eta21(k: int, t: SimpleNamespace):
-    if k == 1:   # the only branch at k = 1 (f_1 < 0): a clean closed form
-        return _pow(1.0 - t.b, 3) * (1.0 + t.b)
-    return t.a * (1.0 + t.bk) * _pow(1.0 - t.bk, 2) / (t.bk1 * t.g)
+    return (1.0 - t.b) * t.bkp * t.bkm * t.bkm / (t.bk1 * t.G)
 
 
 def eta22(k: int, t: SimpleNamespace):
-    return -t.a * _pow(1.0 + t.bk, 3) / (t.bk1 * t.g)
+    return -(1.0 - t.b) * t.bkp * t.bkp * t.bkp / (t.bk1 * t.G)
 
 
 def eta3(k: int, t: SimpleNamespace):
-    return 2.0 * t.a * _pow(1.0 + t.bk, 2) / t.f
+    return 2.0 * t.bkp * t.bkp / t.F
 
 
 def kappa11(k: int, t: SimpleNamespace):
-    return t.a * (1.0 + t.b2k) / (t.bk1 * t.w)
+    return (1.0 + t.bk * t.bk) / t.v
 
 
 def kappa12(k: int, t: SimpleNamespace):
-    return t.a * (-1.0 + t.b2k) / (t.bk1 * t.w)
+    return -t.bkm * t.bkp / t.v
 
 
 def kappa21(k: int, t: SimpleNamespace):
-    """First quadratic-root threshold of the shifted family, with the
-    conjugate denominator: the direct quotient of the root formulas loses
-    precision once v_k is tiny (large k)."""
-    s, y, v = t.bk, t.y, t.v
-    disc = np.sqrt((-4.0*s + 5.0)*v*v + y*y + 2.0*(-2.0*s*s + 2.0*s + 1.0)*v*y)
-    term1 = t.b * t.a * (s - 1.0) / t.w
-    num2 = 2.0 * (-s + 1.0 + t.b*t.a*(1.0 - s)*y / t.w)
-    return term1 + num2 / (y + v + disc)
+    """(1 - b) S (2k / (S + R) - b) / W, R = sqrt(S^2 + 4k (1 - b) b^(2k-2) W),
+    rationalised for b > 0 by 2k - b S = k + (1 - b) W into 4k (1 - b)^2 S
+    (1 - b^k)(1 + b^k) / ((S + R)(2k - b S + b R))."""
+    b, S = t.b, t.S
+    R = np.sqrt(S*S + 4.0*k*(1.0 - b)*t.bk1*t.v)
+    pos = b > 0.0
+    num = np.where(pos, 4.0*k*(1.0 - b)*t.bkm*t.bkp, 2.0*k - b*(S + R))
+    return (1.0 - b) * S * num / ((S + R) * np.where(pos, 2.0*k - b*(S - R), t.W))
 
 
 def kappa22(k: int, t: SimpleNamespace):
-    s, y, v = t.bk, t.y, t.v
-    disc = np.sqrt((8.0*s*s + 12.0*s + 5.0)*v*v + y*y
-                   + 2.0*(2.0*s*s + 2.0*s + 1.0)*v*y)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        value = ((2.0*s*s + 2.0*s + 1.0)*v + y + disc) / (2.0*v*v)
-    return np.where(v*v == 0.0, np.inf, value)[()]   # the limit as v -> 0
+    """(A + D) / (2 v^2), +inf at v^2 = 0; A = S^2 + 2 b^k (1 + b^k) v, D^2 = A^2
+    + 4c v^2, c = (1 + b^k)^3 (1 - b^k); where A < 0 its conjugate 2c / (D - A)."""
+    A, c = t.S*t.S + 2.0*t.bk*t.bkp*t.v, t.bkp*t.bkp*t.bkp*t.bkm
+    D, neg = np.sqrt(A*A + 4.0*c*t.v*t.v), A < 0.0
+    with np.errstate(divide="ignore"):
+        return (np.where(neg, 2.0*c, A + D) / np.where(neg, D - A, 2.0*t.v*t.v))[()]
 
 
 def kappa3(k: int, t: SimpleNamespace):
     # the third sign condition of the shifted family expands with the constant
     # term -2 (1 + b^k)^2, as in eta3 (verified against the 3x3 eigenvalues)
-    return 2.0 * t.a * _pow(1.0 + t.bk, 2) / (-t.f)
+    return -2.0 * t.bkp * t.bkp / t.F
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +277,7 @@ def eta(k: int, b) -> ScalarThreshold:
     # the b^(k-1) branches (and kappa's) divide by it: +inf where it underflows
     return _least(k, b, t, [("eta21", t.bk1 > 0.0, eta21),
                             ("eta22", t.bk1 < 0.0, eta22),
-                            ("eta3", t.f > 0.0, eta3)], gd_limit=_GD_LIMIT)
+                            ("eta3", t.F > 0.0, eta3)], gd_limit=_GD_LIMIT)
 
 
 def kappa(k: int, b) -> ScalarThreshold:
@@ -282,7 +288,7 @@ def kappa(k: int, b) -> ScalarThreshold:
                             ("kappa12", t.bk1 < 0.0, kappa12),
                             ("kappa21", ..., kappa21),
                             ("kappa22", ..., kappa22),
-                            ("kappa3", t.f < 0.0, kappa3)], gd_limit=_SGD_LIMIT)
+                            ("kappa3", t.F < 0.0, kappa3)], gd_limit=_SGD_LIMIT)
 
 
 def threshold(kind: SolverKind, k: int, b) -> ScalarThreshold:

@@ -1,10 +1,11 @@
 """Tests for the descent-step bounds (exact GD bounds, chi/psi, resolvent)."""
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
-from oneshot.bounds import (BoundParams, closed_form, default_params,
+from oneshot.bounds import (BoundParams, _case_terms, closed_form, default_params,
                             gd_bound, matrix_bound)
 from oneshot import scalar
 from oneshot.linear_model import (RealInverseProblem, ScalarProblem,
@@ -182,6 +183,33 @@ class TestChiPsiK:
                 assert abs(closed_form(k, b, pn, shifted=False)
                            - psi_indep(k, b, pn.theta0, pn.delta0)) < 1e-14
 
+    @pytest.mark.parametrize("shifted", [True, False])
+    @pytest.mark.parametrize("k", [2, 3, 5, 8])
+    def test_near_one_against_its_formula_at_ninety_digits(self, k, shifted):
+        # the expanded polynomials cancel as b -> 1: closed_form read 0, "no
+        # guarantee", on 202 of these 344 cases and rose above its formula
+        # on 12; from the sums of scalar._terms it is within 3.8e-16 of its
+        # formula, with the same float case constants, at 90 digits
+        p = default_params(shifted, k)
+        c = {name: mp.mpf(x) for name, x in vars(_case_terms(p, shifted)).items()}
+        for j in range(10, 53):
+            with mp.workdps(90):
+                b = mp.mpf(1.0 - 2.0**-j)
+                bk, b2k = b**k, b**(2 * k)
+                geom = 1 - k * b**(k - 1) + (k - 1) * bk
+                front, bkm2 = (1 - b)**2 * (1 - bk)**2, (1 - bk)**2
+                cases = [front / (4 * b2k + mp.sqrt(2) * geom * (1 + bk)**2),
+                         front / ((bkm2 / (2 * c["sin_half"]) + mp.sqrt(2) * geom)
+                                  * (1 + bk)**2),
+                         front / (2 * c["cd"] * c["sin_half"] * b2k
+                                  + geom * (c["sq"] * (1 + b2k) + 2 * max(
+                                      c["sq"], c["sc"] / c["cos_cap"]) * bk))]
+                cases += ([2 * front / (bkm2 + 2 * geom),
+                           c["angle"] * front / (bkm2 + 2 * geom * (1 + bk)**2)]
+                          if shifted else [front / geom])
+                ref = min(cases)
+                assert abs(closed_form(k, float(b), p, shifted) - ref) <= 5e-16 * ref, j
+
     def test_strict_theta_for_k_ge_2(self):
         with pytest.raises(ValueError):
             closed_form(3, 0.5, BoundParams(theta0=math.pi / 6), shifted=True)
@@ -278,6 +306,21 @@ class TestMatrixBound:
         sb = matrix_bound(p, MethodSpec(kind, k))
         assert sb.formula_id.endswith("zero-B" if k == 1 else "zero-B-gd-limit")
         assert sb.value == scalar.threshold(kind, k, 0.0).value
+
+    @pytest.mark.parametrize("kind", list(SolverKind))
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_squared_norms_that_underflow_leave_no_bound(self, kind, k):
+        # valid (singular values 2e-320), but ||H||^2 ||M||^2 and the squared
+        # data map norm are 0: a ValueError, where a ZeroDivisionError was
+        p = RealInverseProblem(B=[[0.5]], M=[[1e-160]], H=[[1e-160]], F=[0.0])
+        with pytest.raises(ValueError, match="out of the float range"):
+            matrix_bound(p, MethodSpec(kind, k))
+
+    @pytest.mark.parametrize("k", [10**15, 10**20])
+    def test_a_k_too_large_to_allocate_is_a_memory_error(self, k):
+        p = RealInverseProblem(B=[[0.5]], M=[[1.0]], H=[[1.0]], F=[0.0])
+        with pytest.raises(MemoryError, match=f"k = {k} is too large"):
+            matrix_bound(p, MethodSpec(SolverKind.K_STEP, k))
 
     def test_rejects_non_contractive_spectrum(self):
         p = RealInverseProblem(B=[[1.5]], M=[[1.0]], H=[[1.0]], F=[0.0])

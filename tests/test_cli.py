@@ -104,12 +104,6 @@ class TestBadInput:
         # every b of the grid is checked, for the GD kinds as well
         ["scalar-region", "--b-min", "nan"],
         ["scalar-region", "--method", "gd", "--b-min", "nan"],
-        # kappa11 divides by zero at b = 1 - 2^-30, alone or next to another b
-        ["scalar-region", "--method", "skshot", "--k", "2",
-         "--b-min", "0.99999999906867742538", "--b-max", "0.999999999",
-         "--b-count", "2"],
-        ["bound", "--scalar", "0.99999999906867742538,1,1", "--method",
-         "skshot", "--k", "2"],
         # h^2 m^2 overflows, or underflows to 0
         ["bound", "--scalar", "0.2,1e200,1", "--method", "kshot"],
         ["bound", "--scalar", "0.2,1e-200,1e-200", "--method", "kshot"],
@@ -335,11 +329,12 @@ class TestBadInput:
 # values from an edge set, and sizes small enough that no draw runs long.
 _FLOAT = st.sampled_from(["0.1", "0.5", "1", "2"]) | st.sampled_from(
     ["nan", "inf", "-inf", "1e308", "-1e308", "0", "-1e-3", "1e-320", "x", ""])
-_K = st.sampled_from(["1", "2", "8"]) | st.sampled_from(["-1", "0", str(10**20), "x", ""])
+_K = st.sampled_from(["1", "2", "8"]) | st.sampled_from(
+    ["-1", "0", str(10**15), str(10**20), "x", ""])
 _METHOD = st.sampled_from(["gd", "sgd", "kshot", "skshot"]) | st.sampled_from(["foo", ""])
 _MAX_OUTER = st.sampled_from(["-1", "0", "5"])
 _SEED = st.sampled_from(["0", "7", "-1"])
-_FILE = st.sampled_from(["valid", "invalid", "broken", "missing"]).map(
+_FILE = st.sampled_from(["valid", "invalid", "underflow", "broken", "missing"]).map(
     lambda name: f"{{work}}/{name}.json")
 
 
@@ -408,6 +403,9 @@ def contract_work(tmp_path_factory):
     save_problem(random_contraction(4, 2, 3, 0.4, seed=12), work / "valid.json")
     save_problem(RealInverseProblem(B=[[1.1]], M=[[1.0]], H=[[1.0]], F=[0.0]),
                  work / "invalid.json")
+    # valid, but the squares of its norms underflow to 0
+    save_problem(RealInverseProblem(B=[[0.5]], M=[[1e-160]], H=[[1e-160]], F=[0.0]),
+                 work / "underflow.json")
     (work / "broken.json").write_text("{not json")
     return work
 
@@ -483,15 +481,40 @@ class TestExitContract:
         # ||B||^2 underflows to 0 in the k = 1 case bounds
         (["bound", "--random", "8,1,2,1e-320", "--method", "skshot"], 0),
         (["bound", "--random", "8,1,2,1e-320", "--method", "kshot"], 0),
-        # 1 - 2b + b^2 rounds to 0 in the k = 2 closed form
+        # the k = 2 closed form at b = 1 - 1e-9, where the expanded
+        # 1 - 2b + b^2 rounded to 0
         (["bound", "--random", "8,1,2,0.999999999", "--method", "kshot", "--k", "2"], 0),
         # a level pencil with an eigenvalue near infinity, by QZ
         (["bound", "--random", "1,1,2,1e-320", "--method", "kshot"], 0),
         # a Helmholtz delta that overflows B
         (["bound", "--helmholtz", "6,0.1,1e308", "--method", "skshot"], 2),
+        # a valid problem whose squared norms underflow has no bound in range
+        (["bound", "--problem", "{work}/underflow.json", "--method", "gd"], 1),
+        (["bound", "--problem", "{work}/underflow.json", "--method", "kshot"], 1),
+        # a k whose blocks cannot be allocated is bad input
+        (["bound", "--problem", "{work}/underflow.json", "--method", "kshot",
+          "--k", str(10**15)], 2),
+        (["solve", "--scalar", "0.5,1,1", "--method", "kshot", "--k", str(10**15),
+          "--tau", "0.1"], 2),
+        (["bound", "--helmholtz", "6,6.283185307179586,0.01", "--method", "kshot",
+          "--k", str(10**20)], 2),
+        (["solve", "--scalar", "0.5,1,1", "--method", "skshot", "--k", str(10**20),
+          "--tau", "0.1"], 2),
     ])
     def test_edges(self, argv, code, contract_work):
         assert _contract_code(argv, contract_work) == code
+
+    def test_a_k_too_large_to_allocate_fails_its_sweep_cell_alone(self, contract_work):
+        out = contract_work / "sweep_big_k"
+        argv = ["sweep", "--scalar", "0.5,1,1", "--method", "kshot", "--k",
+                f"1,{10**15}", "--tau", "0.1", "--max-outer", "3", "--out", str(out)]
+        assert _contract_code(argv, contract_work) == 0
+        with open(out / "summary.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(row["k"], row["status"], row["rho"]) for row in rows] == [
+            ("1", "max_iter", rows[0]["rho"]),
+            (str(10**15), f"error:k = {10**15} is too large: its blocks H B^l "
+             "do not fit in memory", "nan")]
 
     @settings(max_examples=500, deadline=None, derandomize=True, database=None)
     @given(argv=_ARGV)

@@ -2,6 +2,7 @@
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -104,9 +105,9 @@ class TestFkRoots:
             assert fk(1, b) <= 0.0
 
     def test_fk_is_a_polynomial_beyond_the_threshold_range(self):
-        # f_k(1) = 0 and f_k(-1) = 4k (-1)^k; fk reads f_k from the table
-        # the thresholds share, whose kappa2 pieces divide by (1 - b)^2 = 0
-        # at b = 1, without an error or a warning
+        # f_k(1) = 0 and f_k(-1) = 4k (-1)^k; fk reads f_k / (1 - b)^2 from
+        # the table the thresholds share, which divides by no 1 -+ b, so
+        # without an error or a warning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for k in range(1, 6):
@@ -376,21 +377,23 @@ class TestArrayThresholds:
     # grid points where numpy's power in place of Python's ** moves the
     # value, with the value the per-b float formulas give, as hex
     @pytest.mark.parametrize("thr,k,b,value,branch", [
-        (eta, 1, 0.17327999999999988, "0x1.536d6d5a43d19p-1", "eta21"),
-        (kappa, 1, 0.8500599999999998, "0x1.4468e447a66c0p-8", "kappa21"),
-        (kappa, 2, 0.9361299999999999, "0x1.ab99a7eeb7f40p-11", "kappa21"),
-        (kappa, 3, 0.9478149999999999, "0x1.511e157906b20p-11", "kappa21"),
-        (eta, 4, 0.9463899999999998, "0x1.3a88442187c14p-10", "eta21"),
-        (eta, 8, 0.9471499999999999, "0x1.2dbefc6bb3210p-9", "eta21"),
-        (kappa, 8, 0.9471499999999999, "0x1.575af6fa7e6f0p-10", "kappa21")])
+        (eta, 1, 0.17327999999999988, "0x1.536d6d5a43d17p-1", "eta21"),
+        (kappa, 1, 0.8500599999999998, "0x1.4468e447a66aep-8", "kappa21"),
+        (kappa, 2, 0.9361299999999999, "0x1.ab99a7eeb7f9ep-11", "kappa21"),
+        (kappa, 3, 0.9478149999999999, "0x1.511e157906b91p-11", "kappa21"),
+        (eta, 4, 0.9463899999999998, "0x1.3a88442187c20p-10", "eta21"),
+        (eta, 8, 0.9471499999999999, "0x1.2dbefc6bb3212p-9", "eta21"),
+        (kappa, 8, 0.9471499999999999, "0x1.575af6fa7e6f8p-10", "kappa21")])
     def test_pinned_bits(self, thr, k, b, value, branch):
         assert (thr(k, b).value, thr(k, b).branch) == (float.fromhex(value), branch)
         t = thr(k, [0.1, b, -0.3])
         assert (t.value[1], t.branch[1]) == (float.fromhex(value), branch)
 
-    def test_a_zero_denominator_raises_alone_and_in_an_array(self):
-        # at b = 1 - 2^-30, k = 2 the kappa11 denominator rounds to 0.0
+    def test_a_zero_denominator_raises_alone_and_in_an_array(self, monkeypatch):
+        # no branch divides by zero at a b in (-1, 1), so a patched kappa11
+        # does, at b = 1 - 2^-30 alone
         b = 1.0 - 2.0**-30
+        monkeypatch.setattr(scalar, "kappa11", lambda k, t: t.v / (t.b - b))
         for arg in (b, [b], [0.5, b], [b, 0.5, 0.3], np.append(self.GRID, b)):
             with pytest.raises(ValueError, match="kappa11 has no value at some b"):
                 kappa(2, arg)
@@ -398,18 +401,17 @@ class TestArrayThresholds:
                                                    eta(2, b).value]
 
     def test_each_power_is_computed_once(self, monkeypatch):
-        # the branches read b^(k-1), b^k, b^(k+1), b^(2k) and (1 - b)^2 from
-        # one table; eta adds (1 - b^k)^2, (1 + b^k)^3 and (1 + b^k)^2 of its
-        # own branches, kappa only the (1 + b^k)^2 of kappa3
+        # the branches read b^(k-1) and b^k from one table, and its sums
+        # |b|^n at n = 1, 2, 4 of the doubling to k = 5 = 0b101; the branches
+        # take no power of their own
         calls = []
         pow_ = scalar._pow
         monkeypatch.setattr(scalar, "_pow",
                             lambda x, n: calls.append(n) or pow_(x, n))
-        eta(5, self.GRID)
-        assert len(calls) == 8
-        calls.clear()
-        kappa(5, self.GRID)
-        assert len(calls) == 6
+        for thr in (eta, kappa):
+            calls.clear()
+            thr(5, self.GRID)
+            assert calls == [4, 5, 1, 2, 4]
 
     def test_float_power_is_pythons_float_power(self):
         # _pow is np.float_power, which must give the bits of Python's ** at
@@ -481,6 +483,87 @@ class TestArrayThresholds:
             for k in (0, -1):
                 with pytest.raises(ValueError, match="k must be at least 1"):
                     thr(k, self.GRID)
+
+
+def _reference(k, b, shifted):
+    """The candidates of eta (shifted False) or kappa at a float b, from the
+    expanded polynomials in b at 90 digits, each where its mask holds: the
+    quotients by (1 - b)^2 as first derived, and kappa21 with the conjugate
+    denominator the library had before the sums, which stays accurate as
+    v -> 0 (as at k = 10^20, b = 0.5)."""
+    with mp.workdps(90):
+        b = mp.mpf(b)
+        bk1, bk, b2k, a = b**(k - 1), b**k, b**(2*k), (1 - b)**2
+        w = k - (k + 1)*b + b**(k + 1)
+        g = k - (k + 1)*b + k*bk - (k - 1)*b**(k + 1)
+        f = 1 - 2*k*bk1 + 2*k*bk - b2k
+        y, v, s = (1 - k*bk1 + (k - 1)*bk) / a, bk1 * w / a, bk
+        if not shifted:
+            cands = [("eta21", bk1 > 0, lambda: a*(1 + bk)*(1 - bk)**2 / (bk1*g)),
+                     ("eta22", bk1 < 0, lambda: -a*(1 + bk)**3 / (bk1*g)),
+                     ("eta3", f > 0, lambda: 2*a*(1 + bk)**2 / f)]
+        else:
+            r1 = mp.sqrt((5 - 4*s)*v*v + y*y + 2*(-2*s*s + 2*s + 1)*v*y)
+            r2 = mp.sqrt((8*s*s + 12*s + 5)*v*v + y*y + 2*(2*s*s + 2*s + 1)*v*y)
+            cands = [("kappa11", bk1 > 0, lambda: a*(1 + b2k) / (bk1*w)),
+                     ("kappa12", bk1 < 0, lambda: a*(b2k - 1) / (bk1*w)),
+                     ("kappa21", True, lambda: b*a*(s - 1)/w + 2*(1 - s + b*a*(1 - s)*y/w)
+                      / (y + v + r1)),
+                     ("kappa22", v != 0, lambda: ((2*s*s + 2*s + 1)*v + y + r2) / (2*v*v)),
+                     ("kappa3", f < 0, lambda: 2*a*(1 + bk)**2 / -f)]
+        return {name: value() for name, holds, value in cands if holds}
+
+
+def _ulps(x, ref) -> float:
+    return float(abs(mp.mpf(float(x)) - ref) / math.ulp(float(ref)))
+
+
+class TestNinetyDigitReference:
+    """eta, kappa and every branch formula against :func:`_reference`, at the
+    hex-pinned b = +-(1 - 2^-j), j = 10..52, where the expanded polynomials
+    lose digits like eps / (1 -+ b)^2 (up to 1.7e15 ulp before the sums)."""
+
+    NEAR_ONE = [sign * (1.0 - 2.0**-j)    # exact: 0x1.ff8p-1 to 0x1.ffffffffffffep-1
+                for j in range(10, 53) for sign in (1.0, -1.0)]
+    # measured: thresholds 4.2 ulp, branches 8.9 (kappa3 at k = 6); 26 ulp at
+    # k = 10^20, where the doubling of the sums rounds 67 times
+    ULPS, LARGE_K_ULPS = 10.0, 32.0
+
+    def _check(self, k, grid, bound, branches):
+        for shifted, thr in ((False, eta), (True, kappa)):
+            got, t = thr(k, np.array(grid)), _terms(k, np.array(grid))
+            with np.errstate(all="raise"):
+                each = {name: getattr(scalar, name)(k, t) for name in (
+                    ("kappa11", "kappa12", "kappa21", "kappa22", "kappa3")
+                    if shifted else ("eta21", "eta22", "eta3"))} if branches else {}
+            for i, b in enumerate(grid):
+                ref = _reference(k, b, shifted)
+                best = min(ref, key=ref.get)
+                assert _ulps(got.value[i], ref[best]) <= bound, (k, b, best)
+                # another branch only at a near-tie of the two least
+                assert _ulps(ref[got.branch[i]], ref[best]) <= bound, (k, b, best)
+                for name, value in ref.items():
+                    if name in each:
+                        assert _ulps(each[name][i], value) <= bound, (k, b, name)
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_near_plus_minus_one(self, k):
+        self._check(k, self.NEAR_ONE, self.ULPS, branches=True)
+
+    @pytest.mark.parametrize("k", [10**6, 10**20])
+    def test_large_k(self, k):
+        grid = [sign * b for b in (0.5, 1.0 - 2.0**-10, 1.0 - 2.0**-30,
+                                   1.0 - 2.0**-52) for sign in (1.0, -1.0)]
+        self._check(k, grid, self.LARGE_K_ULPS, branches=False)
+
+    @pytest.mark.parametrize("thr,k,b,value", [
+        # the exact thresholds that the expanded polynomials got wrong
+        (kappa, 3, 0.9999999968255225, 1.919e-25),   # was 0.0908
+        (kappa, 1, 0.99999999, 2.0e-24),             # was 0.0
+        (kappa, 1, 0.999999997, 5.4e-26),            # kappa11 had no value
+        (kappa, 2, -0.9999999962747097, 1.490e-8)])  # kappa21 had no value
+    def test_former_wrong_answers(self, thr, k, b, value):
+        assert thr(k, b).value == pytest.approx(value, rel=1e-3)
 
 
 class TestThresholdDispatch:

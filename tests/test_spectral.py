@@ -628,7 +628,7 @@ def test_bound_through_the_shift_leaves_scipy_unloaded():
             " '--method', 'kshot', '--k', '2'])\n"
             "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     assert _python_stdout(code).splitlines() == [
-        '{"formula_id": "one-shot:closed-form", "value": 1.0278532999159356e-05, '
+        '{"formula_id": "one-shot:closed-form", "value": 1.0278532999159354e-05, '
         '"params": {"theta0": 0.7775441817634738, "delta0": 1.0}, "norm_inputs": '
         '{"norm_B": 0.10207540070415791, "norm_H": 10.042126367723277, '
         '"norm_M": 9.029925919994449, "s_Bk": 1.0103832030912967, '

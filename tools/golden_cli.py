@@ -118,6 +118,9 @@ def write_problem_files(root: Path) -> None:
     # a non-numeric entry, and a dimension that reads as infinity
     files["nonnumeric.json"] = dict(real, B=[{}, *real["B"][1:]])
     files["infdim.json"] = dict(real, n_u=math.inf)
+    # valid, but the squares of its norms underflow to 0
+    files["underflow.json"] = {"n_u": 1, "n_sigma": 1, "n_f": 1, "B": [0.5],
+                               "M": [1e-160], "H": [1e-160], "F": [0.0]}
     for name, data in files.items():
         (root / name).write_text(json.dumps(data))
 
@@ -321,6 +324,25 @@ def commands() -> list[list[str]]:
     cmds.append(["bound", "--random", "8,1,2,0.999999999", "--method", "kshot", "--k", "2"])
     cmds.append(["bound", "--random", "1,1,2,1e-320", "--method", "kshot"])
     cmds.append(["bound", "--helmholtz", "6,0.1,1e308", "--method", "skshot"])
+    # exact thresholds near b = +-1 that the expanded polynomials got wrong
+    # (0.0908 for 1.9e-25, 0.0) or had no value for (exit 2), and b = 1 -
+    # 2^-30, where kappa11 divided by zero, alone and next to another b
+    for b, k in (("0.9999999968255225", "3"), ("0.99999999", "1"),
+                 ("0.999999997", "1"), ("-0.9999999962747097", "2"),
+                 ("0.99999999906867742538", "2")):
+        cmds.append(["bound", f"--scalar={b},1,1", "--method", "skshot", "--k", k])
+    cmds.append(["scalar-region", "--method", "skshot", "--k", "2",
+                 "--b-min", "0.99999999906867742538", "--b-max", "0.999999999",
+                 "--b-count", "2"])
+    # squared norms that underflow leave no bound: exit 1; a k whose blocks
+    # cannot be allocated is bad input: exit 2, and an error in a sweep cell
+    for method in ("gd", "kshot"):
+        cmds.append(["bound", "--problem", "{work}/underflow.json", "--method", method])
+    big_k = ["--scalar", "0.5,1,1", "--method", "kshot", "--k", str(10**15)]
+    cmds.append(["bound", "--problem", "{work}/underflow.json", *big_k[2:]])
+    cmds.append(["solve", *big_k, "--tau", "0.1"])
+    cmds.append(["sweep", *big_k[:-1], f"1,{10**15}", "--tau", "0.1",
+                 "--max-outer", "3", "--out", "{work}/out/sweep_big_k"])
     return cmds
 
 
