@@ -7,8 +7,9 @@ iterate (k-step one-shot) or the previous one (shifted k-step one-shot, whose
 three updates can run simultaneously).  ``SolverKind`` names the four methods
 and carries these two choices as its flags ``one_shot`` and ``shifted``.  A
 one-shot run steps (u, p), or, where ||B^k|| < 1 is certified and it costs
-less, sums the impulse response of the rows' outputs over its last inputs.
-Impulse rows are made ROW_BLOCK at a time, by one matrix product each.
+less, sums the impulse response of the rows' outputs over its last inputs:
+``_realize`` builds its taps, anchor and transient, which tau does not change,
+and ``_impulse_rows`` only runs rows, ROW_BLOCK at a time by one product each.
 """
 from __future__ import annotations
 
@@ -181,19 +182,17 @@ def _block_map(Kg, zg, q, tau, shifted):
     return np.concatenate([G[:, :, :n_s + 1], old, w], axis=2).reshape(m * n_s, -1)
 
 
-def _impulse_rows(problem, f, u, p, ends, tau, shifted, sweep, TXM, c, t):
-    """The state path's rows from the outputs' impulse response, in blocks,
-    or None where that is not certified or would cost more than a state step.
+def _realize(problem, f, u, p, sweep, TXM, c, t):
+    """The outputs' impulse response from (u, p), the part of the state path's
+    rows that tau does not change: (K, r, z), or None where it is not
+    certified or a row would cost more than a state step.
 
     y_n = (H u_n - f, M* p_n) is z_n + sum_{d<D} G_d (s_{n-1-d} - r): z runs
     from (u, p) with every input r, which zeroes the steady gradient, and
-    G_d = C A^d [T_k M; X_k M], C = diag(H, M*), A = ``sweep`` unforced; the
-    forcing c of ``_sweep_map`` gives the taps of the constant part.  Both
+    G_d = C A^d [T_k M; X_k M] (in K, oldest first), C = diag(H, M*), A =
+    ``sweep`` unforced; the forcing c gives the constant part's taps.  Both
     stop where a bound on all they drop, from bounds of ||B^k|| < 1, ||U_k||,
-    ||H|| and ||M||, is at most 2^-53 of their first term (see README).
-    Its generator makes the rows ROW_BLOCK at a time: gradients by one product
-    of ``_block_map``, sigma their cumulative sum (s_n = sigma_{n+1}, or
-    sigma_n shifted), norms at once (np.vecdot rounds as r @ r)."""
+    ||H|| and ||M||, is at most 2^-53 of their first term (see README)."""
     n, n_f, n_s, H, M = problem.n_u, problem.n_f, problem.n_sigma, problem.H, problem.M
     ds = np.arange(1, n * n // ((n_f + n_s) * n_s) + 1)     # a row's cost <= B^k's
     norm = lambda a: math.sqrt(np.linalg.norm(a, 1) * np.linalg.norm(a, np.inf))
@@ -226,25 +225,31 @@ def _impulse_rows(problem, f, u, p, ends, tau, shifted, sweep, TXM, c, t):
     while len(x) <= last:
         x.append(sweep(*x[-1], r))
     z = np.array([out(*v) for v in x]) - np.concatenate([f, np.zeros(n_s)])
-    K = np.hstack([g[:, :n_s] for g in taps[::-1]])     # oldest input first
-    Kr, Kg, m = K[:n_f], K[n_f:], ROW_BLOCK
-    nw = min(last, m)           # rows of a block that z's transient reaches
-    P = _block_map(Kg, z[last, n_f:], nw, tau, shifted)
+    return np.hstack([g[:, :n_s] for g in taps[::-1]]), r, z
 
-    def rows(s):
-        e = np.zeros((D + m) * n_s)     # inputs less r: the D before the block, its own
-        windows = np.lib.stride_tricks.sliding_window_view(e, D * n_s)[:m * n_s:n_s]
-        for n in itertools.count(0, m):
-            zn = z[np.minimum(np.arange(n, n + m), last)]
-            x = np.concatenate([s - r, [1.0], e[:D * n_s], (zn[:nw, n_f:] - z[last, n_f:]).ravel()])
-            G = (P @ x).reshape(m, n_s)
-            S = np.cumsum(np.vstack([s, -tau * G]), axis=0)
-            e[D * n_s:] = ((S[:-1] if shifted else S[1:]) - r).ravel()
-            R, d = zn[:, :n_f] + windows @ Kr.T, S[:-1, None] - ends
-            yield from zip(S[:-1], (0.5 * np.vecdot(R, R)).tolist(),
-                           np.sqrt(np.vecdot(G, G)).tolist(), *np.sqrt(np.vecdot(d, d)).T.tolist())
-            e[:D * n_s], s = e[m * n_s:], S[-1]
-    return rows(ends[0])
+
+def _impulse_rows(realization, ends, tau, shifted):
+    """A realization's rows from ends = (sigma0, sigma_exact), ROW_BLOCK at a
+    time: gradients by one product of ``_block_map``, sigma their cumulative
+    sum (s_n = sigma_{n+1}, or sigma_n shifted), norms by np.vecdot (as r @ r)."""
+    K, r, z = realization
+    n_s, m, last = len(r), ROW_BLOCK, len(z) - 1
+    n_f, D = z.shape[1] - n_s, K.shape[1] // n_s
+    nw = min(last, m)           # rows of a block that z's transient reaches
+    P = _block_map(K[n_f:], z[last, n_f:], nw, tau, shifted)
+    e = np.zeros((D + m) * n_s)     # inputs less r: the D before the block, its own
+    windows = np.lib.stride_tricks.sliding_window_view(e, D * n_s)[:m * n_s:n_s]
+    s = ends[0]
+    for n in itertools.count(0, m):
+        zn = z[np.minimum(np.arange(n, n + m), last)]
+        x = np.concatenate([s - r, [1.0], e[:D * n_s], (zn[:nw, n_f:] - z[last, n_f:]).ravel()])
+        G = (P @ x).reshape(m, n_s)
+        S = np.cumsum(np.vstack([s, -tau * G]), axis=0)
+        e[D * n_s:] = ((S[:-1] if shifted else S[1:]) - r).ravel()
+        R, d = zn[:, :n_f] + windows @ K[:n_f].T, S[:-1, None] - ends
+        yield from zip(S[:-1], (0.5 * np.vecdot(R, R)).tolist(),
+                       np.sqrt(np.vecdot(G, G)).tolist(), *np.sqrt(np.vecdot(d, d)).T.tolist())
+        e[:D * n_s], s = e[m * n_s:], S[-1]
 
 
 def run_method(method: MethodSpec, problem, f, sigma0, config,
@@ -256,11 +261,11 @@ def run_method(method: MethodSpec, problem, f, sigma0, config,
     kinds refresh by exact solves (shifted GD's first is the one at sigma0
     made before the loop); the one-shot kinds apply k coupled sweeps as one
     affine map, built once per run, to (u, p) from (u0, p0), zero by
-    default, or sum the outputs' impulse response (``_impulse_rows``).  After
-    each recorded row the run stops as diverged, or as converged once cost
-    and gradient fall below their tolerances relative to their first nonzero
-    values; otherwise it ends after max_outer steps.
-    """
+    default, or sum the outputs' impulse response, which ``_realize`` builds
+    once per run and ``_impulse_rows`` runs.  After each recorded row the run
+    stops as diverged, or as converged once cost and gradient fall below their
+    tolerances relative to their first nonzero values; otherwise it ends after
+    max_outer steps."""
     f = _vector("f", f, problem.n_f)
     sigma0 = _vector("sigma0", sigma0, problem.n_sigma)
     u, p = (np.zeros(problem.n_u) if v is None else _vector(name, v, problem.n_u)
@@ -282,9 +287,9 @@ def run_method(method: MethodSpec, problem, f, sigma0, config,
     with np.errstate(over="ignore", invalid="ignore"):   # inf, nan: diverged
         if one_shot:
             sweep, parts = _sweep_map(problem, f, method.k)
-            rows = (_impulse_rows(problem, f, u, p, np.array([sigma0, sigma_exact]),
-                                  config.tau, shifted, sweep, *parts)
-                    or stepped(u, p, sweep))
+            realization = _realize(problem, f, u, p, sweep, *parts)
+            rows = (stepped(u, p, sweep) if realization is None else _impulse_rows(
+                realization, np.array([sigma0, sigma_exact]), config.tau, shifted))
         else:
             def exact(u, p, s):     # shifted GD's first s is sigma0: (u, p) are there
                 if s is not sigma0:

@@ -1,5 +1,6 @@
 """Tests for the four inversion iterations and their traces."""
 import io
+import itertools
 import math
 
 import numpy as np
@@ -9,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 from oneshot import solvers
 from oneshot.bounds import gd_bound
 from oneshot.linear_model import (RealInverseProblem, ScalarProblem,
-                                  exact_adjoint, exact_state, helmholtz_toy,
-                                  random_contraction, realify)
+                                  adjoint_from_state, exact_adjoint, exact_state,
+                                  helmholtz_toy, random_contraction, realify)
 from oneshot.solvers import (CSV_HEADER, MethodSpec, SolverConfig, SolverKind,
                              Status, run_method)
 from oneshot.spectral import build_iteration_matrix, spectral_radius
@@ -166,7 +167,7 @@ class TestOneShot:
 def _sweep_loop(problem, f, k):
     """Reference for the fused step: the k coupled sweeps run one by one in
     np.longdouble, each outer step's (u, p) rounded once to float.  It gives
-    no impulse-map parts; its run takes the state path with ``_impulse_rows``
+    no impulse-map parts; its run takes the state path with ``_realize``
     patched to None."""
     B, M, H, F, f = (np.asarray(a, dtype=np.longdouble)
                      for a in (problem.B, problem.M, problem.H, problem.F, f))
@@ -188,13 +189,13 @@ def _norm_bound(a):
 
 def _routes(monkeypatch):
     """The path each later one-shot run takes, "impulse" or "state"."""
-    taken, impulse_rows = [], solvers._impulse_rows
+    taken, realize = [], solvers._realize
 
     def spy(*args):
-        rows = impulse_rows(*args)
-        taken.append("state" if rows is None else "impulse")
-        return rows
-    monkeypatch.setattr(solvers, "_impulse_rows", spy)
+        realization = realize(*args)
+        taken.append("state" if realization is None else "impulse")
+        return realization
+    monkeypatch.setattr(solvers, "_realize", spy)
     return taken
 
 
@@ -249,7 +250,7 @@ class TestFusedStep:
         args = (MethodSpec(kind, k), p, f, np.zeros(p.n_sigma), cfg, u0, p0, s_ex)
         fused = run_method(*args)
         monkeypatch.setattr(solvers, "_sweep_map", _sweep_loop)
-        monkeypatch.setattr(solvers, "_impulse_rows", lambda *a: None)
+        monkeypatch.setattr(solvers, "_realize", lambda *a: None)
         loop = run_method(*args)
         assert len(fused) == len(loop) == 50
         assert fused.status is loop.status
@@ -263,7 +264,7 @@ class TestFusedStep:
     def test_sweep_map_is_built_once_per_run(self, kind, path, fused_problems,
                                              monkeypatch):
         calls = []
-        for name in ("_sweep_map", "tux"):
+        for name in ("_sweep_map", "tux", "_realize"):
             def counting(*args, _fn=getattr(solvers, name), _name=name):
                 calls.append(_name)
                 return _fn(*args)
@@ -277,7 +278,7 @@ class TestFusedStep:
         trace = run_method(MethodSpec(kind, 3), p, f, np.zeros(p.n_sigma), cfg)
         assert len(trace) == 31
         one_shot = kind.one_shot
-        assert calls == (["_sweep_map", "tux"] if one_shot else [])
+        assert calls == (["_sweep_map", "tux", "_realize"] if one_shot else [])
         assert taken == ([path] if one_shot else [])
 
     @pytest.mark.parametrize("max_outer", [0, 40, 300])
@@ -336,6 +337,52 @@ class TestImpulseRouting:
                    SolverConfig(tau=0.1 * gd_bound(p).value, max_outer=3))
         assert taken == [path]
 
+    def test_a_transient_too_long_to_certify_takes_the_state_path(self, monkeypatch):
+        # (u*, p*) is the sweeps' fixed point at the anchor r, and H, H B, ...,
+        # H B^k all map delta to 0: from (u* + delta, p*) the forward run's first
+        # difference has outputs at rounding level, but its later ones do not
+        p, k = random_contraction(31, 2, 4, 0.54, seed=6), 2
+        f = p.H @ exact_state(p, np.ones(p.n_sigma))
+        sweep, parts = solvers._sweep_map(p, f, k)
+        zero = np.zeros(p.n_u)
+        realization = solvers._realize(p, f, zero, zero, sweep, *parts)
+        assert realization is not None
+        u_s = exact_state(p, realization[1])
+        p_s = adjoint_from_state(p, u_s, f)
+        stacked = np.vstack([p.H @ np.linalg.matrix_power(p.B, j) for j in range(k + 1)])
+        delta = np.linalg.svd(stacked)[2][-1]
+        assert np.linalg.norm(stacked @ delta) < 1e-14
+        assert solvers._realize(p, f, u_s + delta, p_s, sweep, *parts) is None
+        taken = _routes(monkeypatch)
+        trace = run_method(MethodSpec(SolverKind.K_STEP, k), p, f, np.zeros(p.n_sigma),
+                           SolverConfig(tau=0.1 * gd_bound(p).value, max_outer=3),
+                           u_s + delta, p_s)
+        assert taken == ["state"] and len(trace) == 4
+
+    def test_one_realization_serves_every_tau_and_kind(self, fused_problems,
+                                                      monkeypatch):
+        # nothing in (K, r, z) depends on tau or on shifted, so one realization
+        # gives the rows of four fresh runs bit for bit
+        p = fused_problems["H12"]
+        s_ex, sigma0, zero = np.ones(p.n_sigma), np.zeros(p.n_sigma), np.zeros(p.n_u)
+        f = p.H @ exact_state(p, s_ex)
+        sweep, parts = solvers._sweep_map(p, f, 2)
+        realization = solvers._realize(p, f, zero, zero, sweep, *parts)
+        taken = _routes(monkeypatch)
+        for frac in (0.1, 0.3):
+            tau = frac * gd_bound(p).value
+            cfg = SolverConfig(tau=tau, max_outer=59, tol_cost=1e-300, tol_grad=1e-300)
+            for kind in (SolverKind.K_STEP, SolverKind.SHIFTED_K_STEP):
+                trace = run_method(MethodSpec(kind, 2), p, f, sigma0, cfg, sigma_exact=s_ex)
+                rows = solvers._impulse_rows(realization, np.array([sigma0, s_ex]),
+                                             tau, kind.shifted)
+                sigma, cost, grad, _, err = zip(*itertools.islice(rows, 60))
+                assert len(trace) == len(cost) == 60
+                assert np.array_equal(trace.sigma, sigma)
+                assert (trace.cost, trace.grad_norm, trace.err_sigma) == (
+                    list(cost), list(grad), list(err))
+        assert taken == ["impulse"] * 4
+
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(data=st.data(), n_sigma=st.integers(1, 4), n_f_extra=st.integers(0, 12),
@@ -358,7 +405,7 @@ def test_impulse_rows_agree_with_the_state(data, n_sigma, n_f_extra, n_u_extra,
     with pytest.MonkeyPatch.context() as mp:
         taken = _routes(mp)
         routed = run_method(*args)
-        mp.setattr(solvers, "_impulse_rows", lambda *a: None)
+        mp.setattr(solvers, "_realize", lambda *a: None)
         state = run_method(*args)
     beta = _norm_bound(solvers.tux(p.B, p.H, k).Bk)
     assert beta < 1.0 or taken == ["state"]
@@ -373,7 +420,7 @@ def _both_paths(args):
     with pytest.MonkeyPatch.context() as mp:
         taken = _routes(mp)
         routed = run_method(*args)
-        mp.setattr(solvers, "_impulse_rows", lambda *a: None)
+        mp.setattr(solvers, "_realize", lambda *a: None)
         state = run_method(*args)
     assert taken == ["impulse"]
     assert routed.status is state.status and len(routed) == len(state)
