@@ -8,12 +8,17 @@ family and psi(k, ||B||) for the non-shifted one, each a minimum over a
 real-eigenvalue bound and the complex-eigenvalue case bounds parameterized by
 an angle split theta0 and a slack delta0.  Without ||B|| < 1 the bounds fall
 back to the resolvent constant s(B^k) and the operator norms of T_k and X_k.
+Every bound is evaluated in IEEE doubles: a denominator that underflows to 0
+gives inf (that case sets no bound), an overflowing power inf, and 0 inf nan,
+which ``np.min`` keeps.  ``StepBound`` alone refuses a value outside (0, inf).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
 from types import SimpleNamespace
+
+import numpy as np
 
 from .linear_model import (RealInverseProblem, _contraction_bound, data_map,
                            spectral_norm, tux)
@@ -101,20 +106,15 @@ def _case_terms(params: BoundParams, shifted: bool) -> SimpleNamespace:
     k = 1 slack cos(h th)^2 / (2 lin) for lin = 1/d0 + 2 sin(h th) + d0, and
     cd = c / d0, sc = sqrt(c), sq = sqrt(c) / d0 for c = d0 lin / cos(h th)^2,
     made without c, which overflows for large d0."""
-    th, d0 = params.theta0, params.delta0
-    half = 2.5 if shifted else 1.5
-    lin, cos2 = 1.0 / d0 + 2.0 * math.sin(half * th) + d0, math.cos(half * th)**2
+    th, d0, half = params.theta0, params.delta0, 2.5 if shifted else 1.5
+    lin = 1.0 / d0 + 2.0 * math.sin(half * th) + d0
+    cos2 = np.float64(math.cos(half * th))**2
     cd = lin / cos2
     return SimpleNamespace(
         sin_half=math.sin(th / 2.0), cos_cap=math.cos((3.0 if shifted else 2.0) * th),
         angle=math.sin(math.pi / 2.0 - 3.0 * th) + math.cos(2.0 * th),
         slack=cos2 / (2.0 * lin),
         cd=cd, sc=math.sqrt(cd) * math.sqrt(d0), sq=math.sqrt(cd) / math.sqrt(d0))
-
-
-def _ratio(num, denom):
-    # a case whose denominator underflows to 0 sets no bound
-    return math.inf if denom == 0.0 else num / denom
 
 
 def closed_form(k: int, b: float, params: BoundParams | None,
@@ -136,32 +136,33 @@ def closed_form(k: int, b: float, params: BoundParams | None,
     if b == 0.0:
         kind = SolverKind.SHIFTED_GD if shifted else SolverKind.USUAL_GD
         return scalar.threshold(kind, k, 0.0).value
-    c = _case_terms(_check_params(params, shifted, k), shifted)
-    if k == 1:
-        # real eigenvalues impose no condition on the non-shifted family
-        cases = [_ratio((1.0 - b)**4, 4.0 * b**2),
-                 2.0 * c.sin_half * (1.0 - b)**2 / (1.0 + b)**2,
-                 _ratio(c.slack * (1.0 - b)**4, b**2)]
-        if shifted:
-            cases += [2.0 * (1.0 - b)**2, c.angle * (1.0 - b)**2]
-        return min(cases)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        c, b = _case_terms(_check_params(params, shifted, k), shifted), np.float64(b)
+        if k == 1:
+            # real eigenvalues impose no condition on the non-shifted family
+            cases = [(1.0 - b)**4 / (4.0 * b**2),
+                     2.0 * c.sin_half * (1.0 - b)**2 / (1.0 + b)**2,
+                     c.slack * (1.0 - b)**4 / b**2]
+            if shifted:
+                cases += [2.0 * (1.0 - b)**2, c.angle * (1.0 - b)**2]
+            return float(np.min(cases))
 
-    # 1 - b^k = (1-b) S and geom = (1-b)^2 y_k >= (1-b)^2 ||X_k|| / ||H||^2
-    t, bk = scalar._terms(k, b), b**k
-    bkm2, geom = float(t.bkm)**2, (1.0 - b)**2 * float(t.y)
-    front = (1.0 - b)**2 * bkm2
-    cases = [front / (4.0 * b**(2 * k) + SQRT2 * geom * (1.0 + bk)**2),
-             front / ((bkm2 / (2.0 * c.sin_half)
-                       + SQRT2 * geom) * (1.0 + bk)**2),
-             front / (2.0 * c.cd * c.sin_half * b**(2 * k)
-                      + geom * (c.sq * (1.0 + b**(2 * k))
-                                + 2.0 * max(c.sq, c.sc / c.cos_cap) * bk))]
-    if shifted:
-        cases += [2.0 * front / (bkm2 + 2.0 * geom),
-                  c.angle * front / (bkm2 + 2.0 * geom * (1.0 + bk)**2)]
-    else:
-        cases.append(front / geom)
-    return min(cases)
+        # 1 - b^k = (1-b) S and geom = (1-b)^2 y_k >= (1-b)^2 ||X_k|| / ||H||^2
+        t, bk = scalar._terms(k, b), b**k
+        bkm2, geom = t.bkm[()]**2, (1.0 - b)**2 * t.y[()]
+        front = (1.0 - b)**2 * bkm2
+        cases = [front / (4.0 * b**(2 * k) + SQRT2 * geom * (1.0 + bk)**2),
+                 front / ((bkm2 / (2.0 * c.sin_half)
+                           + SQRT2 * geom) * (1.0 + bk)**2),
+                 front / (2.0 * c.cd * c.sin_half * b**(2 * k)
+                          + geom * (c.sq * (1.0 + b**(2 * k))
+                                    + 2.0 * max(c.sq, c.sc / c.cos_cap) * bk))]
+        if shifted:
+            cases += [2.0 * front / (bkm2 + 2.0 * geom),
+                      c.angle * front / (bkm2 + 2.0 * geom * (1.0 + bk)**2)]
+        else:
+            cases.append(front / geom)
+        return float(np.min(cases))
 
 
 # ---------------------------------------------------------------------------
@@ -170,37 +171,30 @@ def closed_form(k: int, b: float, params: BoundParams | None,
 def _general_min_k1(nH, nM, nB, s, params, shifted):
     c = _case_terms(params, shifted)
     hm2 = nH**2 * nM**2
-    cases = []
-    if shifted:
-        cases.append(_ratio(2.0, hm2 * s**2))                         # real
-        cases.append(_ratio(c.angle, hm2 * (1.0 + nB)**2 * s**2))
-    cases.append(_ratio(1.0, 4.0 * hm2 * nB**2 * s**4))
-    cases.append(_ratio(2.0 * c.sin_half, hm2 * (1.0 + 2.0 * nB)**2 * s**4))
-    cases.append(_ratio(c.slack, hm2 * nB**2 * s**4))
-    return min(cases)
+    cases = [1.0 / (4.0 * hm2 * nB**2 * s**4),
+             2.0 * c.sin_half / (hm2 * (1.0 + 2.0 * nB)**2 * s**4),
+             c.slack / (hm2 * nB**2 * s**4)]
+    if shifted:     # the real-eigenvalue case, then the angle case
+        cases += [2.0 / (hm2 * s**2), c.angle / (hm2 * (1.0 + nB)**2 * s**2)]
+    return np.min(cases)
 
 
 def _general_min_k(nH, nM, nT, nX, nBk, s, params, shifted):
     c = _case_terms(params, shifted)
     ht2 = nH**2 * nM**2 * nT**2
     xk = nM**2 * nX
-    cases = []
-    if shifted:
-        cases.append(_ratio(1.0, (ht2 / 2.0 + xk) * s**2))            # real
-        cases.append(c.angle * _ratio(1.0, (ht2 * (1.0 + nBk)**2
-                                            + 2.0 * xk * (1.0 + 2.0 * nBk)**2) * s**4))
+    cases = [1.0 / ((4.0 * ht2 * nBk**2 + SQRT2 * xk * (1.0 + 2.0 * nBk)**2) * s**4),
+             1.0 / ((ht2 / (2.0 * c.sin_half) + SQRT2 * xk) * (1.0 + 2.0 * nBk)**2 * s**4),
+             1.0 / ((2.0 * c.cd * c.sin_half * ht2 * nBk**2
+                     + c.sq * xk * (1.0 + 2.0 * nBk + 2.0 * nBk**2)
+                     + 2.0 * max(c.sq, c.sc / c.cos_cap) * xk * (nBk + nBk**2)) * s**4)]
+    if shifted:     # the real-eigenvalue case, then the angle case
+        cases += [1.0 / ((ht2 / 2.0 + xk) * s**2),
+                  c.angle * (1.0 / ((ht2 * (1.0 + nBk)**2
+                                     + 2.0 * xk * (1.0 + 2.0 * nBk)**2) * s**4))]
     else:
-        cases.append(_ratio(1.0, xk * s**2))                          # real
-
-    cases.append(_ratio(1.0, (4.0 * ht2 * nBk**2
-                              + SQRT2 * xk * (1.0 + 2.0 * nBk)**2) * s**4))
-    cases.append(_ratio(1.0, (ht2 / (2.0 * c.sin_half) + SQRT2 * xk)
-                        * (1.0 + 2.0 * nBk)**2 * s**4))
-    cases.append(_ratio(1.0, (2.0 * c.cd * c.sin_half * ht2 * nBk**2
-                              + c.sq * xk * (1.0 + 2.0 * nBk + 2.0 * nBk**2)
-                              + 2.0 * max(c.sq, c.sc / c.cos_cap)
-                              * xk * (nBk + nBk**2)) * s**4))
-    return min(cases)
+        cases.append(1.0 / (xk * s**2))                               # real
+    return np.min(cases)
 
 
 def matrix_bound(problem: RealInverseProblem, method: MethodSpec,
@@ -213,49 +207,51 @@ def matrix_bound(problem: RealInverseProblem, method: MethodSpec,
     ||B|| < 1 and it is larger, the sharper closed form.
     """
     shifted, k = method.kind.shifted, method.k
-    if not method.kind.one_shot:
-        g = spectral_norm(data_map(problem))
-        return StepBound(_ratio(scalar.threshold(method.kind, k, 0.0).value, g**2),
-                         "shifted-gd" if shifted else "usual-gd", None,
-                         {"data_map_norm": g})
-    nB = spectral_norm(problem.B)
-    rho = _contraction_bound(problem.B, nB)
-    if rho >= 1.0:
-        raise ValueError(f"bounds need rho(B) < 1, got {rho:.6g}")
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if not method.kind.one_shot:
+            g = spectral_norm(data_map(problem))
+            value = scalar.threshold(method.kind, k, 0.0).value / np.float64(g)**2
+            return StepBound(float(value), "shifted-gd" if shifted else "usual-gd",
+                             None, {"data_map_norm": g})
+        nB = spectral_norm(problem.B)
+        rho = _contraction_bound(problem.B, nB)
+        if rho >= 1.0:
+            raise ValueError(f"bounds need rho(B) < 1, got {rho:.6g}")
 
-    params = _check_params(params, shifted, k)
-    nH = spectral_norm(problem.H)
-    nM = spectral_norm(problem.M)
-    norms = {"norm_B": nB, "norm_H": nH, "norm_M": nM}
-    family = "shifted-one-shot" if shifted else "one-shot"
+        params = _check_params(params, shifted, k)
+        nH, nM = spectral_norm(problem.H), spectral_norm(problem.M)
+        norms = {"norm_B": nB, "norm_H": nH, "norm_M": nM}
+        nB, nH, nM = np.float64([nB, nH, nM])      # Python floats in norm_inputs
+        family = "shifted-one-shot" if shifted else "one-shot"
 
-    if nB == 0.0:
-        # the exact scalar threshold at b = 0, over ||H||^2 ||M||^2 at k = 1;
-        # for k >= 2 the method is (shifted) GD with data map H M
-        value = scalar.threshold(method.kind, k, 0.0).value
-        if k == 1:
-            return StepBound(_ratio(value, nH**2 * nM**2), f"{family}:zero-B",
+        if nB == 0.0:
+            # the exact scalar threshold at b = 0, over ||H||^2 ||M||^2 at k = 1;
+            # for k >= 2 the method is (shifted) GD with data map H M
+            value = scalar.threshold(method.kind, k, 0.0).value
+            if k == 1:
+                return StepBound(float(value / (nH**2 * nM**2)), f"{family}:zero-B",
+                                 params, norms)
+            norms["data_map_norm"] = g = spectral_norm(problem.H @ problem.M)
+            return StepBound(float(value / np.float64(g)**2), f"{family}:zero-B-gd-limit",
                              params, norms)
-        norms["data_map_norm"] = g = spectral_norm(problem.H @ problem.M)
-        return StepBound(_ratio(value, g**2), f"{family}:zero-B-gd-limit", params, norms)
 
-    if k == 1:
-        s = spectral.s_functional(problem.B)
-        norms["s_Bk"] = s
-        general = _general_min_k1(nH, nM, nB, s, params, shifted)
-    else:
-        t = tux(problem.B, problem.H, k)
-        s = spectral.s_functional(t.Bk)
-        nT, nX, nBk = spectral_norm(t.T), spectral_norm(t.X), spectral_norm(t.Bk)
-        norms.update({"s_Bk": s, "norm_Tk": nT, "norm_Xk": nX, "norm_Bk": nBk})
-        general = _general_min_k(nH, nM, nT, nX, nBk, s, params, shifted)
+        if k == 1:
+            s = spectral.s_functional(problem.B)
+            norms["s_Bk"] = s
+            general = _general_min_k1(nH, nM, nB, np.float64(s), params, shifted)
+        else:
+            t = tux(problem.B, problem.H, k)
+            s = spectral.s_functional(t.Bk)
+            nT, nX, nBk = spectral_norm(t.T), spectral_norm(t.X), spectral_norm(t.Bk)
+            norms.update({"s_Bk": s, "norm_Tk": nT, "norm_Xk": nX, "norm_Bk": nBk})
+            general = _general_min_k(nH, nM, *np.float64([nT, nX, nBk, s]), params, shifted)
 
-    value, formula = general, f"{family}:resolvent"
-    if nB < 1.0:
-        closed = _ratio(closed_form(k, nB, params, shifted), nH**2 * nM**2)
-        if closed > value:
-            value, formula = closed, f"{family}:closed-form"
-    return StepBound(value, formula, params, norms)
+        value, formula = general, f"{family}:resolvent"
+        if nB < 1.0:
+            closed = closed_form(k, nB, params, shifted) / (nH**2 * nM**2)
+            if closed > value:
+                value, formula = closed, f"{family}:closed-form"
+        return StepBound(float(value), formula, params, norms)
 
 
 def gd_bound(problem: RealInverseProblem) -> StepBound:

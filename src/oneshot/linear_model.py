@@ -22,8 +22,9 @@ EPS_INJ = 1e-10                 # and s_min of H (I - B)^-1 M above EPS_INJ s_ma
 
 
 def spectral_norm(a: np.ndarray) -> float:
-    """Largest singular value (the operator 2-norm)."""
-    return float(np.linalg.norm(a, 2))
+    """Largest singular value (the operator 2-norm); inf, without LAPACK, for
+    a matrix with a non-finite entry."""
+    return float(np.linalg.norm(a, 2)) if np.isfinite(a).all() else np.inf
 
 
 def spectral_radius(a: np.ndarray) -> float:

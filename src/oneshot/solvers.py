@@ -217,6 +217,8 @@ def _realize(problem, f, u, p, sweep, TXM, c, t):
         block = sweep(*block)
         taps.append(out(*block))
     steady = np.sum(taps, axis=0)[n_f:]
+    if not np.isfinite(steady).all():       # overflowed taps: the state path
+        return None
     r = np.linalg.lstsq(steady[:, :n_s], -steady[:, n_s], rcond=None)[0]
     x = [(u, p), sweep(u, p, r)]
     d = (x[1][0] - u, x[1][1] - p)

@@ -78,15 +78,16 @@ def converges(problem: RealInverseProblem, method: MethodSpec,
     I], V = [-tau M*, 0, I], with the nonzero spectrum of V W = I - tau D* D
     (D = data_map); sgd's sigma obeys z^2 - z + tau D* D.  So each eigenvalue
     lam of tau D* D gives roots 1 - lam (gd) or (1 +- sqrt(1 - 4 lam)) / 2 (sgd)."""
-    if method.kind.one_shot:
-        rho = spectral_radius(build_iteration_matrix(problem, method, tau).matrix)
-    elif not 0.0 < tau < math.inf:
-        raise ValueError(f"tau must be positive and finite, got {tau}")
-    else:
-        D = data_map(problem)
-        lam = tau * np.linalg.eigvalsh(D.T @ D)
-        rho = float(np.max(np.abs(1.0 + np.sqrt(1.0 - 4.0 * lam + 0j))) / 2.0
-                    if method.kind.shifted else np.max(np.abs(1.0 - lam)))
+    with np.errstate(over="ignore", invalid="ignore"):    # an overflow leaves no radius
+        if method.kind.one_shot:
+            rho = spectral_radius(build_iteration_matrix(problem, method, tau).matrix)
+        elif not 0.0 < tau < math.inf:
+            raise ValueError(f"tau must be positive and finite, got {tau}")
+        else:
+            D = data_map(problem)
+            lam = tau * np.linalg.eigvalsh(D.T @ D)
+            rho = float(np.max(np.abs(1.0 + np.sqrt(1.0 - 4.0 * lam + 0j))) / 2.0
+                        if method.kind.shifted else np.max(np.abs(1.0 - lam)))
     return rho < 1.0 - CONVERGENCE_MARGIN, rho
 
 

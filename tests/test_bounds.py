@@ -1,4 +1,5 @@
 """Tests for the descent-step bounds (exact GD bounds, chi/psi, resolvent)."""
+import dataclasses
 import math
 
 import mpmath as mp
@@ -19,6 +20,18 @@ GOLDEN = (-1.0 + math.sqrt(5.0)) / 2.0
 # frozen after an independent re-derivation of every chi_i closed form
 # (see test_chi_k1_golden_value)
 CHI_K1_HALF = 0.0021296358569332357
+
+# valid problems whose squared norms, or products of them, overflow: a 1x1
+# with ||M|| = 1e160, a spike of 1e80 in B whose s(B) is 4e80, and a real
+# problem with M, or H against M, scaled by powers of two
+REAL = random_contraction(8, 3, 5, 0.6, seed=20220721)
+OVERFLOWING = {
+    "overflow": RealInverseProblem(B=[[0.5]], M=[[1e160]], H=[[1e-160]], F=[0.0]),
+    "spike": RealInverseProblem(B=[[0.5, 1e80], [0.0, 0.5]], M=[[0.0], [1.0]],
+                                H=[[1.0, 0.0]], F=[0.0, 0.0]),
+    "big_m": dataclasses.replace(REAL, M=REAL.M * 2.0**540),
+    "big_h": dataclasses.replace(REAL, H=REAL.H * 2.0**540, M=REAL.M * 2.0**-540),
+}
 
 
 class TestGDBounds:
@@ -315,6 +328,37 @@ class TestMatrixBound:
         p = RealInverseProblem(B=[[0.5]], M=[[1e-160]], H=[[1e-160]], F=[0.0])
         with pytest.raises(ValueError, match="out of the float range"):
             matrix_bound(p, MethodSpec(kind, k))
+
+    @pytest.mark.parametrize("name", list(OVERFLOWING))
+    @pytest.mark.parametrize("kind", [SolverKind.K_STEP, SolverKind.SHIFTED_K_STEP])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_norms_whose_squares_overflow_leave_no_bound(self, name, kind, k):
+        # valid problems, on which Python's float power raised OverflowError
+        # once, and for big_h at k >= 2 LAPACK met an overflowed X_k
+        with pytest.raises(ValueError, match="out of the float range"):
+            matrix_bound(OVERFLOWING[name], MethodSpec(kind, k))
+
+    @pytest.mark.parametrize("kind", [SolverKind.USUAL_GD, SolverKind.SHIFTED_GD])
+    def test_gd_bounds_whose_data_map_overflows_leave_no_bound(self, kind):
+        with pytest.raises(ValueError, match="out of the float range"):
+            matrix_bound(OVERFLOWING["big_m"], MethodSpec(kind))
+
+    @pytest.mark.parametrize("kind", [SolverKind.USUAL_GD, SolverKind.SHIFTED_GD])
+    def test_gd_bounds_keep_their_bits_when_h_and_m_trade_a_power_of_two(self, kind):
+        # H 2^540 against M 2^-540 leaves the data map, and so the GD bound,
+        # exactly as it was
+        big, real = (matrix_bound(p, MethodSpec(kind)) for p in (OVERFLOWING["big_h"], REAL))
+        assert big.value == real.value and big.norm_inputs == real.norm_inputs
+
+    def test_values_and_norm_inputs_stay_python_floats(self):
+        p = random_contraction(4, 2, 2, 0.5, seed=4)
+        for kind, k in ((SolverKind.USUAL_GD, 1), (SolverKind.K_STEP, 1),
+                        (SolverKind.SHIFTED_K_STEP, 2)):
+            sb = matrix_bound(p, MethodSpec(kind, k))
+            assert type(sb.value) is float
+            assert all(type(x) is float for x in sb.norm_inputs.values())
+        assert all(type(closed_form(k, 0.5, None, shifted)) is float
+                   for k in (1, 2) for shifted in (False, True))
 
     @pytest.mark.parametrize("k", [10**15, 10**20])
     def test_a_k_too_large_to_allocate_is_a_memory_error(self, k):

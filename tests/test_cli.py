@@ -5,6 +5,7 @@ import io
 import json
 import math
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -334,7 +335,8 @@ _K = st.sampled_from(["1", "2", "8"]) | st.sampled_from(
 _METHOD = st.sampled_from(["gd", "sgd", "kshot", "skshot"]) | st.sampled_from(["foo", ""])
 _MAX_OUTER = st.sampled_from(["-1", "0", "5"])
 _SEED = st.sampled_from(["0", "7", "-1"])
-_FILE = st.sampled_from(["valid", "invalid", "underflow", "broken", "missing"]).map(
+_FILE = st.sampled_from(["valid", "invalid", "underflow", "overflow", "spike", "broken",
+                         "missing"]).map(
     lambda name: f"{{work}}/{name}.json")
 
 
@@ -406,6 +408,11 @@ def contract_work(tmp_path_factory):
     # valid, but the squares of its norms underflow to 0
     save_problem(RealInverseProblem(B=[[0.5]], M=[[1e-160]], H=[[1e-160]], F=[0.0]),
                  work / "underflow.json")
+    # valid, but squared norms overflow: ||M|| = 1e160, and s(B) = 4e80
+    save_problem(RealInverseProblem(B=[[0.5]], M=[[1e160]], H=[[1e-160]], F=[0.0]),
+                 work / "overflow.json")
+    save_problem(RealInverseProblem(B=[[0.5, 1e80], [0.0, 0.5]], M=[[0.0], [1.0]],
+                                    H=[[1.0, 0.0]], F=[0.0, 0.0]), work / "spike.json")
     (work / "broken.json").write_text("{not json")
     return work
 
@@ -491,6 +498,14 @@ class TestExitContract:
         # a valid problem whose squared norms underflow has no bound in range
         (["bound", "--problem", "{work}/underflow.json", "--method", "gd"], 1),
         (["bound", "--problem", "{work}/underflow.json", "--method", "kshot"], 1),
+        # or overflow: the one-shot bounds only, whose float powers raised
+        # OverflowError; the data map norms of both are finite
+        (["bound", "--problem", "{work}/overflow.json", "--method", "gd"], 0),
+        (["bound", "--problem", "{work}/overflow.json", "--method", "kshot"], 1),
+        (["bound", "--problem", "{work}/overflow.json", "--method", "kshot", "--k", "2"], 1),
+        (["bound", "--problem", "{work}/spike.json", "--method", "sgd"], 0),
+        (["bound", "--problem", "{work}/spike.json", "--method", "skshot"], 1),
+        (["bound", "--problem", "{work}/spike.json", "--method", "skshot", "--k", "3"], 1),
         # a k whose blocks cannot be allocated is bad input
         (["bound", "--problem", "{work}/underflow.json", "--method", "kshot",
           "--k", str(10**15)], 2),
@@ -515,6 +530,27 @@ class TestExitContract:
             ("1", "max_iter", rows[0]["rho"]),
             (str(10**15), f"error:k = {10**15} is too large: its blocks H B^l "
              "do not fit in memory", "nan")]
+
+    def test_overflowed_matrices_reach_no_lapack_routine(self, tmp_path, capfd):
+        # LAPACK reports an illegal argument on file descriptor 1 itself,
+        # past sys.stdout: an X_k, or kshot taps, that overflowed used to
+        # print "** On entry to DLASCL parameter number 4 had an illegal value"
+        real = random_contraction(8, 3, 5, 0.6, seed=20220721)
+        big_h, big_m = tmp_path / "big_h.json", tmp_path / "big_m.json"
+        save_problem(replace(real, H=real.H * 2.0**540, M=real.M * 2.0**-540), big_h)
+        save_problem(replace(real, M=real.M * 2.0**540), big_m)
+        assert main(["bound", "--problem", str(big_h), "--method", "skshot", "--k", "3"]) == 1
+        out, err = capfd.readouterr()
+        assert out == ""
+        assert err == "error: the squared norms put the step bound out of the float range\n"
+        # the taps overflow, so the run takes the state path and diverges
+        assert main(["solve", "--problem", str(big_m), "--method", "kshot", "--k", "2",
+                     "--tau", "1e-3", "--max-outer", "5"]) == 0
+        out, err = capfd.readouterr()
+        rows = list(csv.reader(io.StringIO(out)))
+        assert ",".join(rows[0]) == solvers.CSV_HEADER
+        assert [row[-1] for row in rows[1:]] == ["diverged"]
+        assert err == ""
 
     @settings(max_examples=500, deadline=None, derandomize=True, database=None)
     @given(argv=_ARGV)

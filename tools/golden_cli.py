@@ -121,6 +121,16 @@ def write_problem_files(root: Path) -> None:
     # valid, but the squares of its norms underflow to 0
     files["underflow.json"] = {"n_u": 1, "n_sigma": 1, "n_f": 1, "B": [0.5],
                                "M": [1e-160], "H": [1e-160], "F": [0.0]}
+    # valid, but squared norms or their products overflow: a 1x1 with
+    # ||M|| = 1e160, a spike of 1e80 in B whose s(B) is 4e80, and
+    # real.json with M, or H against M, scaled by powers of two
+    files["overflow.json"] = {"n_u": 1, "n_sigma": 1, "n_f": 1, "B": [0.5],
+                              "M": [1e160], "H": [1e-160], "F": [0.0]}
+    files["spike.json"] = {"n_u": 2, "n_sigma": 1, "n_f": 1, "B": [0.5, 1e80, 0.0, 0.5],
+                           "M": [0.0, 1.0], "H": [1.0, 0.0], "F": [0.0, 0.0]}
+    files["big_m.json"] = dict(real, M=[x * 2.0**540 for x in real["M"]])
+    files["big_h.json"] = dict(real, H=[x * 2.0**540 for x in real["H"]],
+                               M=[x * 2.0**-540 for x in real["M"]])
     for name, data in files.items():
         (root / name).write_text(json.dumps(data))
 
@@ -343,6 +353,19 @@ def commands() -> list[list[str]]:
     cmds.append(["solve", *big_k, "--tau", "0.1"])
     cmds.append(["sweep", *big_k[:-1], f"1,{10**15}", "--tau", "0.1",
                  "--max-outer", "3", "--out", "{work}/out/sweep_big_k"])
+    # norms whose squares or products overflow: a one-shot bound is nan or
+    # out of range and exits 1 with one line; gd on big_h is real.json's.
+    # On big_m the kshot taps overflow, and the run diverges on the state path
+    for name in ("overflow", "spike", "big_m", "big_h"):
+        problem = ["--problem", f"{{work}}/{name}.json"]
+        cmds.append(["check", *problem])
+        for method in (["gd"], ["sgd"], ["kshot"], ["skshot"], ["kshot", "--k", "2"],
+                       ["skshot", "--k", "3"]):
+            cmds.append(["bound", *problem, "--method", *method])
+    big_m = ["--problem", "{work}/big_m.json", "--tau", "1e-3", "--max-outer", "5"]
+    cmds.append(["solve", *big_m, "--method", "kshot", "--k", "2"])
+    cmds.append(["sweep", *big_m, "--method", "gd,kshot", "--k", "1,2",
+                 "--out", "{work}/out/sweep_big_m"])
     return cmds
 
 
